@@ -48,6 +48,8 @@ class ClusterConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rbf_sigma is not None and not self.rbf_sigma > 0:
             raise ConfigError(f"rbf_sigma must be positive, got {self.rbf_sigma}")
+        if self.spectral_cap < 1:
+            raise ConfigError(f"spectral_cap must be >= 1, got {self.spectral_cap}")
         if self.birch_threshold is not None and not self.birch_threshold > 0:
             raise ConfigError(f"birch_threshold must be positive, got {self.birch_threshold}")
         if self.birch_branching < 2:

@@ -10,7 +10,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..features import as_rows
-from ..numerics import SymMatrix, mix_seed, pairwise_distances, sym_eigen
+from ..numerics import mix_seed, pairwise_distances, sym_eigen
 from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
@@ -30,8 +30,8 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
 
     ``cfg.rbf_sigma`` defaults to the median pairwise distance. Points whose
     degree underflows to zero are embedded at the origin and listed in
-    ``diagnostics["isolated_points"]``. Dense eigensolve only: n is capped
-    at ``cfg.spectral_cap``.
+    ``diagnostics["isolated_points"]``. The eigensolve is dense (LAPACK,
+    O(n^3) time and n x n memory), so n is capped at ``cfg.spectral_cap``.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -44,13 +44,22 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
     sigma = cfg.rbf_sigma if cfg.rbf_sigma is not None else median_offdiagonal(dist)
     if sigma <= 0.0:
         sigma = 1.0
-    w = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
-    np.fill_diagonal(w, 0.0)
-    degrees = w.sum(axis=1)
+    # The affinity, then the Laplacian, overwrite the distance buffer, so the
+    # n x n working set is that one matrix plus the eigensolver's own.
+    affinity = dist
+    np.multiply(dist, dist, out=affinity)
+    affinity /= -(2.0 * sigma * sigma)
+    np.exp(affinity, out=affinity)
+    np.fill_diagonal(affinity, 0.0)
+    degrees = affinity.sum(axis=1)
     isolated = np.flatnonzero(degrees <= 0.0)
     inv_sqrt = np.where(degrees > 0.0, 1.0 / np.sqrt(np.where(degrees > 0.0, degrees, 1.0)), 0.0)
-    laplacian = np.eye(n) - w * inv_sqrt[:, None] * inv_sqrt[None, :]
-    eigenvalues, eigenvectors = sym_eigen(SymMatrix(laplacian))
+    laplacian = affinity
+    laplacian *= inv_sqrt[:, None]
+    laplacian *= inv_sqrt[None, :]
+    np.negative(laplacian, out=laplacian)
+    laplacian.flat[::n + 1] += 1.0
+    eigenvalues, eigenvectors = sym_eigen(laplacian)
     embedding = eigenvectors[:, :cfg.k].copy()
     norms = np.sqrt((embedding * embedding).sum(axis=1))
     embedding /= np.where(norms > 0.0, norms, 1.0)[:, None]

@@ -43,10 +43,11 @@ class ShapeError(RadclustError):
 
 
 class NonConvergenceError(RadclustError):
-    """An iterative solver hit its iteration cap.
+    """A solver hit its iteration cap, failed, or was given non-finite input.
 
     ``residual`` holds the remaining off-diagonal norm (or equivalent
-    convergence measure) at the point of failure.
+    convergence measure) at the point of failure, or None when the solver
+    reports none.
     """
 
     def __init__(self, message, *, residual=None):

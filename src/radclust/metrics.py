@@ -76,7 +76,11 @@ def silhouette(x, labels) -> SilhouetteReport:
 
 
 def sse(x, labels, centroids) -> float:
-    """Sum of squared Euclidean distances from points to assigned centroids."""
+    """Sum of squared Euclidean distances from points to assigned centroids.
+
+    Raises ShapeError on mismatched shapes, or on a label outside
+    [0, number of centroids), naming the first such label and its row.
+    """
     rows = as_rows(x)
     labels = np.asarray(labels, dtype=np.intp)
     centroids = np.asarray(centroids, dtype=np.float64)
@@ -86,10 +90,12 @@ def sse(x, labels, centroids) -> float:
         raise ShapeError(
             f"centroid matrix shape {centroids.shape} does not match d={rows.shape[1]}"
         )
-    if labels.min() < 0 or labels.max() >= centroids.shape[0]:
-        raise IndexError(
-            f"label {int(labels.max() if labels.max() >= centroids.shape[0] else labels.min())} "
-            f"out of range for {centroids.shape[0]} centroids"
+    bad = np.flatnonzero((labels < 0) | (labels >= centroids.shape[0]))
+    if bad.size:
+        row = int(bad[0])
+        raise ShapeError(
+            f"label {int(labels[row])} at row {row} out of range for "
+            f"{centroids.shape[0]} centroids"
         )
     diff = rows - centroids[labels]
     return float((diff * diff).sum())

@@ -3,8 +3,9 @@
 Everything downstream (k-means seeding, mini-batch sampling, mixture
 initialization, spectral embeddings) rests on the two primitives here: a
 counter-based 64-bit random stream that produces the same sequence on every
-platform, and a cyclic Jacobi eigensolver for dense symmetric matrices.
-All floating arithmetic is 64-bit.
+platform, and a dense symmetric eigensolver (LAPACK through numpy) whose
+eigenvector signs are fixed by a deterministic rule. All floating arithmetic
+is 64-bit.
 """
 
 import math
@@ -154,93 +155,50 @@ def _sym_values(m):
     return SymMatrix(m).values
 
 
-def sym_eigen(m, max_sweeps=100):
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def sym_eigen(m):
+    """Full eigendecomposition of a symmetric matrix by LAPACK (``eigh``).
 
     Parameters
     ----------
     m : SymMatrix or (n, n) array_like
-        Matrix to decompose; treated as symmetric (averaged if it is not).
-    max_sweeps : int
-        Cap on full rotation sweeps before giving up.
+        Matrix to decompose, passed to LAPACK as is: it is not copied or
+        symmetrized here, and only its lower triangle is read.
 
     Returns
     -------
     w : (n,) ndarray
         Eigenvalues in ascending order.
     v : (n, n) ndarray
-        Orthonormal eigenvectors, one per column, aligned with ``w``.
+        Orthonormal eigenvectors, one per column, aligned with ``w``. Each
+        column's largest-magnitude entry is positive (the lowest row index
+        wins a tie), so a column's sign does not depend on the one LAPACK
+        happened to return.
 
     Raises
     ------
+    ShapeError
+        If ``m`` is not a non-empty square matrix.
     NonConvergenceError
-        If the off-diagonal mass has not vanished after ``max_sweeps``
-        sweeps; the error carries the remaining off-diagonal norm.
+        If ``m`` has a non-finite entry (the message names its position) or
+        LAPACK fails to converge.
     """
-    a = _sym_values(m)
-    n = a.shape[0]
-    v = np.eye(n)
-    if n == 1:
-        return a.diagonal().copy(), v
-
-    scale = max(1.0, float(np.max(np.abs(a))))
-    # Roundoff floor for the summed off-diagonal magnitude; far below the
-    # 1e-8 residual contract.
-    stop = n * n * 2.3e-16 * scale
-
-    sweep = 0
-    while True:
-        off = float(np.sum(np.abs(a)) - np.sum(np.abs(np.diag(a))))
-        if off <= stop:
-            break
-        if sweep >= max_sweeps:
-            raise NonConvergenceError(
-                f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e})",
-                residual=off,
-            )
-        thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                g = 100.0 * abs(apq)
-                # Once rotations are tiny relative to the diagonal, flush the
-                # element to zero instead of rotating forever.
-                if sweep > 3 and abs(a[p, p]) + g == abs(a[p, p]) \
-                        and abs(a[q, q]) + g == abs(a[q, q]):
-                    a[p, q] = a[q, p] = 0.0
-                    continue
-                if abs(apq) <= thresh:
-                    continue
-                h = a[q, q] - a[p, p]
-                if abs(h) + g == abs(h):
-                    t = apq / h
-                else:
-                    theta = 0.5 * h / apq
-                    t = 1.0 / (abs(theta) + math.sqrt(1.0 + theta * theta))
-                    if theta < 0.0:
-                        t = -t
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                app, aqq = a[p, p], a[q, q]
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                a[:, p] = c * colp - s * colq
-                a[:, q] = s * colp + c * colq
-                a[p, :] = a[:, p]
-                a[q, :] = a[:, q]
-                a[p, p] = app - t * apq
-                a[q, q] = aqq + t * apq
-                a[p, q] = a[q, p] = 0.0
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-        sweep += 1
-
-    w = a.diagonal().copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], v[:, order]
+    a = m.values if isinstance(m, SymMatrix) else np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ShapeError(f"symmetric matrix must be square with dimension >= 1, got shape {a.shape}")
+    finite = np.isfinite(a)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise NonConvergenceError(
+            f"eigensolver input has non-finite entry {a[i, j]} at ({i}, {j})"
+        )
+    try:
+        w, v = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise NonConvergenceError(f"LAPACK eigensolver failed: {exc}") from exc
+    cols = np.arange(v.shape[1])
+    peaks = np.argmax(np.abs(v), axis=0)
+    v *= np.where(v[peaks, cols] < 0.0, -1.0, 1.0)
+    return w, v
 
 
 def cholesky(m):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radclust.errors import ConfigError
+from radclust.errors import ConfigError, ShapeError
 from radclust.features import FeatureMatrix
 from radclust.metrics import silhouette, sse
 
@@ -102,5 +102,9 @@ class TestSse:
         )
 
     def test_label_out_of_range(self):
-        with pytest.raises(IndexError):
+        with pytest.raises(ShapeError, match="label 2 at row 2 out of range for 2 centroids"):
             sse(np.zeros((3, 2)), [0, 1, 2], np.zeros((2, 2)))
+
+    def test_negative_label_names_first_bad_row(self):
+        with pytest.raises(ShapeError, match="label -1 at row 1 out of range"):
+            sse(np.zeros((4, 2)), [0, -1, 5, 1], np.zeros((2, 2)))

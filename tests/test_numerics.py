@@ -13,7 +13,12 @@ from radclust.numerics import (
     sym_eigen,
 )
 
-from oracles import charpoly_eigs_by_bisection, naive_pairwise, splitmix64_reference
+from oracles import (
+    charpoly_eigs_by_bisection,
+    jacobi_eigen,
+    naive_pairwise,
+    splitmix64_reference,
+)
 
 # Published reference sequence for the counter-based generator (seed 1234567).
 REFERENCE_U64_1234567 = [
@@ -23,6 +28,12 @@ REFERENCE_U64_1234567 = [
     4593380528125082431,
     16408922859458223821,
 ]
+
+
+def assert_sign_convention(v):
+    """Each column's first largest-magnitude entry is positive."""
+    cols = np.arange(v.shape[1])
+    assert np.all(v[np.argmax(np.abs(v), axis=0), cols] > 0.0)
 
 
 class TestRngStream:
@@ -132,11 +143,90 @@ class TestSymEigen:
         assert np.all(np.diff(w) >= 0.0)
 
     def test_iteration_cap_raises_with_residual(self):
+        # The sweep cap belongs to the Jacobi reference in oracles.py.
         a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
         with pytest.raises(NonConvergenceError) as exc:
-            sym_eigen(a, max_sweeps=0)
+            jacobi_eigen(a, max_sweeps=0)
         assert exc.value.residual is not None
         assert exc.value.residual > 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_raises_with_position(self, bad):
+        a = np.eye(4)
+        a[2, 1] = a[1, 2] = bad
+        with pytest.raises(NonConvergenceError, match=r"non-finite entry .* at \(1, 2\)"):
+            sym_eigen(a)
+
+    def test_lapack_failure_maps_to_non_convergence(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ShapeError):
+            sym_eigen(np.zeros(shape))
+
+    def test_reads_lower_triangle_without_modifying_input(self):
+        rng = np.random.RandomState(3)
+        b = rng.randn(6, 6)
+        lower = np.tril(b) + np.tril(b, -1).T
+        before = b.copy()
+        w, v = sym_eigen(b)
+        assert np.array_equal(b, before)
+        w_ref, v_ref = sym_eigen(lower)
+        assert np.array_equal(w, w_ref) and np.array_equal(v, v_ref)
+
+    def test_sign_convention_tie_goes_to_lowest_index(self, monkeypatch):
+        s = math.sqrt(0.5)
+        lapack_v = np.array([[-s, -s], [s, -s]])
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), lapack_v.copy()))
+        _, v = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        assert np.array_equal(v, [[s, s], [-s, s]])
+
+    def test_sign_convention(self):
+        rng = np.random.RandomState(4)
+        b = rng.randn(30, 30)
+        _, v = sym_eigen(b + b.T)
+        assert_sign_convention(v)
+        _, v_neg = sym_eigen(-(b + b.T))
+        assert_sign_convention(v_neg)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_matches_jacobi_and_charpoly_oracles(self, n):
+        rng = np.random.RandomState(200 + n)
+        b = rng.randn(n, n)
+        a = (b + b.T) / 2.0
+        w, v = sym_eigen(SymMatrix(a))
+        w_jac, v_jac = jacobi_eigen(a)
+        assert np.allclose(w, w_jac, atol=1e-10)
+        assert np.allclose(w, charpoly_eigs_by_bisection(a), atol=1e-6)
+        assert_sign_convention(v)
+        # Distinct eigenvalues: each vector is the oracle's up to sign.
+        cols = np.arange(n)
+        peaks = np.argmax(np.abs(v), axis=0)
+        v_jac = v_jac * np.sign(v_jac[peaks, cols])
+        assert np.abs(v - v_jac).max() <= 1e-8
+
+    def test_repeated_eigenvalue_matches_oracle_eigenspaces(self):
+        rng = np.random.RandomState(7)
+        q, _ = np.linalg.qr(rng.randn(6, 6))
+        spectrum = np.array([-1.0, 2.0, 2.0, 2.0, 3.5, 5.0])
+        a = (q * spectrum) @ q.T
+        a = (a + a.T) / 2.0
+        w, v = sym_eigen(a)
+        w_jac, v_jac = jacobi_eigen(a)
+        assert np.allclose(w, spectrum, atol=1e-10)
+        assert np.allclose(w_jac, spectrum, atol=1e-10)
+        assert_sign_convention(v)
+        # Vectors inside the 3-D eigenspace are arbitrary; its projector is not.
+        for group in ([0], [1, 2, 3], [4], [5]):
+            proj = v[:, group] @ v[:, group].T
+            proj_jac = v_jac[:, group] @ v_jac[:, group].T
+            assert np.abs(proj - proj_jac).max() <= 1e-8
 
 
 class TestCholesky:

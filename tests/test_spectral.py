@@ -1,6 +1,13 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import radclust
 from radclust.clustering import ClusterConfig, kmeans, spectral
 from radclust.errors import ConfigError
 from radclust.numerics import SymMatrix, sym_eigen
@@ -91,6 +98,34 @@ class TestSpectral:
         rows = rng.randn(30, 2)
         with pytest.raises(ConfigError, match="cap"):
             spectral(rows, ClusterConfig(k=2, seed=0, spectral_cap=10))
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_spectral_cap_below_one_rejected(self, cap):
+        with pytest.raises(ConfigError, match="spectral_cap must be >= 1"):
+            spectral(np.zeros((4, 2)), ClusterConfig(k=2, spectral_cap=cap))
+
+    def test_labels_identical_across_blas_thread_counts(self):
+        # OpenBLAS reads its thread count once, at import, so each setting
+        # needs its own interpreter. The eigenvector bits may differ between
+        # settings; the labels must not.
+        script = (
+            "import json\n"
+            "from radclust.clustering import ClusterConfig, spectral\n"
+            "from radclust.pipeline import synth_blobs\n"
+            "fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=7)\n"
+            "print(json.dumps([spectral(fm, ClusterConfig(k=k, seed=7)).labels.tolist()\n"
+            "                  for k in range(2, 7)]))\n"
+        )
+        src = str(Path(radclust.__file__).resolve().parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300, check=True)
+            runs.append(json.loads(out.stdout))
+        assert len(runs[0]) == 5
+        assert runs[0] == runs[1]
 
     def test_translation_invariance(self):
         rng = np.random.RandomState(10)
