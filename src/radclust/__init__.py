@@ -30,7 +30,7 @@ from .clustering import (
 )
 from .features import FeatureMatrix
 from .metrics import SilhouetteReport, silhouette, sse
-from .numerics import RngStream, SymMatrix, cholesky, mix_seed, pairwise_distances, sym_eigen
+from .numerics import RngStream, cholesky, mix_seed, pairwise_distances, sym_eigen
 
 __all__ = [
     "ClusterConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "FeatureMatrix",
     "RngStream",
     "SilhouetteReport",
-    "SymMatrix",
     "agglomerative",
     "birch",
     "cholesky",

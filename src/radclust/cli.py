@@ -67,7 +67,6 @@ def _add_knob_flags(parser):
     parser.add_argument("--batch-size", type=int, default=None)
     parser.add_argument("--sigma", type=float, default=None)
     parser.add_argument("--birch-threshold", type=float, default=None)
-    parser.add_argument("--cov-mode", choices=["tied", "diag", "full"], default=None)
     parser.add_argument("--tol", type=float, default=None)
     parser.add_argument("--max-iters", type=int, default=None)
 
@@ -80,8 +79,6 @@ def _knobs_from_args(args):
         knobs["rbf_sigma"] = args.sigma
     if args.birch_threshold is not None:
         knobs["birch_threshold"] = args.birch_threshold
-    if args.cov_mode is not None:
-        knobs["covariance_mode"] = args.cov_mode
     if args.tol is not None:
         knobs["tol"] = args.tol
     if args.max_iters is not None:

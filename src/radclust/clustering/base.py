@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import ConfigError
 
-COVARIANCE_MODES = ("tied", "diag", "full")
 INIT_MODES = ("first_k", "kmeans++")
 
 
@@ -30,7 +29,6 @@ class ClusterConfig:
     spectral_cap: int = 2000
     birch_threshold: float = None
     birch_branching: int = 50
-    covariance_mode: str = "full"
     covariance_reg: float = 1e-6
 
     def validate_for(self, n):
@@ -54,10 +52,6 @@ class ClusterConfig:
             raise ConfigError(f"birch_threshold must be positive, got {self.birch_threshold}")
         if self.birch_branching < 2:
             raise ConfigError(f"birch_branching must be >= 2, got {self.birch_branching}")
-        if self.covariance_mode not in COVARIANCE_MODES:
-            raise ConfigError(
-                f"covariance_mode must be one of {COVARIANCE_MODES}, got {self.covariance_mode!r}"
-            )
         if not self.covariance_reg > 0:
             raise ConfigError(f"covariance_reg must be positive, got {self.covariance_reg}")
 

@@ -127,7 +127,7 @@ def _nearest(items, point):
 def _split(items):
     """Two groups seeded by the farthest centroid pair; others join the nearer seed."""
     centroids = np.array([it.centroid for it in items])
-    dist = pairwise_distances(centroids).values
+    dist = pairwise_distances(centroids)
     a, b = divmod(int(np.argmax(dist)), len(items))
     if a > b:
         a, b = b, a
@@ -206,7 +206,7 @@ def default_threshold(rows, seed):
         sample = rows[idx]
     else:
         sample = rows
-    dist = pairwise_distances(sample).values.copy()
+    dist = pairwise_distances(sample)
     np.fill_diagonal(dist, np.inf)
     nn = dist.min(axis=1)
     threshold = float(np.median(nn))

@@ -15,9 +15,10 @@ import numpy as np
 from ..errors import ConfigError, DegenerateComponentError, NotPositiveDefiniteError
 from ..features import as_rows
 from ..numerics import cholesky
-from .base import COVARIANCE_MODES, ClusterConfig, ClusterResult
+from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
+COVARIANCE_MODES = ("tied", "diag", "full")
 _LOG_2PI = math.log(2.0 * math.pi)
 
 
@@ -113,14 +114,14 @@ def _initial_covariances(rows, mode, reg, k):
     return cov
 
 
-def gmm(x, cfg: ClusterConfig, mode=None) -> ClusterResult:
+def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
     """Fit a k-component Gaussian mixture and hard-assign by responsibility.
 
     Stops once the mean log-likelihood improves by at most ``cfg.tol``
     (default 1e-4) or at ``cfg.max_iters``. Ties in the final argmax break
-    toward the lowest component index.
+    toward the lowest component index. ``mode`` picks the covariance
+    structure: ``"tied"``, ``"diag"`` or ``"full"`` (the default).
     """
-    mode = mode if mode is not None else cfg.covariance_mode
     if mode not in COVARIANCE_MODES:
         raise ConfigError(f"covariance mode must be one of {COVARIANCE_MODES}, got {mode!r}")
     rows = as_rows(x)

@@ -45,9 +45,10 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
     n = rows.shape[0]
     cfg.validate_for(n)
 
-    dist = pairwise_distances(rows).values.copy()
+    dist = pairwise_distances(rows)
     if linkage == "ward":
-        dist = 0.5 * dist * dist
+        dist *= dist
+        dist *= 0.5
     np.fill_diagonal(dist, np.inf)
 
     sizes = np.ones(n, dtype=np.int64)

@@ -40,7 +40,7 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
         raise ConfigError(
             f"spectral clustering is dense-only and capped at n={cfg.spectral_cap}, got {n}"
         )
-    dist = pairwise_distances(rows).values
+    dist = pairwise_distances(rows)
     sigma = cfg.rbf_sigma if cfg.rbf_sigma is not None else median_offdiagonal(dist)
     if sigma <= 0.0:
         sigma = 1.0

@@ -18,11 +18,7 @@ class FeatureMatrix:
     ids: list = field(default_factory=list)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
-        if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
-            raise ShapeError(f"feature matrix must be (n>=1, d>=1), got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ShapeError("feature matrix must be finite")
+        rows = as_rows(self.rows)
         if not self.ids:
             self.ids = [f"row{i}" for i in range(rows.shape[0])]
         self.ids = [str(i) for i in self.ids]
@@ -46,8 +42,24 @@ class FeatureMatrix:
 
 
 def as_rows(x):
-    """Coerce a FeatureMatrix or array-like into a float64 (n, d) array."""
-    rows = np.asarray(getattr(x, "rows", x), dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"expected a 2-D sample matrix, got shape {rows.shape}")
+    """Coerce a FeatureMatrix or array-like into a checked float64 (n, d) array.
+
+    The single validator for sample matrices: every clustering variant,
+    the metrics, :func:`radclust.numerics.pairwise_distances` and
+    :class:`FeatureMatrix` itself go through it. Raises
+    :class:`~radclust.errors.ShapeError` unless the input is 2-D with
+    n >= 1 and d >= 1 and every value is finite; a non-finite value is
+    reported with its (row, col).
+
+    The result is C-contiguous (a copy only when the input is not), so
+    BLAS computes ``rows @ rows.T`` the same way, and exactly symmetric,
+    whatever the caller's memory layout.
+    """
+    rows = np.ascontiguousarray(getattr(x, "rows", x), dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
+        raise ShapeError(f"expected a 2-D (n>=1, d>=1) sample matrix, got shape {rows.shape}")
+    finite = np.isfinite(rows)
+    if not finite.all():
+        row, col = np.argwhere(~finite)[0]
+        raise ShapeError(f"sample matrix has non-finite value {rows[row, col]} at ({row}, {col})")
     return rows

@@ -111,9 +111,12 @@ def _read_int_token(data, pos, what):
 def load_pgm(data):
     """Parse binary PGM (magic ``P5``, maxval <= 255) into an :class:`ImageGray`.
 
+    With maxval < 255 each value v is rescaled to the 0..255 range as
+    ``(v * 255 + maxval // 2) // maxval`` (rounded half up).
+
     Raises :class:`~radclust.errors.ParseError` carrying the byte offset on a
-    wrong magic, an unparsable or out-of-range header field, or a payload
-    shorter than width*height.
+    wrong magic, an unparsable or out-of-range header field, a payload
+    shorter than width*height, or a payload byte above maxval.
     """
     data = bytes(data)
     if data[:2] != b"P5":
@@ -139,6 +142,14 @@ def load_pgm(data):
             offset=len(data),
         )
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
+    if maxval < 255:
+        over = np.flatnonzero(pixels.ravel() > maxval)
+        if over.size:
+            at = pos + int(over[0])
+            raise ParseError(
+                f"PGM value {data[at]} at byte {at} exceeds maxval {maxval}", offset=at
+            )
+        pixels = ((pixels.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return ImageGray(width=width, height=height, pixels=pixels)
 
 

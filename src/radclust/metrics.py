@@ -34,13 +34,13 @@ def silhouette(x, labels) -> SilhouetteReport:
     n = rows.shape[0]
     if labels.shape != (n,):
         raise ShapeError(f"expected {n} labels, got shape {labels.shape}")
-    if n and labels.min() < 0:
+    if labels.min() < 0:
         raise ShapeError(f"labels must be non-negative, got {int(labels.min())}")
     if np.unique(labels).size < 2:
         raise ConfigError("silhouette undefined for one cluster")
 
     k = int(labels.max()) + 1
-    dist = pairwise_distances(rows).values
+    dist = pairwise_distances(rows)
     sums = np.zeros((n, k))
     counts = np.bincount(labels, minlength=k)
     for c in range(k):

@@ -4,8 +4,9 @@ Everything downstream (k-means seeding, mini-batch sampling, mixture
 initialization, spectral embeddings) rests on the two primitives here: a
 counter-based 64-bit random stream that produces the same sequence on every
 platform, and a dense symmetric eigensolver (LAPACK through numpy) whose
-eigenvector signs are fixed by a deterministic rule. All floating arithmetic
-is 64-bit.
+eigenvector signs are fixed by a deterministic rule. Matrices go in and come
+out as plain float64 numpy arrays; there is no wrapper type. All floating
+arithmetic is 64-bit.
 """
 
 import math
@@ -13,6 +14,7 @@ import math
 import numpy as np
 
 from .errors import NonConvergenceError, NotPositiveDefiniteError, ShapeError
+from .features import as_rows
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -118,41 +120,12 @@ class RngStream:
         return RngStream(self.next_u64())
 
 
-class SymMatrix:
-    """Dense symmetric matrix of 64-bit floats.
-
-    The constructor symmetrizes its input by averaging with the transpose,
-    so ``values[i, j] == values[j, i]`` holds exactly afterwards.
-    """
-
-    __slots__ = ("values",)
-
-    def __init__(self, values):
-        a = np.array(values, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ShapeError(f"symmetric matrix must be square, got shape {a.shape}")
-        if a.shape[0] < 1:
-            raise ShapeError("symmetric matrix must have dimension >= 1")
-        self.values = (a + a.T) / 2.0
-
-    @property
-    def n(self):
-        return self.values.shape[0]
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self.values
-        return self.values.astype(dtype)
-
-    def __repr__(self):
-        return f"SymMatrix(n={self.n})"
-
-
-def _sym_values(m):
-    """Working copy of the symmetric content of ``m`` (SymMatrix or array)."""
-    if isinstance(m, SymMatrix):
-        return m.values.copy()
-    return SymMatrix(m).values
+def _square(m):
+    """``m`` as a float64 array, checked to be a non-empty square matrix."""
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ShapeError(f"symmetric matrix must be square with dimension >= 1, got shape {a.shape}")
+    return a
 
 
 def sym_eigen(m):
@@ -160,7 +133,7 @@ def sym_eigen(m):
 
     Parameters
     ----------
-    m : SymMatrix or (n, n) array_like
+    m : (n, n) array_like
         Matrix to decompose, passed to LAPACK as is: it is not copied or
         symmetrized here, and only its lower triangle is read.
 
@@ -182,9 +155,7 @@ def sym_eigen(m):
         If ``m`` has a non-finite entry (the message names its position) or
         LAPACK fails to converge.
     """
-    a = m.values if isinstance(m, SymMatrix) else np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ShapeError(f"symmetric matrix must be square with dimension >= 1, got shape {a.shape}")
+    a = _square(m)
     finite = np.isfinite(a)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -202,15 +173,22 @@ def sym_eigen(m):
 
 
 def cholesky(m):
-    """Lower-triangular Cholesky factor L with L @ L.T == m.
+    """Lower-triangular Cholesky factor L with L @ L.T == (m + m.T) / 2.
+
+    ``m`` is an (n, n) array_like. Its symmetric part is what gets factored,
+    because covariance products built from floating-point sums are not
+    always bitwise symmetric; ``m`` itself is not modified.
 
     Raises
     ------
+    ShapeError
+        If ``m`` is not a non-empty square matrix.
     NotPositiveDefiniteError
         When a pivot is not strictly positive; carries the pivot index so
         callers can regularize and retry.
     """
-    a = _sym_values(m)
+    a = _square(m)
+    a = (a + a.T) / 2.0
     n = a.shape[0]
     L = np.zeros_like(a)
     for j in range(n):
@@ -230,16 +208,18 @@ def cholesky(m):
 def pairwise_distances(x):
     """Euclidean distance matrix between the rows of ``x``.
 
-    Accepts a plain (n, d) array or anything with a ``rows`` attribute.
-    Returns a :class:`SymMatrix` with an exactly zero diagonal.
+    Accepts a plain (n, d) array or anything with a ``rows`` attribute,
+    checked by :func:`radclust.features.as_rows`. Returns a fresh (n, n)
+    float64 array, exactly symmetric with an exactly zero diagonal, built in
+    the Gram matrix plus one output buffer.
     """
-    rows = np.asarray(getattr(x, "rows", x), dtype=np.float64)
-    if rows.ndim != 2:
-        raise ShapeError(f"expected a 2-D sample matrix, got shape {rows.shape}")
+    rows = as_rows(x)
     g = rows @ rows.T
     sq = np.diag(g).copy()
-    d2 = sq[:, None] + sq[None, :] - 2.0 * g
-    np.maximum(d2, 0.0, out=d2)
-    d = np.sqrt(d2)
+    d = np.add.outer(sq, sq)
+    g *= 2.0
+    d -= g
+    np.maximum(d, 0.0, out=d)
+    np.sqrt(d, out=d)
     np.fill_diagonal(d, 0.0)
-    return SymMatrix(d)
+    return d

@@ -26,7 +26,7 @@ from radclust.errors import ParseError
 from radclust.features import FeatureMatrix
 from radclust.imaging import load_pgm, save_pgm
 from radclust.metrics import silhouette
-from radclust.numerics import RngStream, SymMatrix, cholesky, pairwise_distances, sym_eigen
+from radclust.numerics import RngStream, cholesky, pairwise_distances, sym_eigen
 from radclust.pipeline import (
     ManifestEntry,
     read_features,
@@ -149,11 +149,11 @@ def test_criterion_4_structural_invariants():
     for n in (5, 20, 50):
         b = rng.randn(n, n)
         a = (b + b.T) / 2.0
-        w, v = sym_eigen(SymMatrix(a))
+        w, v = sym_eigen(a)
         bound = 1e-8 * max(1.0, float(np.abs(a).sum(axis=1).max()))
         assert np.abs(a @ v - v * w[None, :]).max() <= bound
         spd = b.T @ b + np.eye(n)
-        L = cholesky(SymMatrix(spd))
+        L = cholesky(spd)
         assert np.abs(L @ L.T - spd).max() <= 1e-10 * max(1.0, np.abs(spd).max())
 
     elapsed = time.perf_counter() - start

@@ -43,6 +43,18 @@ class TestLoadPgm:
         with pytest.raises(ParseError, match="maxval"):
             load_pgm(b"P5 1 1 65535 " + bytes(2))
 
+    def test_low_maxval_rescales_to_full_range(self):
+        img = load_pgm(b"P5 4 1 15 " + bytes([0, 1, 7, 15]))
+        # (v * 255 + 7) // 15
+        assert np.array_equal(img.pixels, [[0, 17, 119, 255]])
+
+    def test_value_above_maxval_reports_offset(self):
+        data = b"P5 3 1 15 " + bytes([15, 200, 3])
+        with pytest.raises(ParseError, match="exceeds maxval 15") as exc:
+            load_pgm(data)
+        assert exc.value.offset == 11
+        assert data[exc.value.offset] == 200
+
     def test_comments_and_whitespace_variants(self):
         data = b"P5\n# a comment\n2 1\n# another\n255\n" + bytes([7, 9])
         img = load_pgm(data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import ClusterConfig, kmeans, minibatch_kmeans
-from radclust.errors import ConfigError
+from radclust.errors import ConfigError, ShapeError
 
 from oracles import best_two_partition_sse, naive_sse
 
@@ -94,6 +94,14 @@ class TestKmeans:
         assert res.objective_trace[-1] == pytest.approx(
             naive_sse(rows, res.labels, res.centroids), abs=1e-9
         )
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_with_position(self, bad):
+        rows = np.arange(12.0).reshape(6, 2)
+        rows[4, 1] = bad
+        with pytest.raises(ShapeError, match=r"non-finite value .* at \(4, 1\)"):
+            kmeans(rows, ClusterConfig(k=2, seed=0))
 
 
 class TestMinibatchKmeans:

@@ -82,6 +82,14 @@ class TestSilhouette:
         assert report.mean == pytest.approx(report.per_point.mean(), abs=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_with_position(self, bad):
+        rows = np.arange(12.0).reshape(4, 3)
+        rows[2, 0] = bad
+        with pytest.raises(ShapeError, match=r"non-finite value .* at \(2, 0\)"):
+            silhouette(rows, [0, 0, 1, 1])
+
+
 class TestSse:
     def test_zero_residual(self):
         rows = np.array([[1.0, 2.0], [3.0, 4.0]])

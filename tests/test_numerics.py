@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,6 @@ import pytest
 from radclust.errors import NonConvergenceError, NotPositiveDefiniteError, ShapeError
 from radclust.numerics import (
     RngStream,
-    SymMatrix,
     cholesky,
     mix_seed,
     pairwise_distances,
@@ -99,24 +99,14 @@ class TestRngStream:
         assert mix_seed(0) != mix_seed(1)
 
 
-class TestSymMatrix:
-    def test_constructor_symmetrizes_by_averaging(self):
-        m = SymMatrix([[1.0, 2.0], [4.0, 3.0]])
-        assert m.values[0, 1] == m.values[1, 0] == 3.0
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            SymMatrix(np.zeros((2, 3)))
-
-
 class TestSymEigen:
     def test_known_2x2_spectrum(self):
-        w, v = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        w, v = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert np.allclose(w, [1.0, 3.0], atol=1e-12)
         assert np.allclose(v.T @ v, np.eye(2), atol=1e-12)
 
     def test_zero_matrix(self):
-        w, v = sym_eigen(SymMatrix(np.zeros((3, 3))))
+        w, v = sym_eigen(np.zeros((3, 3)))
         assert np.array_equal(w, np.zeros(3))
         assert np.allclose(v.T @ v, np.eye(3), atol=1e-14)
 
@@ -124,7 +114,7 @@ class TestSymEigen:
         rng = np.random.RandomState(0)
         b = rng.randn(4, 4)
         a = (b + b.T) / 2.0
-        w, _ = sym_eigen(SymMatrix(a))
+        w, _ = sym_eigen(a)
         roots = charpoly_eigs_by_bisection(a)
         assert len(roots) == 4
         assert np.allclose(w, roots, atol=1e-6)
@@ -134,7 +124,7 @@ class TestSymEigen:
         rng = np.random.RandomState(n)
         b = rng.randn(n, n)
         a = (b + b.T) / 2.0
-        w, v = sym_eigen(SymMatrix(a))
+        w, v = sym_eigen(a)
         bound = 1e-8 * max(1.0, float(np.abs(a).sum(axis=1).max()))
         resid = np.abs(a @ v - v * w[None, :]).max()
         assert resid <= bound
@@ -144,7 +134,7 @@ class TestSymEigen:
 
     def test_iteration_cap_raises_with_residual(self):
         # The sweep cap belongs to the Jacobi reference in oracles.py.
-        a = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
+        a = [[2.0, 1.0], [1.0, 2.0]]
         with pytest.raises(NonConvergenceError) as exc:
             jacobi_eigen(a, max_sweeps=0)
         assert exc.value.residual is not None
@@ -163,7 +153,7 @@ class TestSymEigen:
 
         monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
         with pytest.raises(NonConvergenceError, match="did not converge"):
-            sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+            sym_eigen([[2.0, 1.0], [1.0, 2.0]])
 
     @pytest.mark.parametrize("shape", [(2, 3), (4,), (0, 0)])
     def test_rejects_non_square(self, shape):
@@ -184,7 +174,7 @@ class TestSymEigen:
         s = math.sqrt(0.5)
         lapack_v = np.array([[-s, -s], [s, -s]])
         monkeypatch.setattr(np.linalg, "eigh", lambda a: (np.array([1.0, 3.0]), lapack_v.copy()))
-        _, v = sym_eigen(SymMatrix([[2.0, 1.0], [1.0, 2.0]]))
+        _, v = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
         assert np.array_equal(v, [[s, s], [-s, s]])
 
     def test_sign_convention(self):
@@ -200,7 +190,7 @@ class TestSymEigen:
         rng = np.random.RandomState(200 + n)
         b = rng.randn(n, n)
         a = (b + b.T) / 2.0
-        w, v = sym_eigen(SymMatrix(a))
+        w, v = sym_eigen(a)
         w_jac, v_jac = jacobi_eigen(a)
         assert np.allclose(w, w_jac, atol=1e-10)
         assert np.allclose(w, charpoly_eigs_by_bisection(a), atol=1e-6)
@@ -231,15 +221,15 @@ class TestSymEigen:
 
 class TestCholesky:
     def test_hand_checkable_2x2(self):
-        L = cholesky(SymMatrix([[4.0, 2.0], [2.0, 3.0]]))
+        L = cholesky([[4.0, 2.0], [2.0, 3.0]])
         assert np.allclose(L, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-15)
 
     def test_identity(self):
-        assert np.array_equal(cholesky(SymMatrix(np.eye(5))), np.eye(5))
+        assert np.array_equal(cholesky(np.eye(5)), np.eye(5))
 
     def test_indefinite_reports_failing_pivot(self):
         with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+            cholesky([[1.0, 2.0], [2.0, 1.0]])
         assert exc.value.pivot == 1
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 17, 33, 50])
@@ -247,34 +237,74 @@ class TestCholesky:
         rng = np.random.RandomState(100 + n)
         b = rng.randn(n, n)
         a = b.T @ b + np.eye(n)
-        L = cholesky(SymMatrix(a))
+        L = cholesky(a)
         assert np.abs(L @ L.T - a).max() <= 1e-10 * max(1.0, np.abs(a).max())
         assert np.all(np.diag(L) > 0.0)
+
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ShapeError):
+            cholesky(np.zeros((2, 3)))
+
+    def test_asymmetric_input_factored_as_symmetric_part(self):
+        a = np.array([[4.0, 1.0], [3.0, 3.0]])
+        before = a.copy()
+        L = cholesky(a)
+        assert np.array_equal(L, cholesky([[4.0, 2.0], [2.0, 3.0]]))
+        assert np.allclose(L, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-15)
+        assert np.array_equal(a, before)
 
 
 class TestPairwiseDistances:
     def test_3_4_5_triangle(self):
         d = pairwise_distances(np.array([[0.0, 0.0], [3.0, 4.0]]))
-        assert d.values[0, 1] == 5.0
+        assert type(d) is np.ndarray and d.shape == (2, 2)
+        assert d[0, 1] == 5.0
 
     def test_duplicate_rows_give_exact_zero(self):
         x = np.array([[1.3, -2.7, 0.4], [0.0, 1.0, 2.0], [1.3, -2.7, 0.4]])
-        d = pairwise_distances(x).values
+        d = pairwise_distances(x)
         assert d[0, 2] == 0.0 and d[2, 0] == 0.0
 
     def test_matches_naive_loops(self):
         rng = np.random.RandomState(11)
         x = rng.randn(20, 5)
-        d = pairwise_distances(x).values
+        d = pairwise_distances(x)
         assert np.abs(d - naive_pairwise(x)).max() <= 1e-12
 
     def test_metric_properties(self):
         rng = np.random.RandomState(12)
         x = rng.randn(15, 3)
-        d = pairwise_distances(x).values
+        d = pairwise_distances(x)
         assert np.array_equal(np.diag(d), np.zeros(15))
         assert np.array_equal(d, d.T)
         for i in range(15):
             for j in range(15):
                 for k in range(15):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+    def test_same_bits_for_any_memory_layout(self):
+        x = np.random.RandomState(14).randn(300, 16) * 3.0 + 1.0
+        d = pairwise_distances(x)
+        strided = np.repeat(x, 2, axis=1)[:, ::2]
+        for view in (np.asfortranarray(x), strided):
+            assert np.array_equal(pairwise_distances(view), d)
+        assert np.array_equal(d, d.T)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_raises_with_position(self, bad):
+        x = np.zeros((5, 3))
+        x[3, 2] = bad
+        with pytest.raises(ShapeError, match=r"non-finite value .* at \(3, 2\)"):
+            pairwise_distances(x)
+
+    def test_peak_memory_is_gram_plus_output(self):
+        n = 1000
+        x = np.random.RandomState(13).randn(n, 16)
+        tracemalloc.start()
+        try:
+            pairwise_distances(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * n * 8

@@ -10,7 +10,7 @@ import pytest
 import radclust
 from radclust.clustering import ClusterConfig, kmeans, spectral
 from radclust.errors import ConfigError
-from radclust.numerics import SymMatrix, sym_eigen
+from radclust.numerics import sym_eigen
 
 
 def same_partition(a, b):
@@ -83,13 +83,13 @@ class TestSpectral:
         from radclust.numerics import pairwise_distances
         from radclust.clustering.spectral import median_offdiagonal
 
-        dist = pairwise_distances(rows).values
+        dist = pairwise_distances(rows)
         sigma = median_offdiagonal(dist)
         w = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
         np.fill_diagonal(w, 0.0)
         inv = 1.0 / np.sqrt(w.sum(axis=1))
         lap = np.eye(18) - w * inv[:, None] * inv[None, :]
-        _, vecs = sym_eigen(SymMatrix(lap))
+        _, vecs = sym_eigen(lap)
         u = vecs[:, :3]
         assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-6
 
