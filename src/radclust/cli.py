@@ -240,6 +240,9 @@ def _cmd_sweep(args):
         knobs=_knobs_from_args(args),
     )
     report = pipeline.sweep(fm, cfg)
+    for row in report.rows:
+        if row.error is not None:
+            print(f"sweep: {row.slug} k={row.k} failed: {row.error}", file=sys.stderr)
     _write_file(args.out, pipeline.render_report_csv(report))
     if args.svg:
         _write_file(args.svg, pipeline.render_chart_svg(report))

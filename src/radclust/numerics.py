@@ -205,15 +205,37 @@ def cholesky(m):
     return L
 
 
-def pairwise_distances(x):
-    """Euclidean distance matrix between the rows of ``x``.
+def pairwise_distances(x, y=None):
+    """Euclidean distances between the rows of ``x``, or from them to ``y``'s.
 
-    Accepts a plain (n, d) array or anything with a ``rows`` attribute,
-    checked by :func:`radclust.features.as_rows`. Returns a fresh (n, n)
-    float64 array, exactly symmetric with an exactly zero diagonal, built in
-    the Gram matrix plus one output buffer.
+    Each operand is a plain (n, d) array or anything with a ``rows``
+    attribute, checked by :func:`radclust.features.as_rows`.
+
+    With ``y`` omitted, returns a fresh (n, n) float64 array, exactly
+    symmetric with an exactly zero diagonal, built in the Gram matrix plus
+    one output buffer; the squared norms come from the Gram diagonal.
+
+    With ``y`` given (an (m, d) matrix), returns the (n, m) cross-distance
+    matrix, built in place in the one ``x @ y.T`` buffer: doubled and
+    negated, plus both operands' squared row norms, clamped at 0, square
+    rooted. No entry is special-cased, so a row paired with an identical
+    row may come out a rounding error above 0. Raises
+    :class:`~radclust.errors.ShapeError` when the column counts differ.
     """
     rows = as_rows(x)
+    if y is not None:
+        other = as_rows(y)
+        if other.shape[1] != rows.shape[1]:
+            raise ShapeError(
+                f"cannot pair rows of width {rows.shape[1]} with rows of width {other.shape[1]}"
+            )
+        d = rows @ other.T
+        d *= -2.0
+        d += np.einsum("ij,ij->i", rows, rows)[:, None]
+        d += np.einsum("ij,ij->i", other, other)
+        np.maximum(d, 0.0, out=d)
+        np.sqrt(d, out=d)
+        return d
     g = rows @ rows.T
     sq = np.diag(g).copy()
     d = np.add.outer(sq, sq)

@@ -32,6 +32,7 @@ from .numerics import RngStream, mix_seed
 
 MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
 SEX_TOKENS = {"M": "M", "F": "F", "unknown": "unknown", "": "unknown"}
+_MAX_LABEL = int(np.iinfo(np.intp).max)
 
 # Table order of the nine variants: slug, display name, runner.
 ALGORITHMS = [
@@ -206,7 +207,11 @@ def write_labels(ids, labels):
 
 
 def read_labels(data):
-    """Parse a labels CSV into (ids, label array)."""
+    """Parse a labels CSV into (ids, label array).
+
+    A cluster id must be a non-negative integer that fits the platform's
+    index type; anything else is a ParseError carrying its line number.
+    """
     text = _decode(data)
     reader = csv.reader(io.StringIO(text))
     rows = list(reader)
@@ -219,11 +224,17 @@ def read_labels(data):
         if len(row) != 2:
             raise ParseError(f"labels line {lineno} must have 2 fields", line=lineno)
         try:
-            labels.append(int(row[1]))
+            label = int(row[1])
         except ValueError:
             raise ParseError(
                 f"labels line {lineno}: cluster is not an integer", line=lineno
             ) from None
+        if not 0 <= label <= _MAX_LABEL:
+            raise ParseError(
+                f"labels line {lineno}: cluster {label} outside [0, {_MAX_LABEL}]",
+                line=lineno,
+            )
+        labels.append(label)
         ids.append(row[0])
     return ids, np.array(labels, dtype=np.intp)
 
@@ -303,7 +314,11 @@ class SweepConfig:
 
 @dataclass(eq=False)
 class SweepRow:
-    """One sweep cell: silhouette of one algorithm at one k."""
+    """One sweep cell: silhouette of one algorithm at one k.
+
+    A failed cell has a blank silhouette and ``error`` set to the exception's
+    type name and message.
+    """
 
     algorithm: str
     slug: str
@@ -311,6 +326,7 @@ class SweepRow:
     silhouette: float
     runtime_ms: float
     converged: bool
+    error: str = None
 
 
 @dataclass(eq=False)
@@ -324,8 +340,8 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     """Run every requested (algorithm, k) cell and silhouette-score it.
 
     Each cell gets an independent seed mixed from (sweep seed, algorithm
-    index, k). A failing cell records converged=false with a blank
-    silhouette and the sweep continues.
+    index, k). A failing cell records converged=false, a blank silhouette
+    and the error, and the sweep continues.
     """
     if cfg.ks[-1] > fm.n:
         raise ConfigError(f"largest k {cfg.ks[-1]} exceeds sample count {fm.n}")
@@ -338,13 +354,15 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
                 k=k, seed=mix_seed(cfg.seed, algo_index, k), **cfg.knobs
             )
             start = time.perf_counter()
+            error = None
             try:
                 result = runner(fm.rows, cell_cfg)
                 score = silhouette(fm.rows, result.labels).mean
                 converged = bool(result.converged)
-            except RadclustError:
+            except RadclustError as exc:
                 score = None
                 converged = False
+                error = f"{type(exc).__name__}: {exc}"
             runtime_ms = (time.perf_counter() - start) * 1000.0
             rows.append(
                 SweepRow(
@@ -354,6 +372,7 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
                     silhouette=score,
                     runtime_ms=runtime_ms,
                     converged=converged,
+                    error=error,
                 )
             )
     return SweepReport(rows=rows)

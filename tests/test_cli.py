@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from radclust.cli import cli_main
+from radclust.errors import NonConvergenceError
 from radclust.imaging import load_pgm, save_pgm
 from radclust.pipeline import (
     read_features,
@@ -173,6 +175,27 @@ class TestEvaluateCommand:
             "evaluate", "--features", str(features), "--labels", str(tmp_path / "l.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("cluster_id, message", [
+        ("1000000000000", "label 1000000000000 at row 3 out of range for 10 rows"),
+        ("99999999999999999999", "labels line 5: cluster 99999999999999999999 outside"),
+    ])
+    def test_huge_cluster_id_exits_2(self, tmp_path, capsys, cluster_id, message):
+        features = tmp_path / "f.csv"
+        run(["synth", "--per-blob", "5", "--blobs", "2", "--dim", "2",
+             "--separation", "9", "--noise", "0.1", "--seed", "2", "--out", str(features)])
+        ids = read_features(features.read_bytes()).ids
+        values = ["0", "1"] * 5
+        values[3] = cluster_id
+        lines = ["id,cluster"] + [f"{i},{v}" for i, v in zip(ids, values)]
+        (tmp_path / "l.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run([
+            "evaluate", "--features", str(features), "--labels", str(tmp_path / "l.csv"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
 
 class TestSweepCommand:
     def test_happy_path_writes_both_files(self, tmp_path):
@@ -190,6 +213,32 @@ class TestSweepCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 7  # header + 3 algos x 2 ks
         assert svg.read_text().count("<polyline") == 3
+
+    def test_failed_cell_reported_on_stderr(self, tmp_path, capsys, monkeypatch):
+        import radclust.pipeline as pl
+
+        def boom(x, cfg):
+            raise NonConvergenceError("injected failure")
+
+        monkeypatch.setattr(pl, "ALGORITHMS",
+                            [(s, d, boom if s == "birch" else r) for s, d, r in pl.ALGORITHMS])
+        features = tmp_path / "f.csv"
+        run(["synth", "--per-blob", "15", "--blobs", "2", "--dim", "4",
+             "--separation", "10", "--noise", "0.1", "--seed", "7", "--out", str(features)])
+        out = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert run([
+            "sweep", "--features", str(features), "--k", "2..3",
+            "--algos", "kmeans,birch", "--out", str(out),
+        ]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "sweep: birch k=2 failed: NonConvergenceError: injected failure",
+            "sweep: birch k=3 failed: NonConvergenceError: injected failure",
+        ]
+        assert out.read_text().splitlines()[3:] == [
+            "Birch clustering,2,,,false",
+            "Birch clustering,3,,,false",
+        ]
 
     def test_malformed_features_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import radclust.metrics
 from radclust.errors import ConfigError, ShapeError
 from radclust.features import FeatureMatrix
 from radclust.metrics import silhouette, sse
@@ -36,6 +39,48 @@ class TestSilhouette:
         rows = np.array([[0.0], [0.1], [5.0]])
         report = silhouette(rows, [0, 0, 1])
         assert report.per_point[2] == 0.0
+
+    @pytest.mark.parametrize("block_elements", [1, 100, 150])  # 1-, 2- and 3-row blocks
+    @pytest.mark.parametrize("singleton_row", [0, 2, 3, 48, 49])
+    def test_row_blocks_match_naive_reference(self, monkeypatch, block_elements, singleton_row):
+        # n=50 in 3-row blocks leaves a 2-row last block; the singleton
+        # cluster sits at the first, last or middle edge of a block
+        monkeypatch.setattr(radclust.metrics, "_BLOCK_ELEMENTS", block_elements)
+        rng = np.random.RandomState(5)
+        rows = rng.randn(50, 6)
+        labels = np.where(rng.rand(50) < 0.5, 0, 2)
+        labels[singleton_row] = 5
+        report = silhouette(rows, labels)
+        naive_values, naive_mean = naive_silhouette(rows, labels)
+        assert report.per_point[singleton_row] == 0.0
+        assert np.abs(report.per_point - naive_values).max() <= 1e-9
+        assert report.mean == pytest.approx(naive_mean, abs=1e-9)
+        assert np.isnan(report.per_cluster_mean[[1, 3, 4]]).all()
+        for c in (0, 2, 5):
+            assert report.per_cluster_mean[c] == pytest.approx(naive_values[labels == c].mean(), abs=1e-9)
+
+    @pytest.mark.parametrize("labels", [
+        np.arange(4000) % 4,
+        np.arange(4000) // 2,  # 2000 two-point clusters
+    ], ids=["k4", "k2000"])
+    def test_peak_memory_is_row_blocks(self, labels):
+        rows = np.random.RandomState(6).randn(4000, 16)
+        tracemalloc.start()
+        try:
+            silhouette(rows, labels)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2**20
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 1, 4, 1], "label 4 at row 2 out of range for 4 rows"),
+        ([0, 10**12, 1, -1], "label 1000000000000 at row 1 out of range for 4 rows"),
+        ([0, 1, -1, 9], "label -1 at row 2 out of range for 4 rows"),
+    ])
+    def test_label_out_of_range(self, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            silhouette(np.zeros((4, 2)), labels)
 
     def test_single_label_rejected(self):
         with pytest.raises(ConfigError, match="one cluster"):

@@ -283,6 +283,23 @@ class TestPairwiseDistances:
                 for k in range(15):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
+    def test_cross_form_matches_naive_loops(self):
+        rng = np.random.RandomState(15)
+        x, y = rng.randn(7, 5), rng.randn(11, 5) * 2.0 + 1.0
+        d = pairwise_distances(x, y)
+        assert type(d) is np.ndarray and d.shape == (7, 11)
+        assert np.abs(d - naive_pairwise(np.vstack([x, y]))[:7, 7:]).max() <= 1e-12
+
+    def test_cross_form_agrees_with_self_form_off_the_diagonal(self):
+        x = np.random.RandomState(16).randn(200, 16) * 3.0 + 1.0
+        full, cross = pairwise_distances(x), pairwise_distances(x, x)
+        off = ~np.eye(200, dtype=bool)
+        assert np.abs(full - cross)[off].max() <= 1e-12
+
+    def test_cross_form_rejects_mismatched_widths(self):
+        with pytest.raises(ShapeError, match="width 3 with rows of width 2"):
+            pairwise_distances(np.zeros((4, 3)), np.zeros((4, 2)))
+
     def test_same_bits_for_any_memory_layout(self):
         x = np.random.RandomState(14).randn(300, 16) * 3.0 + 1.0
         d = pairwise_distances(x)

@@ -1,11 +1,15 @@
 import csv
 import io
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radclust
 from radclust.clustering import ClusterConfig, kmeans
 from radclust.errors import ConfigError, ParseError, RadclustError, UsageError
 from radclust.pipeline import (
@@ -146,6 +150,12 @@ class TestFeaturesIO:
         assert ids == ["a", "b", "c"]
         assert labels.tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("value", ["-1", "99999999999999999999"])
+    def test_label_outside_index_range_rejected(self, value):
+        with pytest.raises(ParseError, match=f"cluster {value} outside") as exc:
+            read_labels(f"id,cluster\na,0\nb,{value}\n")
+        assert exc.value.line == 3
+
 
 class TestSynth:
     def test_blob_centers_on_axes(self):
@@ -228,8 +238,29 @@ class TestSweep:
         assert len(report.rows) == 4
         spectral_rows = [r for r in report.rows if r.slug == "spectral"]
         assert all(r.silhouette is None and not r.converged for r in spectral_rows)
+        assert all(r.error == "RadclustError: injected failure" for r in spectral_rows)
         kmeans_rows = [r for r in report.rows if r.slug == "kmeans"]
-        assert all(r.silhouette is not None for r in kmeans_rows)
+        assert all(r.silhouette is not None and r.error is None for r in kmeans_rows)
+
+    def test_report_bytes_identical_across_blas_thread_counts(self):
+        # The criterion-5 sweep, once per OpenBLAS thread count; OpenBLAS
+        # reads the count at import, so each setting gets its own interpreter.
+        script = (
+            "import sys\n"
+            "from radclust.pipeline import SweepConfig, render_report_csv, sweep, synth_blobs\n"
+            "fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=7)\n"
+            "sys.stdout.buffer.write(render_report_csv(sweep(fm, SweepConfig(seed=7))))\n"
+        )
+        src = str(Path(radclust.__file__).resolve().parents[1])
+        reports = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 timeout=300, check=True)
+            reports.append(out.stdout)
+        assert reports[0].count(b"\n") == 46
+        assert reports[0] == reports[1]
 
     def test_k_above_n_rejected(self):
         fm, _ = synth_blobs(2, 2, 2, 6.0, 0.2, seed=7)
