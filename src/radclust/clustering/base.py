@@ -1,6 +1,6 @@
 """Configuration and result records shared by all clustering variants."""
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,6 +16,7 @@ class ClusterConfig:
     ``tol`` is interpreted by each algorithm's own stopping rule: relative
     SSE change for k-means, maximum center movement for mini-batch k-means,
     and absolute mean log-likelihood improvement for Gaussian mixtures.
+    Values no caller varies are constants in their algorithm's module.
     """
 
     k: int
@@ -26,10 +27,7 @@ class ClusterConfig:
     restarts: int = 1
     batch_size: int = None
     rbf_sigma: float = None
-    spectral_cap: int = 2000
     birch_threshold: float = None
-    birch_branching: int = 50
-    covariance_reg: float = 1e-6
 
     def validate_for(self, n):
         if not 1 <= self.k <= n:
@@ -46,17 +44,8 @@ class ClusterConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rbf_sigma is not None and not self.rbf_sigma > 0:
             raise ConfigError(f"rbf_sigma must be positive, got {self.rbf_sigma}")
-        if self.spectral_cap < 1:
-            raise ConfigError(f"spectral_cap must be >= 1, got {self.spectral_cap}")
         if self.birch_threshold is not None and not self.birch_threshold > 0:
             raise ConfigError(f"birch_threshold must be positive, got {self.birch_threshold}")
-        if self.birch_branching < 2:
-            raise ConfigError(f"birch_branching must be >= 2, got {self.birch_branching}")
-        if not self.covariance_reg > 0:
-            raise ConfigError(f"covariance_reg must be positive, got {self.covariance_reg}")
-
-    def with_overrides(self, **kwargs):
-        return replace(self, **kwargs)
 
 
 @dataclass(eq=False)
@@ -66,7 +55,8 @@ class ClusterResult:
     ``objective_trace`` is per-iteration and monotone per the owning
     algorithm's contract (non-increasing SSE for k-means, non-decreasing
     merge heights for agglomerative, non-decreasing log-likelihood for
-    mixtures). ``model`` holds the richer fitted object when one exists.
+    mixtures); mini-batch k-means records batch inertia, which is not.
+    ``model`` holds the richer fitted object when one exists.
     """
 
     labels: np.ndarray

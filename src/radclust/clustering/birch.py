@@ -8,7 +8,7 @@ farthest pair. The global phase runs seeded k-means on the leaf-entry
 centroids and maps every point to its entry's cluster.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .kmeans import kmeans
 
 _THRESHOLD_SALT = 0x42495243
 _GLOBAL_SALT = 0x474C4F42
+_BRANCHING = 50
 
 
 @dataclass(eq=False)
@@ -101,12 +102,7 @@ class _Node:
 
     @property
     def centroid(self):
-        total = sum(it.count for it in (self.entries if self.leaf else self.children))
-        linear = sum(
-            (it.linear_sum for it in (self.entries if self.leaf else self.children)),
-            start=0.0,
-        )
-        return linear / total
+        return self.linear_sum / self.count
 
     @property
     def count(self):
@@ -230,7 +226,7 @@ def birch(x, cfg: ClusterConfig) -> ClusterResult:
 
     root = _Node(leaf=True)
     for i in range(n):
-        sibling = _insert(root, rows[i], i, threshold, cfg.birch_branching)
+        sibling = _insert(root, rows[i], i, threshold, _BRANCHING)
         if sibling is not None:
             new_root = _Node(leaf=False)
             new_root.children = [root, sibling]
@@ -241,12 +237,10 @@ def birch(x, cfg: ClusterConfig) -> ClusterResult:
     entries = [e for leaf in leaves for e in leaf.entries]
     centroids = np.array([e.centroid for e in entries])
 
-    k_eff = min(cfg.k, len(entries))
-    inner_cfg = ClusterConfig(
-        k=k_eff,
+    inner_cfg = replace(
+        cfg,
+        k=min(cfg.k, len(entries)),
         seed=mix_seed(cfg.seed, _GLOBAL_SALT),
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
         init="kmeans++",
         restarts=5,
     )

@@ -3,8 +3,8 @@
 Means start from a seeded k-means run, weights start uniform, and every
 covariance starts from the global sample covariance restricted to the mode.
 The E-step works in log space through log-sum-exp; each M-step adds
-``covariance_reg`` to the covariance diagonals. The objective is the mean
-per-sample log-likelihood and never decreases.
+``_COVARIANCE_REG`` (1e-6) to the covariance diagonals. The objective is the
+mean per-sample log-likelihood and never decreases.
 """
 
 import math
@@ -20,6 +20,7 @@ from .kmeans import kmeans
 
 COVARIANCE_MODES = ("tied", "diag", "full")
 _LOG_2PI = math.log(2.0 * math.pi)
+_COVARIANCE_REG = 1e-6
 
 
 @dataclass(eq=False)
@@ -128,7 +129,7 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
     n, d = rows.shape
     cfg.validate_for(n)
     k = cfg.k
-    reg = cfg.covariance_reg
+    reg = _COVARIANCE_REG
 
     means = kmeans(rows, cfg).centroids.copy()
     weights = np.full(k, 1.0 / k)

@@ -53,13 +53,11 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
 
     sizes = np.ones(n, dtype=np.int64)
     cluster_ids = np.arange(n)
-    members = [[i] for i in range(n)]
+    # slot[p]: the row that holds point p's cluster, always its smallest member
+    slot = np.arange(n)
     active = np.ones(n, dtype=bool)
     merges = []
-    labels = None
-
-    if cfg.k == n:
-        labels = np.arange(n)
+    labels = np.arange(n)  # the cut for k == n; a smaller k replaces it below
 
     for t in range(n - 1):
         flat = int(np.argmin(dist))
@@ -94,15 +92,11 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
         dist[i, i] = np.inf
         active[j] = False
         sizes[i] += sizes[j]
-        members[i] = members[i] + members[j]
-        members[j] = []
+        slot[slot == j] = i
         cluster_ids[i] = n + t
 
         if n - (t + 1) == cfg.k:
-            slots = sorted(np.flatnonzero(active), key=lambda s: members[s][0])
-            labels = np.empty(n, dtype=np.intp)
-            for label, s in enumerate(slots):
-                labels[members[s]] = label
+            labels = np.searchsorted(np.flatnonzero(active), slot)
 
     centroids = np.zeros((cfg.k, rows.shape[1]))
     for c in range(cfg.k):

@@ -83,7 +83,7 @@ def _kmeans_pp(rows, k, stream):
 
 
 def _lloyd(rows, centers, cfg):
-    n, k = rows.shape[0], centers.shape[0]
+    k = centers.shape[0]
     labels = None
     trace = []
     converged = False
@@ -101,11 +101,6 @@ def _lloyd(rows, centers, cfg):
             if prev - cur <= cfg.tol * max(prev, 1e-300):
                 converged = True
                 break
-    if labels is None:
-        labels, d2 = _assign(rows, centers)
-        labels = _repair_empty(rows, labels, d2, k)
-        centers = _means(rows, labels, k)
-        trace.append(_sse(rows, labels, centers))
     return ClusterResult(
         labels=labels,
         centroids=centers,
@@ -193,7 +188,9 @@ def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     seeded stream, assigns them to the centers as of the batch start, and
     applies the running-mean update c += (x - c) / count. Stops when the
     largest center movement over an iteration is at most ``cfg.tol`` or at
-    ``cfg.max_iters``; final labels come from a full assignment pass.
+    ``cfg.max_iters``; final labels come from one full assignment pass. The
+    trace holds each batch's inertia against the centers as of the batch
+    start (Sculley, WWW 2010), so it need not decrease.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -208,19 +205,15 @@ def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     counts = np.zeros(cfg.k, dtype=np.int64)
     trace = []
     converged = False
-    iterations = 0
     for _ in range(cfg.max_iters):
-        iterations += 1
         order = stream.shuffle(list(range(n)))[:batch]
         snapshot = centers.copy()
-        batch_labels, _ = _assign(rows[order], snapshot)
+        batch_labels, d2 = _assign(rows[order], snapshot)
+        trace.append(float(d2[np.arange(batch), batch_labels].sum()))
         for j, i in enumerate(order):
             c = batch_labels[j]
             counts[c] += 1
             centers[c] += (rows[i] - centers[c]) / counts[c]
-        labels, d2 = _assign(rows, centers)
-        labels = _repair_empty(rows, labels, d2, cfg.k)
-        trace.append(_sse(rows, labels, centers))
         movement = float(np.sqrt(((centers - snapshot) ** 2).sum(axis=1)).max())
         if movement <= cfg.tol:
             converged = True
@@ -231,6 +224,6 @@ def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
         labels=labels,
         centroids=centers,
         objective_trace=trace,
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
     )

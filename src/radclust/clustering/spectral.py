@@ -6,6 +6,8 @@ k largest of the normalized affinity), row-normalized, then clustered with
 seeded k-means.
 """
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..errors import ConfigError
@@ -15,6 +17,7 @@ from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
 _EMBED_SALT = 0x53504543
+_DENSE_CAP = 2000
 
 
 def median_offdiagonal(dist):
@@ -31,14 +34,14 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
     ``cfg.rbf_sigma`` defaults to the median pairwise distance. Points whose
     degree underflows to zero are embedded at the origin and listed in
     ``diagnostics["isolated_points"]``. The eigensolve is dense (LAPACK,
-    O(n^3) time and n x n memory), so n is capped at ``cfg.spectral_cap``.
+    O(n^3) time and n x n memory), so n above 2000 raises ConfigError.
     """
     rows = as_rows(x)
     n = rows.shape[0]
     cfg.validate_for(n)
-    if n > cfg.spectral_cap:
+    if n > _DENSE_CAP:
         raise ConfigError(
-            f"spectral clustering is dense-only and capped at n={cfg.spectral_cap}, got {n}"
+            f"spectral clustering is dense-only and capped at n={_DENSE_CAP}, got {n}"
         )
     dist = pairwise_distances(rows)
     sigma = cfg.rbf_sigma if cfg.rbf_sigma is not None else median_offdiagonal(dist)
@@ -63,15 +66,10 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
     embedding = eigenvectors[:, :cfg.k].copy()
     norms = np.sqrt((embedding * embedding).sum(axis=1))
     embedding /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    inner_cfg = ClusterConfig(
-        k=cfg.k,
-        seed=mix_seed(cfg.seed, _EMBED_SALT),
-        max_iters=cfg.max_iters,
-        tol=cfg.tol,
-        init="kmeans++",
-        restarts=5,
+    inner = kmeans(
+        embedding,
+        replace(cfg, seed=mix_seed(cfg.seed, _EMBED_SALT), init="kmeans++", restarts=5),
     )
-    inner = kmeans(embedding, inner_cfg)
     return ClusterResult(
         labels=inner.labels,
         centroids=None,

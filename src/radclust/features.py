@@ -1,5 +1,6 @@
 """The shared sample container: an (n, d) matrix of per-image embeddings."""
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,3 +64,43 @@ def as_rows(x):
         row, col = np.argwhere(~finite)[0]
         raise ShapeError(f"sample matrix has non-finite value {rows[row, col]} at ({row}, {col})")
     return rows
+
+
+def as_labels(labels, n, bound, what):
+    """Coerce labels into a checked intp (n,) array of cluster ids in [0, bound).
+
+    The single label validator, used by the metrics. A label may be any
+    integer or a whole float. Raises :class:`~radclust.errors.ShapeError` on
+    a shape other than (n,), else names the first bad row and the exact
+    value of its label, which "is not a whole number" or is "out of range
+    for {bound} {what}".
+    """
+    try:
+        raw = np.asarray(labels)
+    except ValueError:  # ragged nesting
+        raise ShapeError(f"expected {n} labels, got a ragged nested sequence") from None
+    if raw.shape != (n,):
+        raise ShapeError(f"expected {n} labels, got shape {raw.shape}")
+    if raw.dtype.kind in "biuf":
+        ok = (raw >= 0) & (raw < bound)
+        if raw.dtype.kind == "f":
+            ok &= raw == np.floor(raw)
+    else:
+        # one Python object per label: numpy turns [0, "a"] into two strings
+        raw = np.asarray(labels, dtype=object)
+        ok = np.array([_is_whole(v) and 0 <= v < bound for v in raw], dtype=bool)
+    if not ok.all():
+        row = int(np.argmin(ok))
+        # from the input itself, since a float64 coercion can round a huge int
+        value = np.asarray(labels, dtype=object)[row]
+        if isinstance(value, np.generic):
+            value = value.item()
+        problem = f"out of range for {bound} {what}" if _is_whole(value) else "is not a whole number"
+        raise ShapeError(f"label {value!r} at row {row} {problem}")
+    return raw.astype(np.intp)
+
+
+def _is_whole(value):
+    if isinstance(value, numbers.Integral):
+        return True
+    return isinstance(value, (float, np.floating)) and float(value).is_integer()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .features import as_rows
+from .features import as_labels, as_rows
 from .numerics import pairwise_distances
 
 # Distance entries per silhouette row block: 8 MiB of float64.
@@ -36,8 +36,8 @@ def silhouette(x, labels) -> SilhouetteReport:
 
     Requires at least two distinct labels; distances are Euclidean. Labels
     are cluster ids in [0, n); ids need not be contiguous, and
-    ``per_cluster_mean`` is NaN at an unused id below the largest. Raises
-    :class:`ShapeError` naming the first label outside [0, n) and its row,
+    ``per_cluster_mean`` is NaN at an unused id below the largest. A bad label
+    raises :class:`ShapeError` (see :func:`~radclust.features.as_labels`)
     before any work that scales with the ids.
 
     The rows are sorted by label once; each block of rows then gets its
@@ -46,14 +46,8 @@ def silhouette(x, labels) -> SilhouetteReport:
     per-cluster sums, from which its a and b follow.
     """
     rows = as_rows(x)
-    labels = np.asarray(labels, dtype=np.intp)
     n = rows.shape[0]
-    if labels.shape != (n,):
-        raise ShapeError(f"expected {n} labels, got shape {labels.shape}")
-    bad = np.flatnonzero((labels < 0) | (labels >= n))
-    if bad.size:
-        row = int(bad[0])
-        raise ShapeError(f"label {int(labels[row])} at row {row} out of range for {n} rows")
+    labels = as_labels(labels, n, n, "rows")
 
     order = np.argsort(labels, kind="stable")
     sorted_labels = labels[order]
@@ -102,24 +96,15 @@ def silhouette(x, labels) -> SilhouetteReport:
 def sse(x, labels, centroids) -> float:
     """Sum of squared Euclidean distances from points to assigned centroids.
 
-    Raises ShapeError on mismatched shapes, or on a label outside
-    [0, number of centroids), naming the first such label and its row.
+    Raises ShapeError on mismatched shapes, or on a bad label (one that is
+    not a whole number in [0, number of centroids)), naming its row.
     """
     rows = as_rows(x)
-    labels = np.asarray(labels, dtype=np.intp)
     centroids = np.asarray(centroids, dtype=np.float64)
-    if labels.shape != (rows.shape[0],):
-        raise ShapeError(f"expected {rows.shape[0]} labels, got shape {labels.shape}")
     if centroids.ndim != 2 or centroids.shape[1] != rows.shape[1]:
         raise ShapeError(
             f"centroid matrix shape {centroids.shape} does not match d={rows.shape[1]}"
         )
-    bad = np.flatnonzero((labels < 0) | (labels >= centroids.shape[0]))
-    if bad.size:
-        row = int(bad[0])
-        raise ShapeError(
-            f"label {int(labels[row])} at row {row} out of range for "
-            f"{centroids.shape[0]} centroids"
-        )
+    labels = as_labels(labels, rows.shape[0], centroids.shape[0], "centroids")
     diff = rows - centroids[labels]
     return float((diff * diff).sum())

@@ -1,8 +1,13 @@
+import importlib
+
 import numpy as np
 import pytest
 
 from radclust.clustering import CfEntry, ClusterConfig, birch
 from radclust.clustering.birch import default_threshold
+
+# The package re-exports the function under the module's name.
+BIRCH_MODULE = importlib.import_module("radclust.clustering.birch")
 
 
 def same_partition(a, b):
@@ -48,10 +53,11 @@ class TestBirch:
         assert res.model.leaf_entry_count == 1
         assert np.all(res.labels == 0)
 
-    def test_cf_sums_cover_dataset(self):
+    def test_cf_sums_cover_dataset(self, monkeypatch):
+        monkeypatch.setattr(BIRCH_MODULE, "_BRANCHING", 8)
         rng = np.random.RandomState(0)
         rows = rng.randn(80, 3)
-        cfg = ClusterConfig(k=3, seed=1, birch_branching=8)
+        cfg = ClusterConfig(k=3, seed=1)
         res = birch(rows, cfg)
         # rebuild the tree to inspect entries through the same path
         from radclust.clustering.birch import _Node, _collect_leaves, _insert
@@ -75,10 +81,11 @@ class TestBirch:
         for e in entries:
             assert e.radius <= threshold + 1e-9
 
-    def test_branching_forces_tree_growth(self):
+    def test_branching_forces_tree_growth(self, monkeypatch):
+        monkeypatch.setattr(BIRCH_MODULE, "_BRANCHING", 4)
         rng = np.random.RandomState(2)
         rows = rng.randn(60, 2) * 10.0
-        res = birch(rows, ClusterConfig(k=3, seed=3, birch_threshold=0.1, birch_branching=4))
+        res = birch(rows, ClusterConfig(k=3, seed=3, birch_threshold=0.1))
         assert res.model.leaf_entry_count >= 50
         assert res.model.node_count > 10
 

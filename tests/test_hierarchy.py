@@ -84,12 +84,16 @@ class TestDendrogramAndLabels:
 
     def test_labels_match_dendrogram_cut(self):
         rng = np.random.RandomState(5)
-        rows = rng.randn(14, 3)
-        for k in (2, 3, 5):
-            res = agglomerative(rows, ClusterConfig(k=k, seed=0), linkage="ward")
-            groups = members_after(res.model.merges, 14, 14 - k)
-            for label, g in enumerate(groups):
-                assert np.all(res.labels[g] == label)
+        for n in (14, 60):
+            rows = rng.randn(n, 3)
+            for linkage in ("average", "ward"):
+                for k in (2, 3, 4, 5, 6):
+                    res = agglomerative(rows, ClusterConfig(k=k, seed=0), linkage=linkage)
+                    groups = members_after(res.model.merges, n, n - k)
+                    labels = np.empty(n, dtype=np.intp)
+                    for label, g in enumerate(groups):
+                        labels[g] = label
+                    assert np.array_equal(res.labels, labels), (n, linkage, k)
 
     def test_separated_blobs(self):
         rng = np.random.RandomState(6)

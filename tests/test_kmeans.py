@@ -139,3 +139,31 @@ class TestMinibatchKmeans:
         a = minibatch_kmeans(rows, ClusterConfig(k=3, seed=15, batch_size=10))
         b = minibatch_kmeans(rows + 42.0, ClusterConfig(k=3, seed=15, batch_size=10))
         assert same_partition(a.labels, b.labels)
+
+    @pytest.mark.parametrize("max_iters, tol, iterations, converged, centroids", [
+        (40, 1e-4, 40, False, [
+            "0x1.836e819d5c8a8p+2", "0x1.bb206e4b07becp-4", "0x1.ca06182e32fecp-3",
+            "0x1.7f83a22344871p+2", "-0x1.778b45e0c8d2ep-3", "0x1.c21d7a12edde0p-5",
+        ]),
+        (200, 0.02, 13, True, [
+            "0x1.8615264b2132fp+2", "0x1.2984c4daf2b29p-3", "0x1.b71c53569b42ep-3",
+            "0x1.818e752b4bf79p+2", "-0x1.e9b11d18ea058p-4", "0x1.49c52d8623645p-5",
+        ]),
+    ], ids=["max-iters", "tol"])
+    def test_batch_inertia_trace_and_pinned_fit(self, max_iters, tol, iterations, converged,
+                                                centroids):
+        # Labels, centroid bits, iterations and converged were recorded when
+        # the trace still came from a full assignment each iteration; the
+        # trace is bookkeeping and must not move the fit.
+        rng = np.random.RandomState(16)
+        rows = np.vstack([rng.randn(20, 2) * 0.5 + c for c in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
+        cfg = ClusterConfig(k=3, seed=17, batch_size=12, max_iters=max_iters, tol=tol,
+                            init="kmeans++")
+        res = minibatch_kmeans(rows, cfg)
+        assert res.labels.tolist() == [2] * 20 + [0] * 20 + [1] * 20
+        assert [float(v).hex() for v in res.centroids.ravel()] == centroids
+        assert res.iterations == iterations
+        assert res.converged is converged
+        trace = np.array(res.objective_trace)
+        assert len(trace) == res.iterations
+        assert np.all(np.isfinite(trace)) and np.all(trace >= 0.0)

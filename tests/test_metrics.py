@@ -82,6 +82,29 @@ class TestSilhouette:
         with pytest.raises(ShapeError, match=message):
             silhouette(np.zeros((4, 2)), labels)
 
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 10**20, 1, 0], "label 100000000000000000000 at row 1 out of range for 4 rows"),
+        ([0, 1, -2**70, 0], "label -1180591620717411303424 at row 2 out of range for 4 rows"),
+        (np.array([0, 1, 2**63, 0], dtype=np.uint64),
+         "label 9223372036854775808 at row 2 out of range for 4 rows"),
+        ([2**63, 0, 1, -1], "label 9223372036854775808 at row 0 out of range for 4 rows"),
+        ([0.0, 1.0, 7.0, 1.0], r"label 7\.0 at row 2 out of range for 4 rows"),
+        ([0.5, 1.7, 0, 1], r"label 0\.5 at row 0 is not a whole number"),
+        ([0, 1, float("nan"), 1], "label nan at row 2 is not a whole number"),
+        ([0, 1, "a", 1], "label 'a' at row 2 is not a whole number"),
+        ([0, 1, None, 1], "label None at row 2 is not a whole number"),
+        ([[0, 1], [1, 0]], r"expected 4 labels, got shape \(2, 2\)"),
+        ([[0], [1, 2], [0], [1]], "expected 4 labels, got a ragged nested sequence"),
+    ], ids=["huge", "huge-negative", "uint64", "uint64-in-list", "whole-float", "fraction",
+            "nan", "string", "none", "nested", "ragged"])
+    def test_bad_label_names_row_and_exact_value(self, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            silhouette(np.zeros((4, 2)), labels)
+
+    def test_whole_float_labels_accepted(self):
+        rows = np.array([[0.0], [0.1], [5.0], [5.1]])
+        assert silhouette(rows, [0.0, 0.0, 1.0, 1.0]).mean == silhouette(rows, [0, 0, 1, 1]).mean
+
     def test_single_label_rejected(self):
         with pytest.raises(ConfigError, match="one cluster"):
             silhouette(np.zeros((3, 2)), [1, 1, 1])
@@ -161,3 +184,14 @@ class TestSse:
     def test_negative_label_names_first_bad_row(self):
         with pytest.raises(ShapeError, match="label -1 at row 1 out of range"):
             sse(np.zeros((4, 2)), [0, -1, 5, 1], np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 10**20, 1], "label 100000000000000000000 at row 1 out of range for 2 centroids"),
+        (np.array([0, 2**63, 1], dtype=np.uint64),
+         "label 9223372036854775808 at row 1 out of range for 2 centroids"),
+        ([0, 1, 0.5], r"label 0\.5 at row 2 is not a whole number"),
+        ([0, 1], r"expected 3 labels, got shape \(2,\)"),
+    ], ids=["huge", "uint64", "fraction", "short"])
+    def test_bad_label_names_row_and_exact_value(self, labels, message):
+        with pytest.raises(ShapeError, match=message):
+            sse(np.zeros((3, 2)), labels, np.zeros((2, 2)))
