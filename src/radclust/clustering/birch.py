@@ -4,8 +4,13 @@ Each leaf entry is the additive triple (count, linear sum, square sum); a
 point is absorbed by the closest leaf entry when the merged entry's radius
 sqrt(SS/N - ||LS/N||^2) stays within the threshold, and otherwise opens a
 new entry. Nodes that outgrow the branching factor split around their
-farthest pair. The global phase runs seeded k-means on the leaf-entry
-centroids and maps every point to its entry's cluster.
+farthest pair. Every node caches its subtree's CF summary (count, linear
+sum, centroid), as the non-leaf entries of Zhang, Ramakrishnan & Livny
+(SIGMOD 1996) do, so a descent reads one centroid per child instead of
+re-summing the subtree. An insert refreshes the summaries along its path,
+bottom up, each from its node's items in item order. The global phase runs
+seeded k-means on the leaf-entry centroids and maps every point to its
+entry's cluster.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,12 +29,20 @@ _BRANCHING = 50
 
 @dataclass(eq=False)
 class CfEntry:
-    """Additive cluster summary: point count, linear sum, squared-norm sum."""
+    """Additive cluster summary: point count, linear sum, squared-norm sum.
+
+    ``centroid`` is cached at construction and by :meth:`absorb`; change the
+    summary only through those.
+    """
 
     count: int
     linear_sum: np.ndarray
     square_sum: float
     point_ids: list = field(default_factory=list)
+    centroid: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.centroid = self.linear_sum / self.count
 
     @classmethod
     def from_point(cls, point, pid):
@@ -40,10 +53,6 @@ class CfEntry:
             square_sum=float(point @ point),
             point_ids=[pid],
         )
-
-    @property
-    def centroid(self):
-        return self.linear_sum / self.count
 
     @property
     def radius(self):
@@ -64,6 +73,7 @@ class CfEntry:
         self.linear_sum = self.linear_sum + point
         self.square_sum += float(point @ point)
         self.point_ids.append(pid)
+        self.centroid = self.linear_sum / self.count
 
     def radius_if_absorbed(self, point):
         point = np.asarray(point, dtype=np.float64)
@@ -93,25 +103,26 @@ class CfTreeStats:
 
 
 class _Node:
-    __slots__ = ("leaf", "entries", "children")
+    """A CF-tree node: ``items`` are CF entries in a leaf, child nodes otherwise.
 
-    def __init__(self, leaf):
+    ``count``, ``linear_sum`` and ``centroid`` summarise the subtree. They are
+    a cache: :meth:`refresh` must run after any change below the node.
+    """
+
+    __slots__ = ("leaf", "items", "count", "linear_sum", "centroid")
+
+    def __init__(self, leaf, items):
         self.leaf = leaf
-        self.entries = []
-        self.children = []
+        self.items = items
+        self.refresh()
 
-    @property
-    def centroid(self):
-        return self.linear_sum / self.count
-
-    @property
-    def count(self):
-        return sum(it.count for it in (self.entries if self.leaf else self.children))
-
-    @property
-    def linear_sum(self):
-        items = self.entries if self.leaf else self.children
-        return sum((it.linear_sum for it in items), start=np.zeros_like(items[0].linear_sum))
+    def refresh(self):
+        """Recompute the summary from the items, summed left to right."""
+        self.count = sum(it.count for it in self.items)
+        # accumulate adds the rows one after another in item order;
+        # a.sum(axis=0) sums a single column pairwise and rounds differently
+        self.linear_sum = np.add.accumulate([it.linear_sum for it in self.items])[-1]
+        self.centroid = self.linear_sum / self.count
 
 
 def _nearest(items, point):
@@ -140,50 +151,52 @@ def _split(items):
 
 
 def _insert(node, point, pid, threshold, branching):
-    """Insert a point; returns a new sibling node if this node split."""
-    if node.leaf:
-        if not node.entries:
-            node.entries.append(CfEntry.from_point(point, pid))
-            return None
-        nearest = _nearest(node.entries, point)
-        entry = node.entries[nearest]
-        if entry.radius_if_absorbed(point) <= threshold:
-            entry.absorb(point, pid)
-            return None
-        node.entries.append(CfEntry.from_point(point, pid))
-        if len(node.entries) > branching:
-            group_a, group_b = _split(node.entries)
-            node.entries = group_a
-            sibling = _Node(leaf=True)
-            sibling.entries = group_b
-            return sibling
-        return None
+    """Insert a point below ``node`` and refresh the summaries on its path.
 
-    child = node.children[_nearest(node.children, point)]
-    sibling = _insert(child, point, pid, threshold, branching)
-    if sibling is not None:
-        node.children.append(sibling)
-        if len(node.children) > branching:
-            group_a, group_b = _split(node.children)
-            node.children = group_a
-            new_node = _Node(leaf=False)
-            new_node.children = group_b
-            return new_node
-    return None
-
-
-def _collect_leaves(node, out):
-    if node.leaf:
-        out.append(node)
+    Returns a new sibling node if ``node`` split.
+    """
+    items = node.items
+    nearest = items[_nearest(items, point)]
+    if not node.leaf:
+        sibling = _insert(nearest, point, pid, threshold, branching)
+        if sibling is not None:
+            items.append(sibling)
+    elif nearest.radius_if_absorbed(point) <= threshold:
+        nearest.absorb(point, pid)
     else:
-        for child in node.children:
-            _collect_leaves(child, out)
+        items.append(CfEntry.from_point(point, pid))
+    if len(items) <= branching:
+        node.refresh()
+        return None
+    node.items, group_b = _split(items)
+    node.refresh()
+    return _Node(leaf=node.leaf, items=group_b)
+
+
+def _build_tree(rows, threshold, branching):
+    """Insert the rows in order into a new CF tree; returns its root.
+
+    A root that splits gets a new parent, so the tree grows at the top.
+    """
+    root = _Node(leaf=True, items=[CfEntry.from_point(rows[0], 0)])
+    for i in range(1, rows.shape[0]):
+        sibling = _insert(root, rows[i], i, threshold, branching)
+        if sibling is not None:
+            root = _Node(leaf=False, items=[root, sibling])
+    return root
+
+
+def _leaf_entries(node):
+    """The tree's CF entries, leaves left to right."""
+    if node.leaf:
+        return list(node.items)
+    return [e for child in node.items for e in _leaf_entries(child)]
 
 
 def _count_nodes(node):
     if node.leaf:
         return 1
-    return 1 + sum(_count_nodes(c) for c in node.children)
+    return 1 + sum(_count_nodes(c) for c in node.items)
 
 
 def default_threshold(rows, seed):
@@ -224,17 +237,8 @@ def birch(x, cfg: ClusterConfig) -> ClusterResult:
         else default_threshold(rows, cfg.seed)
     )
 
-    root = _Node(leaf=True)
-    for i in range(n):
-        sibling = _insert(root, rows[i], i, threshold, _BRANCHING)
-        if sibling is not None:
-            new_root = _Node(leaf=False)
-            new_root.children = [root, sibling]
-            root = new_root
-
-    leaves = []
-    _collect_leaves(root, leaves)
-    entries = [e for leaf in leaves for e in leaf.entries]
+    root = _build_tree(rows, threshold, _BRANCHING)
+    entries = _leaf_entries(root)
     centroids = np.array([e.centroid for e in entries])
 
     inner_cfg = replace(

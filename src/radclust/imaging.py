@@ -109,14 +109,16 @@ def _read_int_token(data, pos, what):
 
 
 def load_pgm(data):
-    """Parse binary PGM (magic ``P5``, maxval <= 255) into an :class:`ImageGray`.
+    """Parse binary PGM (magic ``P5``, maxval <= 65535) into an :class:`ImageGray`.
 
-    With maxval < 255 each value v is rescaled to the 0..255 range as
-    ``(v * 255 + maxval // 2) // maxval`` (rounded half up).
+    Samples are one byte for maxval < 256 and two big-endian bytes from 256
+    up. With maxval other than 255 each value v is rescaled to the 0..255
+    range as ``(v * 255 + maxval // 2) // maxval`` (rounded half up).
 
     Raises :class:`~radclust.errors.ParseError` carrying the byte offset on a
     wrong magic, an unparsable or out-of-range header field, a payload
-    shorter than width*height, or a payload byte above maxval.
+    shorter than width*height samples, or a sample above maxval (the offset
+    of its first byte).
     """
     data = bytes(data)
     if data[:2] != b"P5":
@@ -128,28 +130,30 @@ def load_pgm(data):
         raise ParseError(f"PGM width must be >= 1, got {width}", offset=wstart)
     if height < 1:
         raise ParseError(f"PGM height must be >= 1, got {height}", offset=hstart)
-    if not (0 < maxval <= 255):
-        raise ParseError(f"PGM maxval must be in 1..255, got {maxval}", offset=mstart)
+    if not (0 < maxval <= 65535):
+        raise ParseError(f"PGM maxval must be in 1..65535, got {maxval}", offset=mstart)
     if pos >= len(data) or data[pos] not in _WHITESPACE:
         raise ParseError(f"expected single whitespace after maxval at byte {pos}", offset=pos)
     pos += 1
+    size, dtype, unit = (1, np.uint8, "bytes") if maxval < 256 else (2, ">u2", "2-byte samples")
     need = width * height
-    payload = data[pos:pos + need]
-    if len(payload) < need:
+    payload = data[pos:pos + size * need]
+    if len(payload) < size * need:
         raise ParseError(
-            f"truncated PGM payload at byte {len(data)}: expected {need} bytes, "
-            f"found {len(payload)}",
+            f"truncated PGM payload at byte {len(data)}: expected {need} {unit}, "
+            f"found {len(payload) // size}",
             offset=len(data),
         )
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
-    if maxval < 255:
-        over = np.flatnonzero(pixels.ravel() > maxval)
-        if over.size:
-            at = pos + int(over[0])
-            raise ParseError(
-                f"PGM value {data[at]} at byte {at} exceeds maxval {maxval}", offset=at
-            )
-        pixels = ((pixels.astype(np.uint16) * 255 + maxval // 2) // maxval).astype(np.uint8)
+    pixels = np.frombuffer(payload, dtype=dtype).reshape(height, width)
+    if maxval == 255:
+        return ImageGray(width=width, height=height, pixels=pixels.copy())
+    over = np.flatnonzero(pixels.ravel() > maxval)
+    if over.size:
+        at = pos + size * int(over[0])
+        raise ParseError(
+            f"PGM value {pixels.flat[over[0]]} at byte {at} exceeds maxval {maxval}", offset=at
+        )
+    pixels = ((pixels.astype(np.uint32) * 255 + maxval // 2) // maxval).astype(np.uint8)
     return ImageGray(width=width, height=height, pixels=pixels)
 
 

@@ -47,8 +47,9 @@ class RngStream:
 
     The state is a plain counter advanced by a fixed odd increment, and each
     output is a finalizing mix of the counter, so the k-th draw depends only
-    on (seed, k). Bulk generation (:meth:`uniforms`, :meth:`gaussians`) is
-    therefore bit-identical to repeated scalar draws of the same kind.
+    on (seed, k). Bulk generation (:meth:`uniforms`, :meth:`gaussians`,
+    :meth:`shuffle`) is therefore bit-identical to repeated scalar draws of
+    the same kind, down to the final state.
 
     Uniform draws lie in [0, 1). Gaussian draws use the Box-Muller transform
     (cosine branch, two uniforms per value) and are always finite. A stream
@@ -109,9 +110,29 @@ class RngStream:
                 return u % bound
 
     def shuffle(self, items):
-        """In-place Fisher-Yates shuffle of a list or 1-D array; returns it."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
+        """In-place Fisher-Yates shuffle of a list or 1-D array; returns it.
+
+        Swap ``i`` (from n-1 down to 1) takes ``next_below(i + 1)``. All n-1
+        draws come from one :meth:`u64s` call, with the rejection test of
+        :meth:`next_below` applied to each. If any draw would be rejected
+        (odds about n / 2**64), the stream rewinds and replays the scalar
+        draws, so the permutation and the final state never depend on which
+        path ran.
+        """
+        n = len(items)
+        if n < 2:
+            return items
+        start = self._state
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        u = self.u64s(n - 1)
+        # next_below rejects u >= 2**64 - (2**64 mod b); 2**64 - b has the same residue
+        rem = (np.uint64(_MASK64) - bounds + np.uint64(1)) % bounds
+        if np.any(u > np.uint64(_MASK64) - rem):
+            self._state = start
+            js = [self.next_below(b) for b in range(n, 1, -1)]
+        else:
+            js = (u % bounds).tolist()
+        for i, j in zip(range(n - 1, 0, -1), js):
             items[i], items[j] = items[j], items[i]
         return items
 

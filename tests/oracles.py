@@ -2,7 +2,8 @@
 
 Every oracle here is deliberately slow and literal (plain loops, textbook
 formulas) and shares no code with the package under test beyond its
-exception types.
+exception types and, for the shuffle, the scalar ``next_below`` draws of
+the stream it is handed.
 """
 
 import math
@@ -24,6 +25,19 @@ def splitmix64_reference(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def fisher_yates_shuffle(stream, items):
+    """In-place Fisher-Yates shuffle with one scalar ``stream.next_below`` per swap.
+
+    The loop ``RngStream.shuffle`` ran before it drew in bulk, kept verbatim:
+    the bulk form must give the same permutation and leave the stream in the
+    same state.
+    """
+    for i in range(len(items) - 1, 0, -1):
+        j = stream.next_below(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
 
 
 def naive_pairwise(rows):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, spectral
-from radclust.clustering.birch import _Node, _collect_leaves, _insert, default_threshold
+from radclust.clustering.birch import _build_tree, _leaf_entries, default_threshold
 from radclust.cli import cli_main
 from radclust.cnn import (
     CnnSpec,
@@ -122,16 +122,7 @@ def test_criterion_4_structural_invariants():
     # CF additivity and the leaf-radius bound
     rows = rng.randn(120, 4)
     threshold = default_threshold(rows, 7)
-    root = _Node(leaf=True)
-    for i in range(120):
-        sibling = _insert(root, rows[i], i, threshold, 12)
-        if sibling is not None:
-            new_root = _Node(leaf=False)
-            new_root.children = [root, sibling]
-            root = new_root
-    leaves = []
-    _collect_leaves(root, leaves)
-    entries = [e for leaf in leaves for e in leaf.entries]
+    entries = _leaf_entries(_build_tree(rows, threshold, 12))
     assert sum(e.count for e in entries) == 120
     assert np.abs(np.sum([e.linear_sum for e in entries], axis=0) - rows.sum(axis=0)).max() <= 1e-9
     assert all(e.radius <= threshold + 1e-9 for e in entries)

@@ -39,9 +39,37 @@ class TestLoadPgm:
             load_pgm(data)
         assert exc.value.offset == len(data)
 
-    def test_maxval_above_255_rejected(self):
-        with pytest.raises(ParseError, match="maxval"):
-            load_pgm(b"P5 1 1 65535 " + bytes(2))
+    def test_maxval_above_65535_rejected(self):
+        with pytest.raises(ParseError, match="maxval must be in 1..65535") as exc:
+            load_pgm(b"P5 1 1 65536 " + bytes(2))
+        assert exc.value.offset == 7
+
+    def test_16bit_full_range_rescales_big_endian_samples(self):
+        # 0x0100 is 256 read big-endian (1 after rescaling) but 1 little-endian (0)
+        samples = [0x0000, 0x0100, 0x0101, 0x8000, 0xFFFF]
+        data = b"P5 5 1 65535 " + b"".join(v.to_bytes(2, "big") for v in samples)
+        img = load_pgm(data)
+        # (v * 255 + 32767) // 65535
+        assert img.pixels.dtype == np.uint8
+        assert np.array_equal(img.pixels, [[0, 1, 1, 128, 255]])
+
+    def test_10bit_maxval_rescales(self):
+        data = b"P5 5 1 1023 " + b"".join(v.to_bytes(2, "big") for v in [0, 1, 4, 512, 1023])
+        # (v * 255 + 511) // 1023
+        assert np.array_equal(load_pgm(data).pixels, [[0, 0, 1, 128, 255]])
+
+    def test_16bit_truncated_payload_counts_samples(self):
+        data = b"P5 2 2 1023 " + bytes(7)
+        with pytest.raises(ParseError, match="expected 4 2-byte samples, found 3") as exc:
+            load_pgm(data)
+        assert exc.value.offset == len(data)
+
+    def test_16bit_value_above_maxval_reports_offset(self):
+        header = b"P5 3 1 1023 "
+        data = header + b"".join(v.to_bytes(2, "big") for v in [5, 1024, 0])
+        with pytest.raises(ParseError, match="PGM value 1024 at byte 14 exceeds maxval 1023") as exc:
+            load_pgm(data)
+        assert exc.value.offset == len(header) + 2
 
     def test_low_maxval_rescales_to_full_range(self):
         img = load_pgm(b"P5 4 1 15 " + bytes([0, 1, 7, 15]))

@@ -3,6 +3,7 @@ import pytest
 
 from radclust.clustering import ClusterConfig, kmeans, minibatch_kmeans
 from radclust.errors import ConfigError, ShapeError
+from radclust.pipeline import synth_blobs
 
 from oracles import best_two_partition_sse, naive_sse
 
@@ -167,3 +168,17 @@ class TestMinibatchKmeans:
         trace = np.array(res.objective_trace)
         assert len(trace) == res.iterations
         assert np.all(np.isfinite(trace)) and np.all(trace >= 0.0)
+
+    def test_pinned_fit_with_batches_below_n(self):
+        # Every iteration shuffles all 600 rows to draw its batch of 50.
+        # Recorded before the shuffle drew in bulk; it must not move a bit.
+        fm, _ = synth_blobs(200, 3, 4, 5.0, 1.0, 21)
+        res = minibatch_kmeans(fm.rows, ClusterConfig(k=3, seed=1, batch_size=50, max_iters=30))
+        assert res.labels.tolist() == [0] * 200 + [2] * 200 + [1] * 200
+        assert [float(v).hex() for v in res.centroids.ravel()] == [
+            "0x1.3b38fe68fe508p+2", "-0x1.b9156fc7da85fp-3", "0x1.51d16892449f9p-4",
+            "0x1.297c6f362dccdp-4", "-0x1.0496e056cd7c8p-5", "0x1.ac4710103a0cep-3",
+            "0x1.2c25bf2bbd0c3p+2", "-0x1.65bdb6679a129p-5", "0x1.e7947a7fe4674p-5",
+            "0x1.41128dc7ca734p+2", "-0x1.e31df493d53edp-8", "0x1.acb13160a25fep-6",
+        ]
+        assert res.iterations == 30

@@ -15,6 +15,7 @@ from radclust.numerics import (
 
 from oracles import (
     charpoly_eigs_by_bisection,
+    fisher_yates_shuffle,
     jacobi_eigen,
     naive_pairwise,
     splitmix64_reference,
@@ -79,6 +80,42 @@ class TestRngStream:
         assert sorted(out) == items
         assert out != items  # astronomically unlikely to be identity
         assert RngStream(8).shuffle(list(items)) == out
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 100, 4000])
+    @pytest.mark.parametrize("container", [list, np.array], ids=["list", "ndarray"])
+    def test_shuffle_matches_scalar_oracle(self, n, container):
+        for seed in range(20):
+            bulk, scalar = RngStream(seed), RngStream(seed)
+            out = bulk.shuffle(container(range(n)))
+            expected = fisher_yates_shuffle(scalar, container(range(n)))
+            assert np.array_equal(out, expected)
+            assert bulk._state == scalar._state
+
+    def test_shuffle_rejection_replays_scalar_draws(self, monkeypatch):
+        n, seed = 10, 3
+        bulk_draws = RngStream.u64s
+        scalar_draw = RngStream.next_below
+        scalar_calls = []
+
+        def planted(self, count):
+            u = bulk_draws(self, count)
+            # the draw for bound 7 (not a power of two, 2**64 mod 7 == 2): rejected
+            u[n - 7] = np.uint64(2**64 - 1)
+            return u
+
+        def counted(self, bound):
+            scalar_calls.append(bound)
+            return scalar_draw(self, bound)
+
+        monkeypatch.setattr(RngStream, "u64s", planted)
+        monkeypatch.setattr(RngStream, "next_below", counted)
+        stream = RngStream(seed)
+        out = stream.shuffle(list(range(n)))
+        assert scalar_calls == list(range(n, 1, -1))
+        monkeypatch.undo()
+        oracle = RngStream(seed)
+        assert out == fisher_yates_shuffle(oracle, list(range(n)))
+        assert stream._state == oracle._state
 
     def test_next_below_bounds(self):
         rng = RngStream(13)
