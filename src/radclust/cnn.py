@@ -12,6 +12,10 @@ parameters load through the weight-file format below. Dropout at inference
 is the identity map, kept in the layer sequence only for fidelity to the
 architecture. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
+
+``forward`` applies each block as conv, max pool, dropout, ReLU: ReLU is
+monotone, so it commutes with max bit for bit, and running it after the pool
+touches a quarter of the values.
 """
 
 import math
@@ -131,7 +135,16 @@ class FeatureVector:
 
 
 def conv2d(x, kernels, biases):
-    """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw)."""
+    """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
+
+    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px), and
+    the im2col matrix is built as (cin, kh, kw, h, w) from kh*kw shifted-slice
+    copies, each with contiguous rows. One GEMM, ``kernels (cout, cin*kh*kw) @
+    cols (cin*kh*kw, h*w)``, then gives every output; the bias is added in
+    place. The columns keep the kernel's (cin, kh, kw) order. The result is an
+    (h, w, cout) view of a channel-first (cout, h, w) array, not a C-contiguous
+    array.
+    """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
@@ -140,12 +153,15 @@ def conv2d(x, kernels, biases):
     if kcin != cin:
         raise ShapeError(f"kernel expects {kcin} input channels, tensor has {cin}")
     py, px = kh // 2, kw // 2
-    padded = np.pad(x, ((py, py), (px, px), (0, 0)))
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(0, 1))
-    # windows: (h, w, cin, kh, kw); flatten to rows matching kernel layout
-    cols = windows.reshape(h * w, cin * kh * kw)
-    out = cols @ kernels.reshape(cout, cin * kh * kw).T + biases[None, :]
-    return out.reshape(h, w, cout)
+    padded = np.zeros((cin, h + 2 * py, w + 2 * px))
+    padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
+    cols = np.empty((cin, kh, kw, h, w))
+    for dy in range(kh):
+        for dx in range(kw):
+            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
+    out = kernels.reshape(cout, -1) @ cols.reshape(cin * kh * kw, h * w)
+    out += biases[:, None]
+    return out.reshape(cout, h, w).transpose(1, 2, 0)
 
 
 def relu(t):
@@ -159,12 +175,21 @@ def dropout(t, rate=0.5):
 
 
 def maxpool2d(t):
-    """Non-overlapping 2x2 max pooling, stride 2, per channel."""
+    """Non-overlapping 2x2 max pooling, stride 2, per channel, of an (h, w, c) tensor.
+
+    The result is the elementwise max of the four stride-2 slices, so any
+    memory layout of ``t`` (a transposed view from :func:`conv2d` included)
+    is read in place; the output keeps that layout. Max is exact, so the
+    value does not depend on the order the four slices are combined.
+    """
     t = np.asarray(t, dtype=np.float64)
     h, w, c = t.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max pooling needs even spatial dims, got {h}x{w}")
-    return t.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
+    return np.maximum(
+        np.maximum(t[0::2, 0::2], t[0::2, 1::2]),
+        np.maximum(t[1::2, 0::2], t[1::2, 1::2]),
+    )
 
 
 def dense(v, w, b):
@@ -230,7 +255,7 @@ def forward(t, weights, image_id="", return_activations=False):
     x = x.astype(np.float64)
     activations = []
     for kernel, bias in zip(weights.conv_kernels, weights.conv_biases):
-        x = maxpool2d(dropout(relu(conv2d(x, kernel, bias))))
+        x = relu(dropout(maxpool2d(conv2d(x, kernel, bias))))
         activations.append(x)
     flat = flatten(x)
     activations.append(flat)
@@ -281,7 +306,9 @@ def load_weights(data):
     """Parse bytes produced by :func:`save_weights` back into a WeightSet.
 
     The shape table must match the fixed topology exactly; any deviation is
-    reported as a shape-table error with the offending layer.
+    reported as a shape-table error with the offending layer. A NaN or
+    infinite float32 anywhere in the payload (weights or biases) is a
+    ParseError naming its layer, with ``offset`` at the value's first byte.
     """
     data = bytes(data)
     spec = CnnSpec()
@@ -316,14 +343,21 @@ def load_weights(data):
                 offset=pos - 4 * ndim,
             )
         shapes.append(dims)
-    payload_len = sum(
-        4 * (int(np.prod(s)) + s[0]) for s in shapes
-    )
+    sizes = [int(np.prod(s)) + s[0] for s in shapes]
+    payload_len = 4 * sum(sizes)
+    start = pos
     payload, pos = _take(data, pos, payload_len, "payload")
     raw, pos = _take(data, pos, 4, "checksum")
     (crc,) = struct.unpack("<I", raw)
     if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise ParseError("payload checksum mismatch", offset=pos - 4)
+    bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload, dtype="<f4")))
+    if bad.size:
+        layer = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+        offset = start + 4 * int(bad[0])
+        raise ParseError(
+            f"layer {layer} holds a non-finite float32 at byte {offset}", offset=offset
+        )
     conv_kernels, conv_biases, dense_weights, dense_biases = [], [], [], []
     at = 0
     for s in shapes:

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import radclust
 from radclust.cli import cli_main
 from radclust.errors import NonConvergenceError
 from radclust.imaging import load_pgm, save_pgm
@@ -78,6 +84,23 @@ class TestPreprocessAndExtract:
             "--weights", str(weights), "--out", str(features2),
         ]) == 0
         assert features2.read_bytes() == features.read_bytes()
+
+    def test_features_identical_across_blas_thread_counts(self, tmp_path):
+        # OpenBLAS reads its thread count at import, so each setting gets its
+        # own interpreter running the extract command
+        _, manifest = write_image_tree(tmp_path, n_per_class=2, size=128)
+        src = str(Path(radclust.__file__).resolve().parents[1])
+        features = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"features_{threads}.csv"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            subprocess.run([sys.executable, "-m", "radclust.cli", "extract",
+                            "--manifest", str(manifest), "--seed", "5", "--out", str(out)],
+                           env=env, capture_output=True, timeout=300, check=True)
+            features.append(out.read_bytes())
+        assert read_features(features[0]).n == 4
+        assert features[0] == features[1]
 
     def test_extract_missing_weights_exits_2(self, tmp_path, capsys):
         raw, manifest = write_image_tree(tmp_path, n_per_class=1, size=128)

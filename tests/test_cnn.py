@@ -1,3 +1,6 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -45,6 +48,22 @@ class TestConv2d:
         b = rng.randn(4)
         assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
 
+    def test_matches_naive_loops_5x5_kernel_multichannel(self):
+        rng = np.random.RandomState(11)
+        x = rng.randn(6, 6, 4)
+        k = rng.randn(3, 4, 5, 5)
+        b = rng.randn(3)
+        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
+
+    def test_matches_naive_loops_non_square(self):
+        rng = np.random.RandomState(12)
+        x = rng.randn(7, 5, 3)
+        k = rng.randn(2, 3, 3, 5)
+        b = rng.randn(2)
+        out = conv2d(x, k, b)
+        assert out.shape == (7, 5, 2)
+        assert np.abs(out - naive_conv2d_same(x, k, b)).max() <= 1e-12
+
     def test_channel_mismatch_names_both_counts(self):
         with pytest.raises(ShapeError, match="2.*3|3.*2"):
             conv2d(np.zeros((4, 4, 3)), np.zeros((1, 2, 3, 3)), np.zeros(1))
@@ -85,6 +104,12 @@ class TestPointwiseLayers:
 
     def test_maxpool_matches_naive(self):
         x = np.random.RandomState(5).randn(8, 8, 3)
+        assert np.array_equal(maxpool2d(x), naive_maxpool2x2(x))
+
+    def test_maxpool_matches_naive_on_transposed_view(self):
+        # conv2d returns an (h, w, c) view of a channel-first array
+        x = np.random.RandomState(13).randn(3, 6, 4).transpose(1, 2, 0)
+        assert not x.flags.c_contiguous
         assert np.array_equal(maxpool2d(x), naive_maxpool2x2(x))
 
     def test_maxpool_rejects_odd_dims(self):
@@ -185,6 +210,34 @@ class TestForward:
                     ws.dense_weights[1], ws.dense_biases[1])
         assert np.array_equal(forward(x, ws).values, manual)
 
+    def test_nonzero_biases_match_relu_before_pool_order(self):
+        # forward pools before ReLU; with non-zero biases every activation
+        # must still carry the bytes of the conv, ReLU, pool composition
+        rng = np.random.RandomState(14)
+        base = init_weights(CnnSpec(), 10)
+        ws = WeightSet(
+            conv_kernels=base.conv_kernels,
+            conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
+            dense_weights=base.dense_weights,
+            dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
+        )
+        padded = np.zeros((128, 128, 1))
+        padded[24:104, 32:96] = rng.rand(80, 64, 1)
+        for x in (np.asarray(RngStream_like_input()), padded):
+            _, acts = forward(x, ws, return_activations=True)
+            expect = []
+            manual = x
+            for k, b in zip(ws.conv_kernels, ws.conv_biases):
+                manual = maxpool2d(relu(conv2d(manual, k, b)))
+                expect.append(manual)
+            expect.append(flatten(manual))
+            expect.append(relu(dense(expect[-1], ws.dense_weights[0], ws.dense_biases[0])))
+            expect.append(dense(expect[-1], ws.dense_weights[1], ws.dense_biases[1]))
+            assert len(acts) == len(expect) == 7
+            for got, want in zip(acts, expect):
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
     def test_wrong_input_shape(self):
         ws = init_weights(CnnSpec(), 2)
         with pytest.raises(ShapeError, match="input"):
@@ -222,8 +275,7 @@ class TestWeightsIO:
         data = bytearray(save_weights(init_weights(CnnSpec(), 1)))
         # first layer's first dim (filter count 64) sits after magic(4) +
         # version(1) + layer count(4) + ndim(4)
-        import struct as _s
-        data[13:17] = _s.pack("<I", 32)
+        data[13:17] = struct.pack("<I", 32)
         with pytest.raises(ParseError, match="shape table"):
             load_weights(bytes(data))
 
@@ -243,3 +295,23 @@ class TestWeightsIO:
         data[4] = 2
         with pytest.raises(ParseError, match="version"):
             load_weights(bytes(data))
+
+    def test_non_finite_value_names_layer_and_offset(self):
+        ws = init_weights(CnnSpec(), 1)
+        data = save_weights(ws)
+        start = len(data) - 4 - sum(4 * (w.size + b.size) for w, b in ws.tensors())
+        # the first conv kernel float, then the last dense bias float
+        for value, at, layer in ((np.nan, start, 0), (-np.inf, len(data) - 8, 5)):
+            bad = bytearray(data)
+            bad[at:at + 4] = struct.pack("<f", value)
+            bad[-4:] = struct.pack("<I", zlib.crc32(bytes(bad[start:-4])) & 0xFFFFFFFF)
+            with pytest.raises(ParseError, match=f"layer {layer} .*non-finite") as exc:
+                load_weights(bytes(bad))
+            assert exc.value.offset == at
+
+    def test_weightset_built_in_code_keeps_shape_error_for_non_finite(self):
+        ws = init_weights(CnnSpec(), 1)
+        kernels = [k.copy() for k in ws.conv_kernels]
+        kernels[0][0, 0, 0, 0] = np.nan
+        with pytest.raises(ShapeError, match="finite"):
+            WeightSet(kernels, ws.conv_biases, ws.dense_weights, ws.dense_biases)
