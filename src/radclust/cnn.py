@@ -78,6 +78,9 @@ class CnnSpec:
         return chain
 
 
+_LAYER_NAMES = ("conv1", "conv2", "conv3", "conv4", "dense1", "dense2")
+
+
 @dataclass(eq=False)
 class WeightSet:
     """All network parameters: conv kernels/biases then dense weights/biases.
@@ -94,21 +97,19 @@ class WeightSet:
     spec: CnnSpec = field(default_factory=CnnSpec)
 
     def __post_init__(self):
-        shapes = self.spec.weight_shapes()
-        tensors = list(self.conv_kernels) + list(self.dense_weights)
         if len(self.conv_kernels) != 4 or len(self.dense_weights) != 2:
             raise ShapeError("expected 4 conv kernels and 2 dense weight matrices")
-        for t, expect in zip(tensors, shapes):
-            if t.shape != expect:
-                raise ShapeError(f"weight tensor shape {t.shape} does not match {expect}")
-            if not np.all(np.isfinite(t)):
-                raise ShapeError("weight tensors must be finite")
-        for b, expect in zip(
-            list(self.conv_biases) + list(self.dense_biases),
-            [s[0] for s in shapes],
-        ):
-            if b.shape != (expect,):
-                raise ShapeError(f"bias shape {b.shape} does not match ({expect},)")
+        if len(self.conv_biases) != 4 or len(self.dense_biases) != 2:
+            raise ShapeError("expected 4 conv biases and 2 dense bias vectors")
+        for name, (w, b), expect in zip(_LAYER_NAMES, self.tensors(), self.spec.weight_shapes()):
+            if w.shape != expect:
+                raise ShapeError(f"weight tensor shape {w.shape} does not match {expect}")
+            if b.shape != (expect[0],):
+                raise ShapeError(f"bias shape {b.shape} does not match ({expect[0]},)")
+            kind = "kernel" if name.startswith("conv") else "weights"
+            for tensor, what in ((w, kind), (b, "bias")):
+                if not np.all(np.isfinite(tensor)):
+                    raise ShapeError(f"{name} {what} must be finite")
 
     def tensors(self):
         """(weight, bias) pairs in forward/serialization order."""

@@ -1,10 +1,10 @@
 """File formats, synthetic data, and the algorithm-by-k sweep harness.
 
 The sweep runs a set of clustering variants over a range of cluster counts,
-scores every run with the mean silhouette, and renders the grid as a CSV
-report and an SVG line chart. Sweep cells are seeded independently by a
-pure mix of (sweep seed, algorithm, k), so any execution order produces the
-same report.
+scores every run with the mean silhouette in one shared pass over the
+distances, and renders the grid as a CSV report and an SVG line chart.
+Cells are seeded independently by a pure mix of (sweep seed, algorithm, k),
+so any execution order produces the same report.
 
 Formats (UTF-8, LF line endings, ids restricted to [A-Za-z0-9._-]):
 
@@ -27,7 +27,7 @@ from .clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, miniba
 from .errors import ConfigError, ParseError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
-from .metrics import silhouette
+from .metrics import silhouette_batch
 from .numerics import RngStream, mix_seed
 
 MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
@@ -316,8 +316,10 @@ class SweepConfig:
 class SweepRow:
     """One sweep cell: silhouette of one algorithm at one k.
 
-    A failed cell has a blank silhouette and ``error`` set to the exception's
-    type name and message.
+    ``runtime_ms`` is the wall-clock time of the cell's fit alone; scoring
+    is shared by every cell of the sweep and charged to none. A failed cell
+    has a blank silhouette and ``error`` set to the exception's type name and
+    message.
     """
 
     algorithm: str
@@ -337,15 +339,19 @@ class SweepReport:
 
 
 def sweep(fm, cfg: SweepConfig) -> SweepReport:
-    """Run every requested (algorithm, k) cell and silhouette-score it.
+    """Fit every requested (algorithm, k) cell, then silhouette-score them all.
 
     Each cell gets an independent seed mixed from (sweep seed, algorithm
-    index, k). A failing cell records converged=false, a blank silhouette
-    and the error, and the sweep continues.
+    index, k). The labelings of all fitted cells are scored together by
+    :func:`~radclust.metrics.silhouette_batch`, so the distance row blocks
+    are built once per sweep. A cell whose fit fails, or whose labels
+    cannot be scored, records converged=false, a blank silhouette and the
+    error; the other cells are unaffected.
     """
     if cfg.ks[-1] > fm.n:
         raise ConfigError(f"largest k {cfg.ks[-1]} exceeds sample count {fm.n}")
     rows = []
+    fitted = []  # (row, labels) of every cell whose fit succeeded
     for algo_index, (slug, display, runner) in enumerate(ALGORITHMS):
         if slug not in cfg.algorithms:
             continue
@@ -354,27 +360,32 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
                 k=k, seed=mix_seed(cfg.seed, algo_index, k), **cfg.knobs
             )
             start = time.perf_counter()
-            error = None
+            error = result = None
             try:
                 result = runner(fm.rows, cell_cfg)
-                score = silhouette(fm.rows, result.labels).mean
-                converged = bool(result.converged)
             except RadclustError as exc:
-                score = None
-                converged = False
                 error = f"{type(exc).__name__}: {exc}"
-            runtime_ms = (time.perf_counter() - start) * 1000.0
-            rows.append(
-                SweepRow(
-                    algorithm=display,
-                    slug=slug,
-                    k=k,
-                    silhouette=score,
-                    runtime_ms=runtime_ms,
-                    converged=converged,
-                    error=error,
-                )
+            row = SweepRow(
+                algorithm=display,
+                slug=slug,
+                k=k,
+                silhouette=None,
+                runtime_ms=(time.perf_counter() - start) * 1000.0,
+                converged=False,
+                error=error,
             )
+            rows.append(row)
+            if result is not None:
+                row.converged = bool(result.converged)
+                fitted.append((row, result.labels))
+
+    scores = silhouette_batch(fm.rows, [labels for _, labels in fitted])
+    for (row, _), score in zip(fitted, scores):
+        if isinstance(score, RadclustError):
+            row.converged = False
+            row.error = f"{type(score).__name__}: {score}"
+        else:
+            row.silhouette = score.mean
     return SweepReport(rows=rows)
 
 

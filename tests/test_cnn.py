@@ -315,3 +315,21 @@ class TestWeightsIO:
         kernels[0][0, 0, 0, 0] = np.nan
         with pytest.raises(ShapeError, match="finite"):
             WeightSet(kernels, ws.conv_biases, ws.dense_weights, ws.dense_biases)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("layer, name", [
+        (0, "conv1"), (1, "conv2"), (2, "conv3"), (3, "conv4"), (4, "dense1"), (5, "dense2"),
+    ])
+    def test_weightset_non_finite_bias_names_its_tensor(self, layer, name, value):
+        ws = init_weights(CnnSpec(), 1)
+        biases = [b.copy() for b in ws.conv_biases + ws.dense_biases]
+        biases[layer][-1] = value
+        with pytest.raises(ShapeError, match=f"^{name} bias must be finite$"):
+            WeightSet(ws.conv_kernels, biases[:4], ws.dense_weights, biases[4:])
+
+    def test_weightset_non_finite_weights_name_their_tensor(self):
+        ws = init_weights(CnnSpec(), 1)
+        dense = [w.copy() for w in ws.dense_weights]
+        dense[1][0, 0] = np.inf
+        with pytest.raises(ShapeError, match="^dense2 weights must be finite$"):
+            WeightSet(ws.conv_kernels, ws.conv_biases, dense, ws.dense_biases)

@@ -6,7 +6,7 @@ import pytest
 import radclust.metrics
 from radclust.errors import ConfigError, ShapeError
 from radclust.features import FeatureMatrix
-from radclust.metrics import silhouette, sse
+from radclust.metrics import SilhouetteReport, silhouette, silhouette_batch, sse
 
 from oracles import naive_silhouette, naive_sse
 
@@ -59,18 +59,24 @@ class TestSilhouette:
         for c in (0, 2, 5):
             assert report.per_cluster_mean[c] == pytest.approx(naive_values[labels == c].mean(), abs=1e-9)
 
-    @pytest.mark.parametrize("labels", [
-        np.arange(4000) % 4,
-        np.arange(4000) // 2,  # 2000 two-point clusters
-    ], ids=["k4", "k2000"])
-    def test_peak_memory_is_row_blocks(self, labels):
+    @pytest.mark.parametrize("labelings", [
+        [np.arange(4000) % 4],
+        [np.arange(4000) // 2],  # 2000 two-point clusters
+        # one 2000-point cluster and 2000 singletons: the first chunk of
+        # clusters holds most of the rows
+        [np.r_[np.zeros(2000, dtype=int), np.arange(1, 2001)]],
+        # six labelings at each k=2..6, as a sweep of six variants scores them
+        [np.random.RandomState(i).randint(0, 2 + i % 5, size=4000) for i in range(30)],
+    ], ids=["k4", "k2000", "skewed-k2001", "batch30-k2-6"])
+    def test_peak_memory_is_row_blocks(self, labelings):
         rows = np.random.RandomState(6).randn(4000, 16)
         tracemalloc.start()
         try:
-            silhouette(rows, labels)
+            reports = silhouette_batch(rows, labelings)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert all(isinstance(r, SilhouetteReport) for r in reports)
         assert peak <= 32 * 2**20
 
     @pytest.mark.parametrize("labels, message", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import radclust
-from radclust.clustering import ClusterConfig, kmeans
+from radclust.clustering import ClusterConfig, ClusterResult, kmeans
 from radclust.errors import ConfigError, ParseError, RadclustError, UsageError
 from radclust.pipeline import (
     ALGORITHM_SLUGS,
@@ -241,6 +241,31 @@ class TestSweep:
         assert all(r.error == "RadclustError: injected failure" for r in spectral_rows)
         kmeans_rows = [r for r in report.rows if r.slug == "kmeans"]
         assert all(r.silhouette is not None and r.error is None for r in kmeans_rows)
+
+    def test_unscorable_cell_isolated_and_others_scored(self, monkeypatch):
+        import radclust.pipeline as pl
+
+        def one_cluster(x, cfg):
+            return ClusterResult(labels=np.zeros(len(x), dtype=np.intp), converged=True)
+
+        patched = [(s, d, one_cluster if s == "birch" else r) for s, d, r in pl.ALGORITHMS]
+        monkeypatch.setattr(pl, "ALGORITHMS", patched)
+        fm, _ = synth_blobs(10, 2, 2, 6.0, 0.2, seed=6)
+        cfg = SweepConfig(algorithms=["kmeans", "birch", "gmm-diag"], ks=[2, 3], seed=0)
+        report = pl.sweep(fm, cfg)
+        assert [r.slug for r in report.rows] == ["kmeans"] * 2 + ["birch"] * 2 + ["gmm-diag"] * 2
+        for row in report.rows:
+            assert row.runtime_ms > 0.0
+            if row.slug == "birch":
+                assert row.silhouette is None and not row.converged
+                assert row.error == "ConfigError: silhouette undefined for one cluster"
+            else:
+                assert row.silhouette is not None and row.error is None
+        # the scored cells read exactly as in a sweep without the failing one
+        alone = pl.sweep(fm, SweepConfig(algorithms=["kmeans", "gmm-diag"], ks=[2, 3], seed=0))
+        assert [r.silhouette for r in report.rows if r.slug != "birch"] == [
+            r.silhouette for r in alone.rows
+        ]
 
     def test_report_bytes_identical_across_blas_thread_counts(self):
         # The criterion-5 sweep, once per OpenBLAS thread count; OpenBLAS
