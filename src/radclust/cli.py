@@ -35,7 +35,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_k_range(text):
-    """'a..b' inclusive or a single integer."""
+    """'a..b' inclusive or a single integer, as a range (nothing is listed yet)."""
     text = text.strip()
     try:
         if ".." in text:
@@ -43,8 +43,9 @@ def _parse_k_range(text):
             lo, hi = int(lo_text), int(hi_text)
             if lo > hi:
                 raise UsageError(f"empty k range {text!r}")
-            return list(range(lo, hi + 1))
-        return [int(text)]
+            return range(lo, hi + 1)
+        k = int(text)
+        return range(k, k + 1)
     except ValueError:
         raise UsageError(f"--k expects an integer or a..b range, got {text!r}") from None
 
@@ -201,7 +202,7 @@ def _cmd_cluster(args):
             f"{', '.join(pipeline.ALGORITHM_SLUGS)}"
         )
     ks = _parse_k_range(args.k)
-    if len(ks) != 1:
+    if ks[-1] != ks[0]:
         raise UsageError("cluster takes a single --k value, not a range")
     fm = pipeline.read_features(_read_file(args.features))
     cfg = ClusterConfig(k=ks[0], seed=args.seed, **_knobs_from_args(args))
@@ -233,9 +234,12 @@ def _cmd_evaluate(args):
 
 def _cmd_sweep(args):
     fm = pipeline.read_features(_read_file(args.features))
+    ks = _parse_k_range(args.k)
+    if ks[-1] > fm.n:  # before SweepConfig lists the range
+        raise ConfigError(f"largest k {ks[-1]} exceeds sample count {fm.n}")
     cfg = pipeline.SweepConfig(
         algorithms=pipeline.algorithms_from_arg(args.algos),
-        ks=_parse_k_range(args.k),
+        ks=ks,
         seed=args.seed,
         knobs=_knobs_from_args(args),
     )

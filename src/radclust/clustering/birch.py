@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..features import as_rows
-from ..numerics import RngStream, mix_seed, pairwise_distances
+from ..numerics import RngStream, mix_seed, pairwise_distances, squared_distances
 from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
@@ -133,9 +133,8 @@ def _nearest(items, point):
 
 def _split(items):
     """Two groups seeded by the farthest centroid pair; others join the nearer seed."""
-    centroids = np.array([it.centroid for it in items])
-    dist = pairwise_distances(centroids)
-    a, b = divmod(int(np.argmax(dist)), len(items))
+    d2 = squared_distances(np.array([it.centroid for it in items]))
+    a, b = divmod(int(np.argmax(d2)), len(items))
     if a > b:
         a, b = b, a
     if a == b:  # all centroids coincide; any two-way split works
@@ -144,9 +143,7 @@ def _split(items):
     for i, it in enumerate(items):
         if i in (a, b):
             continue
-        da = float(((centroids[i] - centroids[a]) ** 2).sum())
-        db = float(((centroids[i] - centroids[b]) ** 2).sum())
-        (group_a if da <= db else group_b).append(it)
+        (group_a if d2[i, a] <= d2[i, b] else group_b).append(it)
     return group_a, group_b
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..features import as_rows
-from ..numerics import pairwise_distances
+from ..numerics import pairwise_distances, squared_distances
 from .base import ClusterConfig, ClusterResult
 
 LINKAGES = ("average", "ward")
@@ -45,10 +45,7 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
     n = rows.shape[0]
     cfg.validate_for(n)
 
-    dist = pairwise_distances(rows)
-    if linkage == "ward":
-        dist *= dist
-        dist *= 0.5
+    dist = 0.5 * squared_distances(rows) if linkage == "ward" else pairwise_distances(rows)
     np.fill_diagonal(dist, np.inf)
 
     sizes = np.ones(n, dtype=np.int64)

@@ -11,18 +11,13 @@ import math
 import numpy as np
 
 from ..features import as_rows
-from ..numerics import RngStream
+from ..numerics import RngStream, squared_distances
 from .base import ClusterConfig, ClusterResult
 
 
 def _assign(rows, centers):
     """Nearest-center labels and full squared-distance matrix."""
-    d2 = (
-        (rows * rows).sum(axis=1)[:, None]
-        + (centers * centers).sum(axis=1)[None, :]
-        - 2.0 * rows @ centers.T
-    )
-    np.maximum(d2, 0.0, out=d2)
+    d2 = squared_distances(rows, centers)
     return np.argmin(d2, axis=1), d2
 
 
@@ -60,26 +55,26 @@ def _kmeans_pp(rows, k, stream):
     local-trials refinement)."""
     n = rows.shape[0]
     trials = 2 + int(math.log(k))
-    centers = [rows[stream.next_below(n)]]
-    d2 = ((rows - centers[0]) ** 2).sum(axis=1)
+    chosen = [stream.next_below(n)]
+    d2 = squared_distances(rows, rows[chosen[0]:chosen[0] + 1])[:, 0]
     for _ in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
             idx = stream.next_below(n)
-            best_d2 = np.minimum(d2, ((rows - rows[idx]) ** 2).sum(axis=1))
+            best_d2 = np.minimum(d2, squared_distances(rows, rows[idx:idx + 1])[:, 0])
         else:
             cumulative = np.cumsum(d2)
             idx, best_d2, best_total = None, None, np.inf
             for _ in range(trials):
                 r = stream.next_uniform() * total
                 cand = min(int(np.searchsorted(cumulative, r, side="right")), n - 1)
-                cand_d2 = np.minimum(d2, ((rows - rows[cand]) ** 2).sum(axis=1))
+                cand_d2 = np.minimum(d2, squared_distances(rows, rows[cand:cand + 1])[:, 0])
                 cand_total = float(cand_d2.sum())
                 if cand_total < best_total:
                     idx, best_d2, best_total = cand, cand_d2, cand_total
-        centers.append(rows[idx])
+        chosen.append(idx)
         d2 = best_d2
-    return np.array(centers)
+    return rows[chosen]
 
 
 def _lloyd(rows, centers, cfg):

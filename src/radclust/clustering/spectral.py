@@ -1,9 +1,9 @@
 """Spectral clustering on the symmetric normalized Laplacian.
 
-Similarity is a Gaussian RBF kernel with zero diagonal; the embedding is
-the k eigenvectors of the smallest Laplacian eigenvalues (equivalently the
-k largest of the normalized affinity), row-normalized, then clustered with
-seeded k-means.
+Similarity is a Gaussian RBF kernel on the squared distances, with zero
+diagonal; the embedding is the k eigenvectors of the smallest Laplacian
+eigenvalues (equivalently the k largest of the normalized affinity),
+row-normalized, then clustered with seeded k-means.
 """
 
 from dataclasses import replace
@@ -12,7 +12,7 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..features import as_rows
-from ..numerics import mix_seed, pairwise_distances, sym_eigen
+from ..numerics import mix_seed, squared_distances, sym_eigen
 from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
@@ -20,12 +20,12 @@ _EMBED_SALT = 0x53504543
 _DENSE_CAP = 2000
 
 
-def median_offdiagonal(dist):
-    """Median of the strict upper-triangle entries of a distance matrix."""
-    n = dist.shape[0]
+def median_offdiagonal(sq):
+    """Median of the square roots of a squared-distance matrix's strict upper triangle."""
+    n = sq.shape[0]
     if n < 2:
         return 0.0
-    return float(np.median(dist[np.triu_indices(n, k=1)]))
+    return float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
 
 
 def spectral(x, cfg: ClusterConfig) -> ClusterResult:
@@ -43,14 +43,13 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
         raise ConfigError(
             f"spectral clustering is dense-only and capped at n={_DENSE_CAP}, got {n}"
         )
-    dist = pairwise_distances(rows)
-    sigma = cfg.rbf_sigma if cfg.rbf_sigma is not None else median_offdiagonal(dist)
+    sq = squared_distances(rows)
+    sigma = cfg.rbf_sigma if cfg.rbf_sigma is not None else median_offdiagonal(sq)
     if sigma <= 0.0:
         sigma = 1.0
-    # The affinity, then the Laplacian, overwrite the distance buffer, so the
-    # n x n working set is that one matrix plus the eigensolver's own.
-    affinity = dist
-    np.multiply(dist, dist, out=affinity)
+    # The affinity, then the Laplacian, overwrite the squared-distance buffer,
+    # so the n x n working set is that one matrix plus the eigensolver's own.
+    affinity = sq
     affinity /= -(2.0 * sigma * sigma)
     np.exp(affinity, out=affinity)
     np.fill_diagonal(affinity, 0.0)

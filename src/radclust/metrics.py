@@ -64,9 +64,10 @@ def silhouette_batch(x, labelings) -> list:
     costs the others nothing. Bad rows in ``x`` raise.
 
     Each block ``pairwise_distances(rows[lo:hi], rows)`` is built once, in
-    the original row order, with its self entries zeroed by index. Every
-    labeling then takes the block's per-cluster distance sums as one GEMM,
-    ``dist @ onehot``, from which its a and b for those rows follow.
+    the original row order; its self entries, like those of any two
+    identical rows, are exactly 0. Every labeling then takes the block's
+    per-cluster distance sums as one GEMM, ``dist @ onehot``, from which its
+    a and b for those rows follow.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -84,7 +85,6 @@ def silhouette_batch(x, labelings) -> list:
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         dist = pairwise_distances(rows[lo:hi], rows)
-        dist[np.arange(hi - lo), np.arange(lo, hi)] = 0.0
         for scorer in scorers:
             scorer.add_block(dist, lo, hi)
         del dist  # so the next block's buffer never coexists with this one

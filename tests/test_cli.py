@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,23 @@ class TestUsageErrors:
             "sweep", "--features", str(features), "--k", "two..six",
             "--out", str(tmp_path / "r.csv"),
         ]) == 1
+
+    @pytest.mark.parametrize("command", ["cluster", "sweep"])
+    @pytest.mark.parametrize("k", ["2..1000000000000", "2..99999999999999999999"])
+    def test_huge_k_range_fails_fast(self, tmp_path, capsys, command, k):
+        features = tmp_path / "f.csv"
+        run(["synth", "--per-blob", "5", "--blobs", "2", "--dim", "2",
+             "--separation", "9", "--noise", "0.1", "--seed", "1", "--out", str(features)])
+        argv = [command, "--features", str(features), "--k", k, "--out", str(tmp_path / "o.csv")]
+        if command == "cluster":
+            argv += ["--algo", "kmeans"]
+        capsys.readouterr()
+        start = time.perf_counter()
+        assert run(argv) == 1
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("single --k value" if command == "cluster" else "exceeds sample count 10") in err
 
     def test_numeric_failure_exits_3(self, tmp_path, capsys):
         # collinear points at huge magnitude defeat the covariance

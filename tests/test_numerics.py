@@ -302,6 +302,20 @@ class TestPairwiseDistances:
         x = np.array([[1.3, -2.7, 0.4], [0.0, 1.0, 2.0], [1.3, -2.7, 0.4]])
         d = pairwise_distances(x)
         assert d[0, 2] == 0.0 and d[2, 0] == 0.0
+        # 25 offset rows and their copies, shuffled: the BLAS cross term of two
+        # copies can be summed in another order than either squared norm.
+        for seed in range(6):
+            rng = np.random.RandomState(seed)
+            base = rng.randn(25, 16) + 5.0 * rng.randn(16)
+            perm = rng.permutation(50)
+            x = np.vstack([base, base])[perm]
+            pos = np.argsort(perm)
+            first, copy = pos[:25], pos[25:]
+            full = pairwise_distances(x)
+            assert np.array_equal(full, full.T), seed
+            for d in (full, pairwise_distances(x, x)):
+                assert not d[first, copy].any() and not d[copy, first].any(), seed
+                assert not np.diag(d).any(), seed
 
     def test_matches_naive_loops(self):
         rng = np.random.RandomState(11)
@@ -354,11 +368,13 @@ class TestPairwiseDistances:
 
     def test_peak_memory_is_gram_plus_output(self):
         n = 1000
-        x = np.random.RandomState(13).randn(n, 16)
-        tracemalloc.start()
-        try:
-            pairwise_distances(x)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * n * n * 8
+        # all-equal rows put every pair through the exact-zero recheck
+        for x in (np.random.RandomState(13).randn(n, 16), np.ones((n, 16))):
+            tracemalloc.start()
+            try:
+                d = pairwise_distances(x)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2.5 * n * n * 8
+        assert not d.any()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 import radclust.metrics  # noqa: E402
@@ -70,6 +70,12 @@ def test_translation_leaves_per_point_unchanged(problem, data):
 
 @settings(deadline=None)
 @given(problems(), st.floats(1e-3, 1e3))
+# two copies of a row at different positions must stay exactly 0 apart once scaled
+@example(
+    problem=(np.array([[0.0, 0.0]] * 4 + [[1.0, 3.0]] * 2 + [[0.0, 0.0]]),
+             np.array([0, 0, 0, 0, 0, 0, 1])),
+    scale=256.2095796303945,
+)
 def test_positive_scaling_leaves_per_point_unchanged(problem, scale):
     rows, labels = problem
     base = silhouette(rows, labels).per_point

@@ -84,12 +84,12 @@ class TestSpectral:
     def test_embedding_eigenvectors_orthonormal(self):
         rng = np.random.RandomState(8)
         rows = rng.randn(18, 3)
-        from radclust.numerics import pairwise_distances
+        from radclust.numerics import squared_distances
         from radclust.clustering.spectral import median_offdiagonal
 
-        dist = pairwise_distances(rows)
-        sigma = median_offdiagonal(dist)
-        w = np.exp(-(dist * dist) / (2.0 * sigma * sigma))
+        sq = squared_distances(rows)
+        sigma = median_offdiagonal(sq)
+        w = np.exp(-sq / (2.0 * sigma * sigma))
         np.fill_diagonal(w, 0.0)
         inv = 1.0 / np.sqrt(w.sum(axis=1))
         lap = np.eye(18) - w * inv[:, None] * inv[None, :]
