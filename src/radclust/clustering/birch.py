@@ -11,6 +11,10 @@ re-summing the subtree. An insert refreshes the summaries along its path,
 bottom up, each from its node's items in item order. The global phase runs
 seeded k-means on the leaf-entry centroids and maps every point to its
 entry's cluster.
+
+The threshold and the tree depend on neither k nor the seed, so
+:func:`prepare` builds them once and a sweep cuts the same tree for every
+k; :func:`birch` is :func:`prepare` followed by the global phase.
 """
 
 from dataclasses import dataclass, field, replace
@@ -196,19 +200,20 @@ def _count_nodes(node):
     return 1 + sum(_count_nodes(c) for c in node.items)
 
 
-def default_threshold(rows, seed):
-    """Median nearest-neighbor distance of a seeded subsample (up to 256 rows).
+def default_threshold(rows):
+    """Median nearest-neighbor distance of a subsample (up to 256 rows).
 
     A local-spacing scale: large enough to absorb near-duplicates, small
     enough that a populous entry cannot swallow points from a distant
-    cluster through radius dilution.
+    cluster through radius dilution. Above 256 rows the subsample is drawn
+    from one fixed stream, so the threshold depends on the rows alone,
+    not on a cell's seed or k.
     """
     n = rows.shape[0]
     if n < 2:
         return 1.0
     if n > 256:
-        stream = RngStream(mix_seed(seed, _THRESHOLD_SALT))
-        idx = np.array(stream.shuffle(list(range(n)))[:256])
+        idx = np.array(RngStream(_THRESHOLD_SALT).shuffle(list(range(n)))[:256])
         sample = rows[idx]
     else:
         sample = rows
@@ -219,49 +224,72 @@ def default_threshold(rows, seed):
     return threshold if threshold > 0.0 else 1e-12
 
 
-def birch(x, cfg: ClusterConfig) -> ClusterResult:
-    """Build the CF tree, cluster its leaf-entry centroids, map points back.
+@dataclass(eq=False)
+class PreparedTree:
+    """The k-independent part of a BIRCH fit.
 
-    When the tree compresses below ``cfg.k`` entries the global phase runs
-    with one cluster per entry instead.
+    ``centroids`` holds the leaf-entry centroids, leaves left to right, and
+    ``entry_of[i]`` the index of row i's leaf entry. The tree itself is not
+    kept: the global phase reads only these.
     """
+
+    centroids: np.ndarray
+    entry_of: np.ndarray
+    stats: CfTreeStats
+
+
+def prepare(x, cfg: ClusterConfig) -> PreparedTree:
+    """Pick the threshold and build the CF tree; reads no k or seed of ``cfg``."""
     rows = as_rows(x)
     n = rows.shape[0]
     cfg.validate_for(n)
     threshold = (
         cfg.birch_threshold
         if cfg.birch_threshold is not None
-        else default_threshold(rows, cfg.seed)
+        else default_threshold(rows)
     )
-
     root = _build_tree(rows, threshold, _BRANCHING)
     entries = _leaf_entries(root)
-    centroids = np.array([e.centroid for e in entries])
+    entry_of = np.empty(n, dtype=np.intp)
+    for index, entry in enumerate(entries):
+        entry_of[entry.point_ids] = index
+    return PreparedTree(
+        centroids=np.array([e.centroid for e in entries]),
+        entry_of=entry_of,
+        stats=CfTreeStats(
+            node_count=_count_nodes(root),
+            leaf_entry_count=len(entries),
+            threshold=threshold,
+        ),
+    )
 
+
+def birch(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
+    """Build the CF tree, cluster its leaf-entry centroids, map points back.
+
+    ``prepared`` is a :func:`prepare` result for the same rows; when given,
+    ``x`` is not read and only the global phase runs. When the tree
+    compresses below ``cfg.k`` entries the global phase runs with one
+    cluster per entry instead.
+    """
+    if prepared is None:
+        prepared = prepare(x, cfg)
+    cfg.validate_for(prepared.entry_of.shape[0])
+    stats = prepared.stats
     inner_cfg = replace(
         cfg,
-        k=min(cfg.k, len(entries)),
+        k=min(cfg.k, stats.leaf_entry_count),
         seed=mix_seed(cfg.seed, _GLOBAL_SALT),
         init="kmeans++",
         restarts=5,
     )
-    inner = kmeans(centroids, inner_cfg)
-
-    labels = np.empty(n, dtype=np.intp)
-    for entry, cluster in zip(entries, inner.labels):
-        labels[entry.point_ids] = cluster
-
-    stats = CfTreeStats(
-        node_count=_count_nodes(root),
-        leaf_entry_count=len(entries),
-        threshold=threshold,
-    )
+    inner = kmeans(prepared.centroids, inner_cfg)
     return ClusterResult(
-        labels=labels,
+        labels=inner.labels[prepared.entry_of],
         centroids=inner.centroids,
         objective_trace=inner.objective_trace,
         iterations=inner.iterations,
         converged=inner.converged,
         model=stats,
-        diagnostics={"threshold": threshold, "leaf_entries": len(entries)},
+        diagnostics={"threshold": stats.threshold, "leaf_entries": stats.leaf_entry_count},
     )

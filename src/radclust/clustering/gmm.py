@@ -37,26 +37,13 @@ class GmmModel:
     mode: str
 
 
-def _solve_lower(L, b):
-    """Forward substitution: solve L @ y = b for lower-triangular L.
-
-    ``b`` has shape (d, m); loops over d only, so it stays cheap for the
-    small dimensions used here.
-    """
-    d = L.shape[0]
-    y = np.empty_like(b)
-    for i in range(d):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    return y
-
-
 def _chol_with_escalation(cov, reg, component):
     """Cholesky of cov + extra*I, escalating extra from 0 by 10x up to 1e-2."""
     extra = 0.0
     while True:
         try:
             shifted = cov if extra == 0.0 else cov + extra * np.eye(cov.shape[0])
-            return cholesky(shifted), shifted
+            return cholesky(shifted)
         except NotPositiveDefiniteError:
             extra = reg if extra == 0.0 else extra * 10.0
             if extra > 1e-2:
@@ -65,6 +52,16 @@ def _chol_with_escalation(cov, reg, component):
                     "non-positive-definite after regularization up to 1e-02",
                     component=component,
                 ) from None
+
+
+def _whitening(cov, reg, component):
+    """Log-determinant of cov and the transposed inverse of its Cholesky factor L.
+
+    With ``y = (x - mean) @ inv(L).T``, ``y @ y`` is the Mahalanobis form
+    ``(x - mean) @ inv(cov) @ (x - mean)``.
+    """
+    L = _chol_with_escalation(cov, reg, component)
+    return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L).T
 
 
 def _log_density(rows, means, covariances, mode, reg):
@@ -79,18 +76,11 @@ def _log_density(rows, means, covariances, mode, reg):
             q = ((diff * diff) / var[None, :]).sum(axis=1)
             out[:, c] = -0.5 * (d * _LOG_2PI + np.log(var).sum() + q)
         return out
-    if mode == "tied":
-        L, _ = _chol_with_escalation(covariances, reg, 0)
-        logdet = 2.0 * float(np.log(np.diag(L)).sum())
-        for c in range(k):
-            y = _solve_lower(L, (rows - means[c]).T)
-            out[:, c] = -0.5 * (d * _LOG_2PI + logdet + (y * y).sum(axis=0))
-        return out
+    tied = _whitening(covariances, reg, 0) if mode == "tied" else None
     for c in range(k):
-        L, _ = _chol_with_escalation(covariances[c], reg, c)
-        logdet = 2.0 * float(np.log(np.diag(L)).sum())
-        y = _solve_lower(L, (rows - means[c]).T)
-        out[:, c] = -0.5 * (d * _LOG_2PI + logdet + (y * y).sum(axis=0))
+        logdet, linv_t = tied if tied is not None else _whitening(covariances[c], reg, c)
+        y = (rows - means[c]) @ linv_t
+        out[:, c] = -0.5 * (d * _LOG_2PI + logdet + np.einsum("nd,nd->n", y, y))
     return out
 
 

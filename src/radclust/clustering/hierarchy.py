@@ -3,8 +3,10 @@
 Straightforward O(n^3) Lance-Williams on a full distance matrix, fine at
 desk scale. Average linkage tracks plain Euclidean distances; Ward tracks
 the variance-increase merge cost (na*nb/(na+nb)) * ||ca - cb||^2, whose
-singleton seed value is half the squared distance. The full dendrogram is
-always built; labels come from cutting it at k clusters.
+singleton seed value is half the squared distance. :func:`prepare`
+merges all the way to one cluster, which does not depend on k; labels come
+from cutting that dendrogram at k clusters, so a sweep builds it once and
+cuts it for every k.
 """
 
 from dataclasses import dataclass
@@ -31,13 +33,19 @@ class Dendrogram:
     n_points: int
 
 
-def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
+@dataclass(eq=False)
+class PreparedDendrogram:
+    """The k-independent part of an agglomerative fit: the rows and their dendrogram."""
+
+    rows: np.ndarray
+    dendrogram: Dendrogram
+
+
+def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
     """Merge closest clusters under the chosen linkage until one remains.
 
     Ties on the closest pair break toward the lexicographically smallest
-    (i, j). The result's labels partition the data into ``cfg.k`` clusters,
-    numbered by their smallest member row; the full Dendrogram rides along
-    as the model.
+    (i, j). ``cfg`` is only validated; no k or seed is read.
     """
     if linkage not in LINKAGES:
         raise ConfigError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
@@ -50,11 +58,8 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
 
     sizes = np.ones(n, dtype=np.int64)
     cluster_ids = np.arange(n)
-    # slot[p]: the row that holds point p's cluster, always its smallest member
-    slot = np.arange(n)
     active = np.ones(n, dtype=bool)
     merges = []
-    labels = np.arange(n)  # the cut for k == n; a smaller k replaces it below
 
     for t in range(n - 1):
         flat = int(np.argmin(dist))
@@ -89,11 +94,40 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
         dist[i, i] = np.inf
         active[j] = False
         sizes[i] += sizes[j]
-        slot[slot == j] = i
         cluster_ids[i] = n + t
 
-        if n - (t + 1) == cfg.k:
-            labels = np.searchsorted(np.flatnonzero(active), slot)
+    return PreparedDendrogram(rows=rows, dendrogram=Dendrogram(merges=merges, n_points=n))
+
+
+def _cut_labels(dendrogram, k):
+    """Labels after the first n - k merges, numbered by each cluster's smallest member row."""
+    n = dendrogram.n_points
+    # root[c]: the cluster that c belongs to after the cut. Walking the kept
+    # merges newest first settles every cluster before its two parts.
+    root = np.arange(2 * n - 1)
+    for t in range(n - k - 1, -1, -1):
+        a, b = dendrogram.merges[t][:2]
+        root[a] = root[b] = root[n + t]
+    _, first, inverse = np.unique(root[:n], return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
+
+
+def agglomerative(x, cfg: ClusterConfig, linkage="average", prepared=None) -> ClusterResult:
+    """Build the dendrogram and cut it at ``cfg.k`` clusters.
+
+    ``prepared`` is a :func:`prepare` result for the same rows and
+    linkage; when given, ``x`` and ``linkage`` are not read. Clusters are
+    numbered by their smallest member row; the full Dendrogram rides along
+    as the model.
+    """
+    if prepared is None:
+        prepared = prepare(x, cfg, linkage)
+    rows, dendrogram = prepared.rows, prepared.dendrogram
+    n = dendrogram.n_points
+    cfg.validate_for(n)
+    labels = _cut_labels(dendrogram, cfg.k)
 
     centroids = np.zeros((cfg.k, rows.shape[1]))
     for c in range(cfg.k):
@@ -102,8 +136,8 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average") -> ClusterResult:
     return ClusterResult(
         labels=labels,
         centroids=centroids,
-        objective_trace=[m[2] for m in merges],
+        objective_trace=[m[2] for m in dendrogram.merges],
         iterations=n - cfg.k,
         converged=True,
-        model=Dendrogram(merges=merges, n_points=n),
+        model=dendrogram,
     )

@@ -4,9 +4,14 @@ Similarity is a Gaussian RBF kernel on the squared distances, with zero
 diagonal; the embedding is the k eigenvectors of the smallest Laplacian
 eigenvalues (equivalently the k largest of the normalized affinity),
 row-normalized, then clustered with seeded k-means.
+
+The affinity, ``sigma`` and the eigenpairs do not depend on k, so
+:func:`prepare` computes them once and keeps the leading eigenvectors; a
+sweep cuts k columns from them for every k. :func:`spectral` is
+:func:`prepare` followed by that cut.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +33,27 @@ def median_offdiagonal(sq):
     return float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
 
 
-def spectral(x, cfg: ClusterConfig) -> ClusterResult:
-    """Cluster via the spectral embedding of the RBF similarity graph.
+@dataclass(eq=False)
+class PreparedEmbedding:
+    """The k-independent part of a spectral fit.
 
-    ``cfg.rbf_sigma`` defaults to the median pairwise distance. Points whose
-    degree underflows to zero are embedded at the origin and listed in
-    ``diagnostics["isolated_points"]``. The eigensolve is dense (LAPACK,
-    O(n^3) time and n x n memory), so n above 2000 raises ConfigError.
+    ``basis`` holds the eigenvectors of the smallest Laplacian eigenvalues
+    as its columns, as many as the largest k to be cut; no n x n matrix is
+    kept.
+    """
+
+    basis: np.ndarray
+    sigma: float
+    isolated_points: list
+    laplacian_min_eigenvalue: float
+
+
+def prepare(x, cfg: ClusterConfig) -> PreparedEmbedding:
+    """Build the Laplacian and keep the leading ``cfg.k`` eigenvectors.
+
+    ``cfg.rbf_sigma`` defaults to the median pairwise distance. The
+    eigensolve is dense (LAPACK, O(n^3) time and n x n memory), so n above
+    2000 raises ConfigError.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -62,7 +81,30 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
     np.negative(laplacian, out=laplacian)
     laplacian.flat[::n + 1] += 1.0
     eigenvalues, eigenvectors = sym_eigen(laplacian)
-    embedding = eigenvectors[:, :cfg.k].copy()
+    return PreparedEmbedding(
+        basis=eigenvectors[:, :cfg.k].copy(),
+        sigma=sigma,
+        isolated_points=isolated.tolist(),
+        laplacian_min_eigenvalue=float(eigenvalues[0]),
+    )
+
+
+def spectral(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
+    """Cluster via the spectral embedding of the RBF similarity graph.
+
+    ``prepared`` is a :func:`prepare` result for the same rows with at least
+    ``cfg.k`` columns; when given, ``x`` is not read. Points whose degree
+    underflows to zero are embedded at the origin and listed in
+    ``diagnostics["isolated_points"]``. See :func:`prepare` for ``sigma``
+    and the size limit.
+    """
+    if prepared is None:
+        prepared = prepare(x, cfg)
+    n, columns = prepared.basis.shape
+    cfg.validate_for(n)
+    if cfg.k > columns:
+        raise ConfigError(f"k={cfg.k} exceeds the {columns} prepared eigenvectors")
+    embedding = prepared.basis[:, :cfg.k].copy()
     norms = np.sqrt((embedding * embedding).sum(axis=1))
     embedding /= np.where(norms > 0.0, norms, 1.0)[:, None]
     inner = kmeans(
@@ -76,8 +118,8 @@ def spectral(x, cfg: ClusterConfig) -> ClusterResult:
         iterations=inner.iterations,
         converged=inner.converged,
         diagnostics={
-            "sigma": sigma,
-            "isolated_points": isolated.tolist(),
-            "laplacian_min_eigenvalue": float(eigenvalues[0]),
+            "sigma": prepared.sigma,
+            "isolated_points": list(prepared.isolated_points),
+            "laplacian_min_eigenvalue": prepared.laplacian_min_eigenvalue,
         },
     )

@@ -4,7 +4,9 @@ The sweep runs a set of clustering variants over a range of cluster counts,
 scores every run with the mean silhouette in one shared pass over the
 distances, and renders the grid as a CSV report and an SVG line chart.
 Cells are seeded independently by a pure mix of (sweep seed, algorithm, k),
-so any execution order produces the same report.
+so any execution order produces the same report. Variants with work that
+does not depend on k (spectral, agglomerative, BIRCH) prepare it once per
+sweep and cut every k from it.
 
 Formats (UTF-8, LF line endings, ids restricted to [A-Za-z0-9._-]):
 
@@ -17,6 +19,7 @@ Formats (UTF-8, LF line endings, ids restricted to [A-Za-z0-9._-]):
 """
 
 import csv
+import functools
 import io
 import time
 from dataclasses import dataclass, field
@@ -24,6 +27,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, minibatch_kmeans, spectral
+from .clustering.birch import prepare as prepare_tree
+from .clustering.hierarchy import prepare as prepare_dendrogram
+from .clustering.spectral import prepare as prepare_embedding
 from .errors import ConfigError, ParseError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
@@ -34,16 +40,29 @@ MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
 SEX_TOKENS = {"M": "M", "F": "F", "unknown": "unknown", "": "unknown"}
 _MAX_LABEL = int(np.iinfo(np.intp).max)
 
+
+def _prepared(fit, prepare, **options):
+    """``fit`` with ``options`` bound, carrying ``prepare`` as an attribute.
+
+    :func:`sweep` calls ``runner.prepare(rows, cfg)`` once per algorithm and
+    then ``runner(rows, cell_cfg, prepared=state)`` per k; a runner without
+    the attribute is called as ``runner(rows, cell_cfg)``.
+    """
+    runner = functools.partial(fit, **options)
+    runner.prepare = functools.partial(prepare, **options)
+    return runner
+
+
 # Table order of the nine variants: slug, display name, runner.
 ALGORITHMS = [
     ("kmeans", "K-Means", kmeans),
     ("minibatch-kmeans", "Mini batch K-means", minibatch_kmeans),
-    ("spectral", "Spectral clustering", spectral),
+    ("spectral", "Spectral clustering", _prepared(spectral, prepare_embedding)),
     ("agglomerative-ward", "Agglomerative Ward clustering",
-     lambda x, cfg: agglomerative(x, cfg, linkage="ward")),
+     _prepared(agglomerative, prepare_dendrogram, linkage="ward")),
     ("agglomerative-average", "Agglomerative average clustering",
-     lambda x, cfg: agglomerative(x, cfg, linkage="average")),
-    ("birch", "Birch clustering", birch),
+     _prepared(agglomerative, prepare_dendrogram, linkage="average")),
+    ("birch", "Birch clustering", _prepared(birch, prepare_tree)),
     ("gmm-tied", "Gaussian mixture (Tied)", lambda x, cfg: gmm(x, cfg, mode="tied")),
     ("gmm-diag", "Gaussian mixture (Diag)", lambda x, cfg: gmm(x, cfg, mode="diag")),
     ("gmm-full", "Gaussian mixture (Full)", lambda x, cfg: gmm(x, cfg, mode="full")),
@@ -290,7 +309,12 @@ def synth_textured_images(n_per_class, size, seed):
 
 @dataclass
 class SweepConfig:
-    """Which algorithms to run, over which cluster counts, and with what seed."""
+    """Which algorithms to run, over which cluster counts, and with what seed.
+
+    ``ks`` becomes an ascending list of distinct ints; a ``range`` stays a
+    range (reversed when it descends), so a huge one is never listed before
+    :func:`sweep` checks its largest k against n.
+    """
 
     algorithms: list = field(default_factory=lambda: list(ALGORITHM_SLUGS))
     ks: list = field(default_factory=lambda: [2, 3, 4, 5, 6])
@@ -305,7 +329,10 @@ class SweepConfig:
             raise ConfigError(
                 f"unknown algorithms {unknown}; valid: {', '.join(ALGORITHM_SLUGS)}"
             )
-        self.ks = sorted(set(int(k) for k in self.ks))
+        if isinstance(self.ks, range):
+            self.ks = self.ks if self.ks.step > 0 else self.ks[::-1]
+        else:
+            self.ks = sorted(set(int(k) for k in self.ks))
         if not self.ks:
             raise ConfigError("k range must not be empty")
         if self.ks[0] < 2:
@@ -316,10 +343,11 @@ class SweepConfig:
 class SweepRow:
     """One sweep cell: silhouette of one algorithm at one k.
 
-    ``runtime_ms`` is the wall-clock time of the cell's fit alone; scoring
-    is shared by every cell of the sweep and charged to none. A failed cell
-    has a blank silhouette and ``error`` set to the exception's type name and
-    message.
+    ``runtime_ms`` is the wall-clock time of the cell's fit alone; an
+    algorithm's prepare step (the work shared by all its k) is charged to
+    its first k, and scoring is shared by every cell of the sweep and
+    charged to none. A failed cell has a blank silhouette and ``error`` set
+    to the exception's type name and message.
     """
 
     algorithm: str
@@ -338,11 +366,50 @@ class SweepReport:
     rows: list
 
 
+def _fit_cells(rows, cfg, algo_index, runner):
+    """(k, runtime_ms, ClusterResult or RadclustError) for each k of one algorithm.
+
+    A runner with a ``prepare`` attribute is prepared once, for the largest
+    k, and cut for every k; the prepare time is added to the first k, and a
+    failed prepare is every cell's error. The prepared state lives only in
+    this call, so it is dropped before the next algorithm starts.
+    """
+    prepare = getattr(runner, "prepare", None)
+    state = failure = None
+    cells = []
+    start = time.perf_counter()
+    if prepare is not None:
+        try:
+            state = prepare(rows, ClusterConfig(k=cfg.ks[-1], **cfg.knobs))
+        except RadclustError as exc:
+            failure = exc
+    for k in cfg.ks:
+        outcome = failure
+        if failure is None:
+            cell_cfg = ClusterConfig(
+                k=k, seed=mix_seed(cfg.seed, algo_index, k), **cfg.knobs
+            )
+            try:
+                if prepare is None:
+                    outcome = runner(rows, cell_cfg)
+                else:
+                    outcome = runner(rows, cell_cfg, prepared=state)
+            except RadclustError as exc:
+                outcome = exc
+        now = time.perf_counter()
+        cells.append((k, (now - start) * 1000.0, outcome))
+        start = now
+    return cells
+
+
 def sweep(fm, cfg: SweepConfig) -> SweepReport:
     """Fit every requested (algorithm, k) cell, then silhouette-score them all.
 
     Each cell gets an independent seed mixed from (sweep seed, algorithm
-    index, k). The labelings of all fitted cells are scored together by
+    index, k). Spectral, agglomerative and BIRCH prepare their k-independent
+    work (eigenpairs, dendrogram, CF tree) once and cut each k from it, so a
+    cell equals the single-cell call with the same config. The labelings of
+    all fitted cells are scored together by
     :func:`~radclust.metrics.silhouette_batch`, so the distance row blocks
     are built once per sweep. A cell whose fit fails, or whose labels
     cannot be scored, records converged=false, a blank silhouette and the
@@ -355,29 +422,20 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     for algo_index, (slug, display, runner) in enumerate(ALGORITHMS):
         if slug not in cfg.algorithms:
             continue
-        for k in cfg.ks:
-            cell_cfg = ClusterConfig(
-                k=k, seed=mix_seed(cfg.seed, algo_index, k), **cfg.knobs
-            )
-            start = time.perf_counter()
-            error = result = None
-            try:
-                result = runner(fm.rows, cell_cfg)
-            except RadclustError as exc:
-                error = f"{type(exc).__name__}: {exc}"
+        for k, runtime_ms, outcome in _fit_cells(fm.rows, cfg, algo_index, runner):
+            failed = isinstance(outcome, RadclustError)
             row = SweepRow(
                 algorithm=display,
                 slug=slug,
                 k=k,
                 silhouette=None,
-                runtime_ms=(time.perf_counter() - start) * 1000.0,
-                converged=False,
-                error=error,
+                runtime_ms=runtime_ms,
+                converged=not failed and bool(outcome.converged),
+                error=f"{type(outcome).__name__}: {outcome}" if failed else None,
             )
             rows.append(row)
-            if result is not None:
-                row.converged = bool(result.converged)
-                fitted.append((row, result.labels))
+            if not failed:
+                fitted.append((row, outcome.labels))
 
     scores = silhouette_batch(fm.rows, [labels for _, labels in fitted])
     for (row, _), score in zip(fitted, scores):

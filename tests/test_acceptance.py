@@ -121,7 +121,7 @@ def test_criterion_4_structural_invariants():
 
     # CF additivity and the leaf-radius bound
     rows = rng.randn(120, 4)
-    threshold = default_threshold(rows, 7)
+    threshold = default_threshold(rows)
     entries = _leaf_entries(_build_tree(rows, threshold, 12))
     assert sum(e.count for e in entries) == 120
     assert np.abs(np.sum([e.linear_sum for e in entries], axis=0) - rows.sum(axis=0)).max() <= 1e-9

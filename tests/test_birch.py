@@ -111,9 +111,12 @@ class TestBirch:
         assert nodes > 5  # inner nodes and splits were exercised
 
     def test_pinned_cell_with_subsampled_threshold(self):
-        # n=600 > 256, so the default threshold comes from a shuffled subsample.
-        # Recorded before the shuffle drew in bulk and nodes cached their
-        # summaries; both are bookkeeping and must not move a bit.
+        # n=600 > 256, so the default threshold comes from a shuffled subsample,
+        # drawn from one fixed stream whatever the cell's seed. The labels and
+        # centroids were recorded before the shuffle drew in bulk and nodes
+        # cached their summaries (bookkeeping that must not move a bit), and
+        # held when the subsample stopped depending on the seed; the
+        # threshold was re-recorded then.
         fm, _ = synth_blobs(200, 3, 4, 5.0, 1.0, 21)
         res = birch(fm.rows, ClusterConfig(k=3, seed=5))
         assert res.labels.tolist() == [2] * 200 + [1] * 200 + [0] * 200
@@ -124,7 +127,7 @@ class TestBirch:
             "0x1.0c0ab7901d1dep-8", "0x1.356eae6f42029p-4", "0x1.4ce1ce88f2e7ep-3",
         ]
         assert res.iterations == 3
-        assert res.diagnostics["threshold"].hex() == "0x1.9372548d301dep-1"
+        assert res.diagnostics["threshold"].hex() == "0x1.938db52f3adc6p-1"
         assert res.diagnostics["leaf_entries"] == 168
 
     def test_branching_forces_tree_growth(self, monkeypatch):
@@ -151,8 +154,8 @@ class TestBirch:
     def test_default_threshold_positive_and_translation_invariant(self):
         rng = np.random.RandomState(8)
         rows = rng.randn(40, 2)
-        t1 = default_threshold(rows, 9)
-        t2 = default_threshold(rows + 55.0, 9)
+        t1 = default_threshold(rows)
+        t2 = default_threshold(rows + 55.0)
         assert t1 > 0.0
         assert t1 == pytest.approx(t2, rel=1e-9)
 

@@ -1,8 +1,10 @@
 import csv
+import importlib
 import io
 import os
 import subprocess
 import sys
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 
 import radclust
-from radclust.clustering import ClusterConfig, ClusterResult, kmeans
+import radclust.pipeline as pl
+from radclust.clustering import ClusterConfig, ClusterResult, birch, kmeans
 from radclust.errors import ConfigError, ParseError, RadclustError, UsageError
+from radclust.numerics import mix_seed
 from radclust.pipeline import (
     ALGORITHM_SLUGS,
     ManifestEntry,
@@ -309,6 +313,101 @@ class TestSweep:
         fm, _ = synth_blobs(10, 2, 2, 6.0, 0.2, seed=9)
         report = sweep(fm, SweepConfig(algorithms=["kmeans"], ks=[2], seed=0))
         assert report.rows[0].runtime_ms > 0.0
+
+
+PREPARED_SLUGS = ["spectral", "agglomerative-ward", "agglomerative-average", "birch"]
+
+
+def sweep_labelings(monkeypatch, fm, cfg):
+    """The report, plus the labels of every scored cell by (slug, k)."""
+    seen = []
+    original = pl.silhouette_batch
+
+    def recording(x, labelings):
+        seen.extend(labelings)
+        return original(x, labelings)
+
+    monkeypatch.setattr(pl, "silhouette_batch", recording)
+    report = pl.sweep(fm, cfg)
+    monkeypatch.undo()
+    scored = [(row.slug, row.k) for row in report.rows if row.error is None]
+    assert len(scored) == len(seen)
+    return report, dict(zip(scored, seen))
+
+
+class TestPreparedSweep:
+    @pytest.mark.parametrize("n_per_blob,ks", [(150, [2, 3, 4, 5, 6]), (300, [2, 4])])
+    def test_cells_equal_single_cell_calls(self, monkeypatch, n_per_blob, ks):
+        # n=300 is the acceptance data; n=600 is well past the 256 rows above
+        # which BIRCH's threshold comes from a subsample
+        fm, _ = synth_blobs(n_per_blob, 2, 16, 10.0, 0.1, seed=7)
+        cfg = SweepConfig(algorithms=PREPARED_SLUGS, ks=ks, seed=4)
+        report, labelings = sweep_labelings(monkeypatch, fm, cfg)
+        assert len(labelings) == len(report.rows) == len(PREPARED_SLUGS) * len(ks)
+        for index, (slug, _, runner) in enumerate(pl.ALGORITHMS):
+            if slug not in PREPARED_SLUGS:
+                continue
+            for k in ks:
+                single = runner(fm.rows, ClusterConfig(k=k, seed=mix_seed(4, index, k)))
+                assert np.array_equal(labelings[(slug, k)], single.labels), (slug, k)
+
+    def test_birch_cells_share_one_tree_above_256_rows(self):
+        fm, _ = synth_blobs(200, 3, 4, 5.0, 1.0, 21)
+        results = [birch(fm.rows, ClusterConfig(k=k, seed=s))
+                   for k, s in ((2, 1), (3, 2), (6, 99))]
+        assert len({r.diagnostics["threshold"] for r in results}) == 1
+        assert len({r.diagnostics["leaf_entries"] for r in results}) == 1
+
+    def test_prepare_runs_once_per_algorithm(self, monkeypatch):
+        calls = []
+        for slug, _, runner in pl.ALGORITHMS:
+            if hasattr(runner, "prepare"):
+                def counted(rows, cfg, _slug=slug, _prepare=runner.prepare):
+                    calls.append(_slug)
+                    return _prepare(rows, cfg)
+                monkeypatch.setattr(runner, "prepare", counted)
+        fm, _ = synth_blobs(20, 2, 4, 8.0, 0.2, seed=2)
+        report = pl.sweep(fm, SweepConfig(ks=[2, 3, 4, 5], seed=1))
+        assert sorted(calls) == sorted(PREPARED_SLUGS)
+        assert all(row.error is None for row in report.rows)
+
+    def test_failed_prepare_fails_every_cell_of_its_algorithm(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("radclust.clustering.spectral"),
+                            "_DENSE_CAP", 10)
+        fm, _ = synth_blobs(10, 2, 2, 6.0, 0.2, seed=6)
+        cfg = SweepConfig(algorithms=["kmeans", "spectral", "birch"], ks=[2, 3, 4], seed=0)
+        report = pl.sweep(fm, cfg)
+        spectral_rows = [r for r in report.rows if r.slug == "spectral"]
+        assert [r.k for r in spectral_rows] == [2, 3, 4]
+        for row in spectral_rows:
+            assert row.silhouette is None and not row.converged
+            assert row.error == (
+                "ConfigError: spectral clustering is dense-only and capped at n=10, got 20"
+            )
+        others = [r for r in report.rows if r.slug != "spectral"]
+        assert len(others) == 6
+        assert all(r.silhouette is not None and r.error is None for r in others)
+
+
+class TestLazyKRange:
+    def test_huge_range_is_not_listed(self):
+        start = time.perf_counter()
+        cfg = SweepConfig(ks=range(2, 10**9))
+        assert time.perf_counter() - start < 1.0  # listing it would take minutes
+        assert cfg.ks == range(2, 10**9)
+
+    def test_huge_range_fails_fast_in_sweep(self):
+        fm, _ = synth_blobs(10, 2, 2, 6.0, 0.2, seed=6)
+        with pytest.raises(ConfigError, match="largest k 999999999 exceeds sample count 20"):
+            sweep(fm, SweepConfig(ks=range(2, 10**9)))
+
+    def test_descending_range_sweeps_ascending(self):
+        assert list(SweepConfig(ks=range(6, 1, -2)).ks) == [2, 4, 6]
+
+    @pytest.mark.parametrize("ks,message", [(range(1, 4), ">= 2"), (range(5, 2), "empty")])
+    def test_range_checks_match_lists(self, ks, message):
+        with pytest.raises(ConfigError, match=message):
+            SweepConfig(ks=ks)
 
 
 class TestRenderReport:

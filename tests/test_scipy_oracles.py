@@ -9,8 +9,10 @@ import pytest
 pytest.importorskip("scipy")
 from scipy.cluster.hierarchy import linkage  # noqa: E402
 from scipy.spatial.distance import cdist  # noqa: E402
+from scipy.stats import multivariate_normal  # noqa: E402
 
 from radclust.clustering import ClusterConfig  # noqa: E402
+from radclust.clustering.gmm import _log_density  # noqa: E402
 from radclust.clustering.hierarchy import agglomerative  # noqa: E402
 from radclust.numerics import squared_distances  # noqa: E402
 
@@ -38,3 +40,25 @@ def test_ward_heights_match_scipy(seed):
     assert [[a, b, size] for a, b, _, size in merges] == z[:, [0, 1, 3]].astype(int).tolist()
     heights = np.array([m[2] for m in merges])
     np.testing.assert_allclose(2.0 * heights, z[:, 2] ** 2, rtol=1e-10, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["tied", "diag", "full"])
+@pytest.mark.parametrize("seed", range(3))
+def test_gmm_log_density_matches_scipy(mode, seed):
+    rng = np.random.RandomState(seed)
+    n, d, k = 60, 5, 3
+    rows = rng.randn(n, d) * 2.0 + 1.0
+    means = rng.randn(k, d)
+    factors = rng.randn(k, d, d)
+    full = factors @ factors.transpose(0, 2, 1) + 0.5 * np.eye(d)
+    if mode == "tied":
+        covariances, per_component = full[0], [full[0]] * k
+    elif mode == "diag":
+        covariances = np.diagonal(full, axis1=1, axis2=2).copy()
+        per_component = [np.diag(v) for v in covariances]
+    else:
+        covariances, per_component = full, list(full)
+    got = _log_density(rows, means, covariances, mode, 1e-6)
+    for c in range(k):
+        want = multivariate_normal(means[c], per_component[c]).logpdf(rows)
+        np.testing.assert_allclose(got[:, c], want, rtol=1e-10)

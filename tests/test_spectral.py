@@ -104,6 +104,13 @@ class TestSpectral:
         with pytest.raises(ConfigError, match="capped at n=10, got 30"):
             spectral(rows, ClusterConfig(k=2, seed=0))
 
+    def test_cut_needs_enough_prepared_eigenvectors(self):
+        rows = np.random.RandomState(9).randn(30, 2)
+        state = SPECTRAL_MODULE.prepare(rows, ClusterConfig(k=2))
+        assert state.basis.shape == (30, 2)
+        with pytest.raises(ConfigError, match="k=3 exceeds the 2 prepared eigenvectors"):
+            spectral(rows, ClusterConfig(k=3, seed=0), prepared=state)
+
     def test_labels_identical_across_blas_thread_counts(self):
         # OpenBLAS reads its thread count once, at import, so each setting
         # needs its own interpreter. The eigenvector bits may differ between
