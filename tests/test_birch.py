@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 
 import numpy as np
@@ -42,6 +43,54 @@ def same_partition(a, b):
             return False
         mapping[x] = y
     return len(set(mapping.values())) == len(mapping)
+
+
+def pin_rows(name):
+    rng = np.random.RandomState(31)
+    if name == "d1":
+        return rng.randn(300, 1) * 3.0, None
+    if name == "d3":
+        return rng.randn(297, 3), None
+    return np.tile(rng.randn(30, 4), (10, 1)), 1e-12  # 30 rows, each 10 times
+
+
+# (branching, rows): node count, leaf entries, threshold, and the sha256 of
+# entry_of as int64 and of the centroid bytes, recorded from the object tree
+# that the array tree replaced
+PINNED_TREES = {
+    (3, "d1"): (140, 185, "0x1.f1408b3004b62p-7",
+                "886073bda83d0c3ab21dd7dc2d58ed7eb30c3cd0e54a450f50aa33d046316d0b",
+                "dadf8e6219d742da9ea28fe2886c1358959b9e363c9a86b6d74da99c9f4d7de7"),
+    (3, "d3"): (113, 140, "0x1.82f56e2e6b2b7p-2",
+                "65efbf0eab6826c2b019de9d36be38eb1f8a9e27b8f7c19274b06c1bfe3cbaa3",
+                "25f6c56f29d433ec12a5a0cf038ef119f5190c7ba7730e24cfeb87c7db08481e"),
+    (3, "repeated"): (138, 115, "0x1.19799812dea11p-40",
+                      "464511fb3ffc29d116c21faa528604f7484332891dfe9bb385174d91922d1839",
+                      "d7bd52a11fcf742481931e243ea9e3a12115b458380ede826f4491a2e0c8bfa1"),
+    (8, "d1"): (40, 174, "0x1.f1408b3004b62p-7",
+                "2a0128173e1d5ab939b4774d31a5ddf9b26093a16c272adae571f953fc6b62f2",
+                "9abb1a1c095edb76d1fb39a447949ac4e145e8b846d91084336a302beec5a3b3"),
+    (8, "d3"): (27, 131, "0x1.82f56e2e6b2b7p-2",
+                "6dd7ba08be0cb538940b95be92cfd460a339ae0d42081e5086006b56318ab9a8",
+                "856c1aefe5581956fb884275cb01255884a19d213d253c7435965c8a9f48dcee"),
+    (8, "repeated"): (40, 132, "0x1.19799812dea11p-40",
+                      "4396497df58188f9f534b1c7c42253a98814ce246fbbffa7335996aa54071516",
+                      "a2aa06a74dbbadc99ee6ca3fced929e358a5a2cdb3b89f28a83c091414c992ac"),
+}
+
+
+@pytest.mark.parametrize("branching, name", sorted(PINNED_TREES))
+def test_prepared_tree_pinned(monkeypatch, branching, name):
+    monkeypatch.setattr(BIRCH_MODULE, "_BRANCHING", branching)
+    rows, threshold = pin_rows(name)
+    tree = BIRCH_MODULE.prepare(rows, ClusterConfig(k=2, seed=0, birch_threshold=threshold))
+    assert (
+        tree.stats.node_count,
+        tree.stats.leaf_entry_count,
+        tree.stats.threshold.hex(),
+        hashlib.sha256(tree.entry_of.astype(np.int64).tobytes()).hexdigest(),
+        hashlib.sha256(tree.centroids.tobytes()).hexdigest(),
+    ) == PINNED_TREES[branching, name]
 
 
 class TestCfEntry:
