@@ -235,8 +235,6 @@ def _cmd_evaluate(args):
 def _cmd_sweep(args):
     fm = pipeline.read_features(_read_file(args.features))
     ks = _parse_k_range(args.k)
-    if ks[-1] > fm.n:  # before SweepConfig lists the range
-        raise ConfigError(f"largest k {ks[-1]} exceeds sample count {fm.n}")
     cfg = pipeline.SweepConfig(
         algorithms=pipeline.algorithms_from_arg(args.algos),
         ks=ks,

@@ -10,14 +10,13 @@ the work that does not depend on k, done once and cut for each k.
 """
 
 from .base import ClusterConfig, ClusterResult
-from .birch import CfEntry, CfTreeStats, birch
+from .birch import CfTreeStats, birch
 from .gmm import GmmModel, gmm
 from .hierarchy import Dendrogram, agglomerative
 from .kmeans import kmeans, minibatch_kmeans
 from .spectral import spectral
 
 __all__ = [
-    "CfEntry",
     "CfTreeStats",
     "ClusterConfig",
     "ClusterResult",

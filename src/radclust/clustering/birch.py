@@ -12,12 +12,16 @@ bottom up, each from its node's items in item order. The global phase runs
 seeded k-means on the leaf-entry centroids and maps every point to its
 entry's cluster.
 
+The tree keeps these summaries in arrays: leaf entries and nodes are both
+items, rows of ``count``, ``ls`` (linear sum), ``centroid`` and, for
+entries, ``ss`` (square sum); a node lists its item ids in order.
+
 The threshold and the tree depend on neither k nor the seed, so
 :func:`prepare` builds them once and a sweep cuts the same tree for every
 k; :func:`birch` is :func:`prepare` followed by the global phase.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,72 +36,6 @@ _BRANCHING = 50
 
 
 @dataclass(eq=False)
-class CfEntry:
-    """Additive cluster summary: point count, linear sum, squared-norm sum.
-
-    ``centroid`` is cached at construction and by :meth:`absorb`; change the
-    summary only through those.
-    """
-
-    count: int
-    linear_sum: np.ndarray
-    square_sum: float
-    point_ids: list = field(default_factory=list)
-    centroid: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.centroid = self.linear_sum / self.count
-
-    @classmethod
-    def from_point(cls, point, pid):
-        point = np.asarray(point, dtype=np.float64)
-        return cls(
-            count=1,
-            linear_sum=point.copy(),
-            square_sum=float(point @ point),
-            point_ids=[pid],
-        )
-
-    @property
-    def radius(self):
-        return _radius(self.count, self.linear_sum, self.square_sum)
-
-    def merged_with(self, other):
-        """Componentwise sum of two entries (CF additivity)."""
-        return CfEntry(
-            count=self.count + other.count,
-            linear_sum=self.linear_sum + other.linear_sum,
-            square_sum=self.square_sum + other.square_sum,
-            point_ids=self.point_ids + other.point_ids,
-        )
-
-    def absorb(self, point, pid):
-        point = np.asarray(point, dtype=np.float64)
-        self.count += 1
-        self.linear_sum = self.linear_sum + point
-        self.square_sum += float(point @ point)
-        self.point_ids.append(pid)
-        self.centroid = self.linear_sum / self.count
-
-    def radius_if_absorbed(self, point):
-        point = np.asarray(point, dtype=np.float64)
-        return _radius(
-            self.count + 1,
-            self.linear_sum + point,
-            self.square_sum + float(point @ point),
-        )
-
-
-def _radius(count, linear_sum, square_sum):
-    centroid = linear_sum / count
-    arg = square_sum / count - float(centroid @ centroid)
-    # float cancellation can push the argument a hair negative; clamp at 0
-    if arg < 0.0:
-        arg = 0.0
-    return float(np.sqrt(arg))
-
-
-@dataclass(eq=False)
 class CfTreeStats:
     """Tree shape summary reported with BIRCH results."""
 
@@ -106,98 +44,131 @@ class CfTreeStats:
     threshold: float
 
 
-class _Node:
-    """A CF-tree node: ``items`` are CF entries in a leaf, child nodes otherwise.
+class _CfTree:
+    """A CF tree over ``rows``, built by inserting the rows in order.
 
-    ``count``, ``linear_sum`` and ``centroid`` summarise the subtree. They are
-    a cache: :meth:`refresh` must run after any change below the node.
+    ``items[node]`` lists a node's item ids, and an id not in ``items`` is a
+    leaf entry. ``entry_of[i]`` is the entry that holds row i. A node's
+    summary is a cache, refreshed after any change below it; a root that
+    splits gets a new parent, so the tree grows at the top.
     """
 
-    __slots__ = ("leaf", "items", "count", "linear_sum", "centroid")
+    def __init__(self, rows, threshold, branching):
+        n, d = rows.shape
+        self.rows, self.threshold, self.branching = rows, threshold, branching
+        # capacity for n items, doubled when full
+        self.count = np.zeros(n, dtype=np.intp)
+        self.ls = np.zeros((n, d))
+        self.centroid = np.zeros((n, d))
+        self.ss = np.zeros(n)
+        self.size = 0
+        self.items = {}
+        self.entry_of = np.empty(n, dtype=np.intp)
+        self.root = self._node([self._entry(0)])
+        for i in range(1, n):
+            self._insert(i)
 
-    def __init__(self, leaf, items):
-        self.leaf = leaf
-        self.items = items
-        self.refresh()
+    def _new_item(self):
+        if self.size == self.count.shape[0]:
+            self.count, self.ls, self.centroid, self.ss = (
+                np.concatenate([a, np.zeros_like(a)])
+                for a in (self.count, self.ls, self.centroid, self.ss)
+            )
+        self.size += 1
+        return self.size - 1
 
-    def refresh(self):
-        """Recompute the summary from the items, summed left to right."""
-        self.count = sum(it.count for it in self.items)
+    def _entry(self, i):
+        """Open a new entry holding row i alone."""
+        e = self._new_item()
+        x = self.rows[i]
+        self.count[e] = 1
+        self.ls[e] = x
+        self.centroid[e] = x
+        self.ss[e] = x @ x
+        self.entry_of[i] = e
+        return e
+
+    def _node(self, ids):
+        node = self._new_item()
+        self.items[node] = ids
+        self._refresh(node)
+        return node
+
+    def _refresh(self, node):
+        """Recompute a node's summary from its items, summed left to right."""
+        ids = self.items[node]
+        self.count[node] = self.count[ids].sum()
         # accumulate adds the rows one after another in item order;
         # a.sum(axis=0) sums a single column pairwise and rounds differently
-        self.linear_sum = np.add.accumulate([it.linear_sum for it in self.items])[-1]
-        self.centroid = self.linear_sum / self.count
+        self.ls[node] = np.add.accumulate(self.ls[ids])[-1]
+        self.centroid[node] = self.ls[node] / self.count[node]
 
+    def _nearest(self, ids, x):
+        d2 = ((self.centroid[ids] - x) ** 2).sum(axis=1)
+        return ids[int(np.argmin(d2))]
 
-def _nearest(items, point):
-    centroids = np.array([it.centroid for it in items])
-    d2 = ((centroids - point) ** 2).sum(axis=1)
-    return int(np.argmin(d2))
+    def _split(self, node):
+        """Split a node around its farthest centroid pair; returns the new sibling.
 
+        Each other item joins the nearer of the pair, in item order.
+        """
+        ids = self.items[node]
+        d2 = squared_distances(self.centroid[ids])
+        a, b = divmod(int(np.argmax(d2)), len(ids))
+        if a > b:
+            a, b = b, a
+        if a == b:  # all centroids coincide; any two-way split works
+            a, b = 0, 1
+        group_a, group_b = [ids[a]], [ids[b]]
+        for j, item in enumerate(ids):
+            if j not in (a, b):
+                (group_a if d2[j, a] <= d2[j, b] else group_b).append(item)
+        self.items[node] = group_a
+        self._refresh(node)
+        return self._node(group_b)
 
-def _split(items):
-    """Two groups seeded by the farthest centroid pair; others join the nearer seed."""
-    d2 = squared_distances(np.array([it.centroid for it in items]))
-    a, b = divmod(int(np.argmax(d2)), len(items))
-    if a > b:
-        a, b = b, a
-    if a == b:  # all centroids coincide; any two-way split works
-        a, b = 0, 1
-    group_a, group_b = [items[a]], [items[b]]
-    for i, it in enumerate(items):
-        if i in (a, b):
-            continue
-        (group_a if d2[i, a] <= d2[i, b] else group_b).append(it)
-    return group_a, group_b
-
-
-def _insert(node, point, pid, threshold, branching):
-    """Insert a point below ``node`` and refresh the summaries on its path.
-
-    Returns a new sibling node if ``node`` split.
-    """
-    items = node.items
-    nearest = items[_nearest(items, point)]
-    if not node.leaf:
-        sibling = _insert(nearest, point, pid, threshold, branching)
+    def _insert(self, i):
+        """Insert row i, then refresh and split back up its path."""
+        x = self.rows[i]
+        path, e = [], self.root
+        while e in self.items:
+            path.append(e)
+            e = self._nearest(self.items[e], x)
+        count = self.count[e] + 1
+        ls = self.ls[e] + x
+        ss = self.ss[e] + x @ x
+        centroid = ls / count
+        arg = ss / count - float(centroid @ centroid)
+        # float cancellation can push the argument a hair negative; clamp at 0
+        if arg < 0.0:
+            arg = 0.0
+        if np.sqrt(arg) <= self.threshold:
+            self.count[e], self.ls[e], self.ss[e], self.centroid[e] = count, ls, ss, centroid
+            self.entry_of[i] = e
+        else:
+            self.items[path[-1]].append(self._entry(i))
+        sibling = None
+        for node in reversed(path):
+            if sibling is not None:
+                self.items[node].append(sibling)
+            if len(self.items[node]) <= self.branching:
+                self._refresh(node)
+                sibling = None
+            else:
+                sibling = self._split(node)
         if sibling is not None:
-            items.append(sibling)
-    elif nearest.radius_if_absorbed(point) <= threshold:
-        nearest.absorb(point, pid)
-    else:
-        items.append(CfEntry.from_point(point, pid))
-    if len(items) <= branching:
-        node.refresh()
-        return None
-    node.items, group_b = _split(items)
-    node.refresh()
-    return _Node(leaf=node.leaf, items=group_b)
+            self.root = self._node([self.root, sibling])
 
-
-def _build_tree(rows, threshold, branching):
-    """Insert the rows in order into a new CF tree; returns its root.
-
-    A root that splits gets a new parent, so the tree grows at the top.
-    """
-    root = _Node(leaf=True, items=[CfEntry.from_point(rows[0], 0)])
-    for i in range(1, rows.shape[0]):
-        sibling = _insert(root, rows[i], i, threshold, branching)
-        if sibling is not None:
-            root = _Node(leaf=False, items=[root, sibling])
-    return root
-
-
-def _leaf_entries(node):
-    """The tree's CF entries, leaves left to right."""
-    if node.leaf:
-        return list(node.items)
-    return [e for child in node.items for e in _leaf_entries(child)]
-
-
-def _count_nodes(node):
-    if node.leaf:
-        return 1
-    return 1 + sum(_count_nodes(c) for c in node.items)
+    def leaf_entries(self):
+        """The entry ids, leaves left to right."""
+        order, stack = [], [self.root]
+        while stack:
+            item = stack.pop()
+            if item in self.items:
+                stack.extend(reversed(self.items[item]))
+            else:
+                order.append(item)
+        return order
 
 
 def default_threshold(rows):
@@ -248,16 +219,15 @@ def prepare(x, cfg: ClusterConfig) -> PreparedTree:
         if cfg.birch_threshold is not None
         else default_threshold(rows)
     )
-    root = _build_tree(rows, threshold, _BRANCHING)
-    entries = _leaf_entries(root)
-    entry_of = np.empty(n, dtype=np.intp)
-    for index, entry in enumerate(entries):
-        entry_of[entry.point_ids] = index
+    tree = _CfTree(rows, threshold, _BRANCHING)
+    entries = tree.leaf_entries()
+    index = np.empty(tree.size, dtype=np.intp)
+    index[entries] = np.arange(len(entries))
     return PreparedTree(
-        centroids=np.array([e.centroid for e in entries]),
-        entry_of=entry_of,
+        centroids=tree.centroid[entries],
+        entry_of=index[tree.entry_of],
         stats=CfTreeStats(
-            node_count=_count_nodes(root),
+            node_count=len(tree.items),
             leaf_entry_count=len(entries),
             threshold=threshold,
         ),

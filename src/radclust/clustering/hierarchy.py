@@ -17,6 +17,7 @@ from ..errors import ConfigError
 from ..features import as_rows
 from ..numerics import pairwise_distances, squared_distances
 from .base import ClusterConfig, ClusterResult
+from .kmeans import _means
 
 LINKAGES = ("average", "ward")
 
@@ -129,13 +130,9 @@ def agglomerative(x, cfg: ClusterConfig, linkage="average", prepared=None) -> Cl
     cfg.validate_for(n)
     labels = _cut_labels(dendrogram, cfg.k)
 
-    centroids = np.zeros((cfg.k, rows.shape[1]))
-    for c in range(cfg.k):
-        centroids[c] = rows[labels == c].mean(axis=0)
-
     return ClusterResult(
         labels=labels,
-        centroids=centroids,
+        centroids=_means(rows, labels, cfg.k),
         objective_trace=[m[2] for m in dendrogram.merges],
         iterations=n - cfg.k,
         converged=True,

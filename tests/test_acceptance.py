@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, spectral
-from radclust.clustering.birch import _build_tree, _leaf_entries, default_threshold
+from radclust.clustering.birch import _CfTree, default_threshold
 from radclust.cli import cli_main
 from radclust.cnn import (
     CnnSpec,
@@ -122,14 +122,17 @@ def test_criterion_4_structural_invariants():
     # CF additivity and the leaf-radius bound
     rows = rng.randn(120, 4)
     threshold = default_threshold(rows)
-    entries = _leaf_entries(_build_tree(rows, threshold, 12))
-    assert sum(e.count for e in entries) == 120
-    assert np.abs(np.sum([e.linear_sum for e in entries], axis=0) - rows.sum(axis=0)).max() <= 1e-9
-    assert all(e.radius <= threshold + 1e-9 for e in entries)
-    merged = entries[0].merged_with(entries[1])
-    assert merged.count == entries[0].count + entries[1].count
-    assert np.array_equal(merged.linear_sum, entries[0].linear_sum + entries[1].linear_sum)
-    assert merged.square_sum == entries[0].square_sum + entries[1].square_sum
+    tree = _CfTree(rows, threshold, 12)
+    entries = tree.leaf_entries()
+    assert tree.count[entries].sum() == 120
+    assert np.abs(tree.ls[entries].sum(axis=0) - rows.sum(axis=0)).max() <= 1e-9
+    for e in entries:
+        centroid = tree.ls[e] / tree.count[e]
+        assert np.sqrt(max(tree.ss[e] / tree.count[e] - centroid @ centroid, 0.0)) <= threshold + 1e-9
+    assert len(tree.items) > 1
+    for node, ids in tree.items.items():
+        assert tree.count[node] == tree.count[ids].sum()
+        assert np.abs(tree.ls[node] - tree.ls[ids].sum(axis=0)).max() <= 1e-9
 
     # Laplacian positive semidefiniteness via the spectral diagnostics
     rows = rng.randn(25, 3)

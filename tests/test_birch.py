@@ -4,36 +4,35 @@ import importlib
 import numpy as np
 import pytest
 
-from radclust.clustering import CfEntry, ClusterConfig, birch
-from radclust.clustering.birch import _build_tree, _leaf_entries, default_threshold
+from radclust.clustering import ClusterConfig, birch
+from radclust.clustering.birch import _CfTree, default_threshold
 from radclust.pipeline import synth_blobs
 
 # The package re-exports the function under the module's name.
 BIRCH_MODULE = importlib.import_module("radclust.clustering.birch")
 
 
-def recomputed_summary(node):
-    """(count, linear sum) of a subtree, re-summed from its CF entries in item order."""
-    if node.leaf:
-        parts = [(e.count, e.linear_sum) for e in node.items]
-    else:
-        parts = [recomputed_summary(child) for child in node.items]
-    linear_sum = np.zeros_like(parts[0][1])
-    for _, part in parts:
-        linear_sum = linear_sum + part
-    return sum(count for count, _ in parts), linear_sum
+def radius(tree, e):
+    centroid = tree.ls[e] / tree.count[e]
+    return np.sqrt(max(tree.ss[e] / tree.count[e] - centroid @ centroid, 0.0))
 
 
-def assert_cached_summaries(node):
-    count, linear_sum = recomputed_summary(node)
-    assert node.count == count
-    assert np.array_equal(node.linear_sum, linear_sum)
-    assert np.array_equal(node.centroid, linear_sum / count)
-    for item in node.items:
-        if node.leaf:
-            assert np.array_equal(item.centroid, item.linear_sum / item.count)
-        else:
-            assert_cached_summaries(item)
+def assert_cached_summaries(tree, rows):
+    """Every summary equals a recomputation: entries from their rows in row
+    order, nodes from their items in item order."""
+    for e in set(tree.entry_of.tolist()):
+        own = rows[tree.entry_of == e]
+        assert tree.count[e] == len(own)
+        assert np.array_equal(tree.ls[e], np.add.accumulate(own)[-1])
+        assert tree.ss[e] == np.add.accumulate([x @ x for x in own])[-1]
+        assert np.array_equal(tree.centroid[e], tree.ls[e] / tree.count[e])
+    for node, ids in tree.items.items():
+        linear_sum = np.zeros(rows.shape[1])
+        for item in ids:
+            linear_sum = linear_sum + tree.ls[item]
+        assert tree.count[node] == sum(tree.count[item] for item in ids)
+        assert np.array_equal(tree.ls[node], linear_sum)
+        assert np.array_equal(tree.centroid[node], linear_sum / tree.count[node])
 
 
 def same_partition(a, b):
@@ -95,29 +94,25 @@ def test_prepared_tree_pinned(monkeypatch, branching, name):
 
 class TestCfEntry:
     def test_absorbed_pair_summary(self):
-        entry = CfEntry.from_point(np.array([1.0]), 0)
-        entry.absorb(np.array([3.0]), 1)
-        assert entry.count == 2
-        assert entry.linear_sum.tolist() == [4.0]
-        assert entry.square_sum == 10.0
-        assert entry.centroid.tolist() == [2.0]
-        assert entry.radius == pytest.approx(1.0)
-
-    def test_merge_additivity(self):
-        a = CfEntry(count=1, linear_sum=np.array([1.0]), square_sum=1.0, point_ids=[0])
-        b = CfEntry(count=1, linear_sum=np.array([3.0]), square_sum=9.0, point_ids=[1])
-        merged = a.merged_with(b)
-        assert merged.count == 2
-        assert merged.linear_sum.tolist() == [4.0]
-        assert merged.square_sum == 10.0
-        assert merged.point_ids == [0, 1]
+        tree = _CfTree(np.array([[1.0], [3.0]]), 100.0, 50)
+        e = tree.entry_of[0]
+        assert tree.leaf_entries() == [e]
+        assert tree.entry_of.tolist() == [e, e]
+        assert tree.count[e] == 2
+        assert tree.ls[e].tolist() == [4.0]
+        assert tree.ss[e] == 10.0
+        assert tree.centroid[e].tolist() == [2.0]
+        assert radius(tree, e) == pytest.approx(1.0)
 
     def test_radius_argument_clamped_at_zero(self):
-        # many identical points: cancellation can leave a tiny negative argument
-        entry = CfEntry.from_point(np.array([0.1, 0.3]), 0)
-        for i in range(1, 50):
-            entry.absorb(np.array([0.1, 0.3]), i)
-        assert entry.radius == pytest.approx(0.0, abs=1e-7)
+        # for this row, 44 of the 49 absorbs leave a tiny negative argument
+        # from float cancellation: unclamped, those radii would be NaN and
+        # those copies would open entries of their own
+        rows = np.tile([0.144, 1.454], (50, 1))
+        tree = _CfTree(rows, 1e-12, 50)
+        assert tree.leaf_entries() == [tree.entry_of[0]]
+        assert np.all(tree.entry_of == tree.entry_of[0])
+        assert tree.count[tree.entry_of[0]] == 50
 
 
 class TestBirch:
@@ -133,16 +128,18 @@ class TestBirch:
         rows = rng.randn(80, 3)
         cfg = ClusterConfig(k=3, seed=1)
         res = birch(rows, cfg)
-        # rebuild the tree through the builder birch() uses to inspect entries
+        # rebuild the tree at the threshold birch() used to inspect entries
         threshold = res.model.threshold
-        entries = _leaf_entries(_build_tree(rows, threshold, 8))
-        assert sum(e.count for e in entries) == 80
-        total_ls = np.sum([e.linear_sum for e in entries], axis=0)
-        assert np.abs(total_ls - rows.sum(axis=0)).max() <= 1e-9
-        ids = sorted(i for e in entries for i in e.point_ids)
-        assert ids == list(range(80))
+        tree = _CfTree(rows, threshold, 8)
+        entries = tree.leaf_entries()
+        assert len(entries) == res.model.leaf_entry_count
+        assert sorted(entries) == sorted(set(tree.entry_of.tolist()))
+        assert np.array_equal(np.bincount(tree.entry_of)[entries], tree.count[entries])
+        assert tree.count[entries].sum() == 80
+        assert np.abs(tree.ls[entries].sum(axis=0) - rows.sum(axis=0)).max() <= 1e-9
         for e in entries:
-            assert e.radius <= threshold + 1e-9
+            assert np.abs(tree.ls[e] - rows[tree.entry_of == e].sum(axis=0)).max() <= 1e-9
+            assert radius(tree, e) <= threshold + 1e-9
 
     @pytest.mark.parametrize("branching", [4, 8])
     @pytest.mark.parametrize("d", [1, 3])
@@ -154,9 +151,9 @@ class TestBirch:
         nodes = 0
         for m in range(1, len(rows) + 1):
             # inserts run in row order, so the first m rows give the tree after m inserts
-            root = _build_tree(rows[:m], 0.1, branching)
-            assert_cached_summaries(root)
-            nodes = max(nodes, BIRCH_MODULE._count_nodes(root))
+            tree = _CfTree(rows[:m], 0.1, branching)
+            assert_cached_summaries(tree, rows[:m])
+            nodes = max(nodes, len(tree.items))
         assert nodes > 5  # inner nodes and splits were exercised
 
     def test_pinned_cell_with_subsampled_threshold(self):
