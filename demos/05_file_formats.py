@@ -2,7 +2,8 @@
 
 PGM images, CNN weight files, feature CSVs, and label CSVs all reproduce
 their inputs exactly; this script demonstrates each round trip and what the
-errors look like when a stream is malformed.
+errors look like when a stream is malformed. The CSV formats are UTF-8, and
+a field is quoted only when it holds a comma, a double quote or a line break.
 """
 
 import numpy as np
@@ -37,16 +38,18 @@ assert np.array_equal(read_features(csv_bytes).rows, fm.rows)
 print("feature CSV round trip is exact; first line:",
       csv_bytes.decode().splitlines()[1])
 
-# Labels CSV.
-ids, labels = read_labels(write_labels(["a", "b"], [1, 0]))
-assert ids == ["a", "b"] and labels.tolist() == [1, 0]
-print("labels CSV round trip ok")
+# Labels CSV; an id holding a comma or a quote is quoted, so it reads back whole.
+quoted = write_labels(["a", 'left, "hip"'], [1, 0])
+ids, labels = read_labels(quoted)
+assert ids == ["a", 'left, "hip"'] and labels.tolist() == [1, 0]
+print("labels CSV round trip ok; quoted row:", quoted.decode().splitlines()[2])
 
 # Malformed inputs fail with positioned errors.
 for name, attempt in [
     ("bad weight magic", lambda: load_weights(b"XXXX" + blob[4:])),
     ("truncated PGM", lambda: load_pgm(b"P5 4 4 255 " + bytes(10))),
     ("ragged feature CSV", lambda: read_features("id,f0,f1\na,1.0,2.0\nb,3.0\n")),
+    ("Latin-1 labels CSV", lambda: read_labels("id,cluster\ncafé,0\n".encode("latin-1"))),
 ]:
     try:
         attempt()

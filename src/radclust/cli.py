@@ -1,7 +1,8 @@
 """Command-line interface: synth, preprocess, extract, cluster, evaluate, sweep.
 
-Exit codes: 0 success, 1 usage error, 2 data or parse error, 3 numeric
-failure. Diagnostics go to stderr; data goes to files or stdout.
+Exit codes: 0 success, else the failing error's ``exit_code`` (1 usage or
+configuration, 2 data or parse, 3 numeric failure; see ``errors``).
+Diagnostics go to stderr; data goes to files or stdout.
 """
 
 import argparse
@@ -11,17 +12,7 @@ from pathlib import Path
 from . import pipeline
 from .clustering import ClusterConfig
 from .cnn import CnnSpec, forward, init_weights, load_weights, save_weights
-from .errors import (
-    BoundsError,
-    ConfigError,
-    DataError,
-    DegenerateComponentError,
-    NonConvergenceError,
-    NotPositiveDefiniteError,
-    ParseError,
-    ShapeError,
-    UsageError,
-)
+from .errors import DataError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import crop, load_pgm, normalize, resize, save_pgm
 from .metrics import silhouette
@@ -50,41 +41,40 @@ def _parse_k_range(text):
         raise UsageError(f"--k expects an integer or a..b range, got {text!r}") from None
 
 
-def _read_file(path):
+def _on_file(verb, path, call):
+    """``call()``, with an OSError turned into a DataError naming ``path``."""
     try:
-        return Path(path).read_bytes()
+        return call()
     except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+        raise DataError(f"cannot {verb} {path}: {exc.strerror or exc}") from None
+
+
+def _read_file(path):
+    return _on_file("read", path, Path(path).read_bytes)
 
 
 def _write_file(path, data):
-    try:
-        Path(path).write_bytes(data)
-    except OSError as exc:
-        raise DataError(f"cannot write {path}: {exc.strerror or exc}") from None
+    _on_file("write", path, lambda: Path(path).write_bytes(data))
+
+
+# Knob flag -> (ClusterConfig field, value type), for cluster and sweep.
+_KNOB_FLAGS = {
+    "--batch-size": ("batch_size", int),
+    "--sigma": ("rbf_sigma", float),
+    "--birch-threshold": ("birch_threshold", float),
+    "--tol": ("tol", float),
+    "--max-iters": ("max_iters", int),
+}
 
 
 def _add_knob_flags(parser):
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--sigma", type=float, default=None)
-    parser.add_argument("--birch-threshold", type=float, default=None)
-    parser.add_argument("--tol", type=float, default=None)
-    parser.add_argument("--max-iters", type=int, default=None)
+    for flag, (name, kind) in _KNOB_FLAGS.items():
+        parser.add_argument(flag, dest=name, metavar=flag[2:].replace("-", "_").upper(), type=kind)
 
 
 def _knobs_from_args(args):
-    knobs = {}
-    if args.batch_size is not None:
-        knobs["batch_size"] = args.batch_size
-    if args.sigma is not None:
-        knobs["rbf_sigma"] = args.sigma
-    if args.birch_threshold is not None:
-        knobs["birch_threshold"] = args.birch_threshold
-    if args.tol is not None:
-        knobs["tol"] = args.tol
-    if args.max_iters is not None:
-        knobs["max_iters"] = args.max_iters
-    return knobs
+    names = (name for name, _ in _KNOB_FLAGS.values())
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
 
 def build_parser():
@@ -157,7 +147,7 @@ def _cmd_preprocess(args):
     entries = pipeline.read_manifest(_read_file(args.manifest))
     in_dir = _manifest_dir(args)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _on_file("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     out_entries = []
     for entry in entries:
         img = load_pgm(_read_file(in_dir / entry.path))
@@ -166,9 +156,7 @@ def _cmd_preprocess(args):
         img = resize(img, args.size, args.size)
         name = Path(entry.path).name
         _write_file(out_dir / name, save_pgm(img))
-        out_entries.append(
-            pipeline.ManifestEntry(path=name, crop=None, age=entry.age, sex=entry.sex)
-        )
+        out_entries.append(pipeline.ManifestEntry(path=name, age=entry.age, sex=entry.sex))
     _write_file(out_dir / "manifest.csv", pipeline.write_manifest(out_entries))
     return 0
 
@@ -197,10 +185,8 @@ def _cmd_extract(args):
 
 def _cmd_cluster(args):
     if args.algo not in pipeline.ALGORITHM_SLUGS:
-        raise UsageError(
-            f"unknown algorithm {args.algo!r}; valid names: "
-            f"{', '.join(pipeline.ALGORITHM_SLUGS)}"
-        )
+        raise UsageError(f"unknown algorithm {args.algo!r}; valid names: "
+                         f"{', '.join(pipeline.ALGORITHM_SLUGS)}")
     ks = _parse_k_range(args.k)
     if ks[-1] != ks[0]:
         raise UsageError("cluster takes a single --k value, not a range")
@@ -234,13 +220,9 @@ def _cmd_evaluate(args):
 
 def _cmd_sweep(args):
     fm = pipeline.read_features(_read_file(args.features))
-    ks = _parse_k_range(args.k)
-    cfg = pipeline.SweepConfig(
-        algorithms=pipeline.algorithms_from_arg(args.algos),
-        ks=ks,
-        seed=args.seed,
-        knobs=_knobs_from_args(args),
-    )
+    cfg = pipeline.SweepConfig(ks=_parse_k_range(args.k),
+                               algorithms=pipeline.algorithms_from_arg(args.algos),
+                               seed=args.seed, knobs=_knobs_from_args(args))
     report = pipeline.sweep(fm, cfg)
     for row in report.rows:
         if row.error is not None:
@@ -267,19 +249,11 @@ def cli_main(argv):
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(parser.format_usage(), end="", file=sys.stderr)
-        return 1
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ParseError, DataError, BoundsError, ShapeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NonConvergenceError, NotPositiveDefiniteError, DegenerateComponentError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 3
+    except RadclustError as exc:
+        print(f"{'numeric failure' if exc.exit_code == 3 else 'error'}: {exc}", file=sys.stderr)
+        if isinstance(exc, UsageError):
+            print(parser.format_usage(), end="", file=sys.stderr)
+        return exc.exit_code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
 

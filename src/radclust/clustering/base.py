@@ -1,12 +1,15 @@
 """Configuration and result records shared by all clustering variants."""
 
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from ..errors import ConfigError
 
 INIT_MODES = ("first_k", "kmeans++")
+# What a field annotated int or float accepts; one that defaults to None may be None.
+_NUMBER_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
 @dataclass
@@ -30,8 +33,18 @@ class ClusterConfig:
     birch_threshold: float = None
 
     def validate_for(self, n):
+        """Check every field, and k against the sample count ``n``."""
+        self.validate()
         if not 1 <= self.k <= n:
             raise ConfigError(f"k must satisfy 1 <= k <= n={n}, got {self.k}")
+
+    def validate(self):
+        """Check what does not depend on the data; a ConfigError names the field."""
+        for f in fields(self):
+            kind, noun = _NUMBER_TYPES.get(f.type, (object, ""))
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) and not (value is None and f.default is None):
+                raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:

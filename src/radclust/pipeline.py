@@ -8,7 +8,8 @@ so any execution order produces the same report. Variants with work that
 does not depend on k (spectral, agglomerative, BIRCH) prepare it once per
 sweep and cut every k from it.
 
-Formats (UTF-8, LF line endings, ids restricted to [A-Za-z0-9._-]):
+Formats (UTF-8, LF line endings, a field quoted only when it holds a comma,
+a double quote, a CR or an LF):
 
 - manifest CSV: header ``path,crop_x,crop_y,crop_w,crop_h,age,sex``; the
   crop, age, and sex fields may be empty.
@@ -21,8 +22,10 @@ Formats (UTF-8, LF line endings, ids restricted to [A-Za-z0-9._-]):
 import csv
 import functools
 import io
+import numbers
 import time
-from dataclasses import dataclass, field
+import types
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,15 +33,18 @@ from .clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, miniba
 from .clustering.birch import prepare as prepare_tree
 from .clustering.hierarchy import prepare as prepare_dendrogram
 from .clustering.spectral import prepare as prepare_embedding
-from .errors import ConfigError, ParseError, RadclustError, UsageError
+from .errors import BoundsError, ConfigError, ParseError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
 from .metrics import silhouette_batch
 from .numerics import RngStream, mix_seed
 
 MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
+LABELS_HEADER = ["id", "cluster"]
 SEX_TOKENS = {"M": "M", "F": "F", "unknown": "unknown", "": "unknown"}
 _MAX_LABEL = int(np.iinfo(np.intp).max)
+# ClusterConfig fields a sweep may set; it sets k and seed itself, per cell.
+_KNOBS = [f.name for f in fields(ClusterConfig) if f.name not in ("k", "seed")]
 
 
 def _prepared(fit, prepare, **options):
@@ -85,117 +91,118 @@ class ManifestEntry:
     sex: str = "unknown"
 
 
-def _decode(data):
-    return data.decode("utf-8") if isinstance(data, (bytes, bytearray)) else data
+def _read_csv(data, what):
+    """The header row (None if empty) and (line, fields) of each non-blank row after it.
+
+    ``line`` is the 1-based line a row starts on. Bytes that are not UTF-8 raise a
+    ParseError with their offset; a row the csv module rejects (a bare CR in an
+    unquoted field, a field over its size limit), one with its line.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} file is not UTF-8: invalid byte at offset {exc.start}",
+                             offset=exc.start) from None
+    reader = csv.reader(io.StringIO(data))
+    try:
+        header = next(reader, None)
+        rows, end = [], reader.line_num
+        for row in reader:
+            if row and row != [""]:
+                rows.append((end + 1, row))
+            end = reader.line_num
+    except csv.Error as exc:
+        # without the csv module's advice to open the file in universal-newline mode
+        raise _row_error(what, reader.line_num, str(exc).partition(" - ")[0]) from None
+    return header, rows
+
+
+def _row_error(what, line, problem):
+    return ParseError(f"{what} line {line}: {problem}", line=line)
+
+
+def _write_csv(header, rows):
+    """UTF-8 CSV bytes with LF line endings; a field is quoted only when it must be.
+
+    Rows are written with CRLF, so that a field holding a CR is quoted too, then cut to LF.
+    """
+    lines = []
+    writer = csv.writer(types.SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return "".join(line[:-2] + "\n" for line in lines).encode("utf-8")
 
 
 def read_manifest(data):
     """Parse a manifest CSV into entries; errors carry the 1-based line number."""
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != MANIFEST_HEADER:
-        raise ParseError(
-            f"manifest header must be {','.join(MANIFEST_HEADER)!r}", line=1
-        )
+    header, rows = _read_csv(data, "manifest")
+    if header != MANIFEST_HEADER:
+        raise ParseError(f"manifest header must be {','.join(MANIFEST_HEADER)!r}", line=1)
     entries = []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or row == [""]:
-            continue
+    for lineno, row in rows:
         if len(row) != len(MANIFEST_HEADER):
-            raise ParseError(
-                f"manifest line {lineno} has {len(row)} fields, expected {len(MANIFEST_HEADER)}",
-                line=lineno,
-            )
+            raise ParseError(f"manifest line {lineno} has {len(row)} fields, "
+                             f"expected {len(MANIFEST_HEADER)}", line=lineno)
         path, cx, cy, cw, ch, age, sex = (f.strip() for f in row)
         if not path:
-            raise ParseError(f"manifest line {lineno}: empty path", line=lineno)
+            raise _row_error("manifest", lineno, "empty path")
         crop_fields = [cx, cy, cw, ch]
         if any(crop_fields) and not all(crop_fields):
-            raise ParseError(
-                f"manifest line {lineno}: crop needs all of crop_x,crop_y,crop_w,crop_h",
-                line=lineno,
-            )
+            raise _row_error("manifest", lineno, "crop needs all of crop_x,crop_y,crop_w,crop_h")
         crop = None
         if all(crop_fields):
             try:
-                crop = CropRect(int(cx), int(cy), int(cw), int(ch))
+                crop = CropRect(*[int(f) for f in crop_fields])
             except ValueError:
-                raise ParseError(
-                    f"manifest line {lineno}: non-numeric crop field", line=lineno
-                ) from None
+                raise _row_error("manifest", lineno, "non-numeric crop field") from None
+            except BoundsError as exc:
+                raise _row_error("manifest", lineno, exc) from None
         age_value = None
         if age:
             try:
                 age_value = float(age)
             except ValueError:
-                raise ParseError(
-                    f"manifest line {lineno}: field age is not numeric ({age!r})",
-                    line=lineno,
-                ) from None
+                problem = f"field age is not numeric ({age!r})"
+                raise _row_error("manifest", lineno, problem) from None
             if not 0.0 <= age_value <= 130.0:
-                raise ParseError(
-                    f"manifest line {lineno}: age {age_value} outside [0, 130]",
-                    line=lineno,
-                )
+                raise _row_error("manifest", lineno, f"age {age_value} outside [0, 130]")
         if sex not in SEX_TOKENS:
-            raise ParseError(
-                f"manifest line {lineno}: unknown sex token {sex!r} "
-                f"(expected M, F, unknown, or empty)",
-                line=lineno,
-            )
-        entries.append(
-            ManifestEntry(path=path, crop=crop, age=age_value, sex=SEX_TOKENS[sex])
-        )
+            raise _row_error("manifest", lineno, f"unknown sex token {sex!r} "
+                             "(expected M, F, unknown, or empty)")
+        entries.append(ManifestEntry(path=path, crop=crop, age=age_value, sex=SEX_TOKENS[sex]))
     return entries
 
 
 def write_manifest(entries):
     """Serialize entries back to manifest CSV bytes."""
-    lines = [",".join(MANIFEST_HEADER)]
+    rows = []
     for e in entries:
-        crop = (
-            [str(e.crop.x), str(e.crop.y), str(e.crop.w), str(e.crop.h)]
-            if e.crop is not None
-            else ["", "", "", ""]
-        )
+        crop = ["", "", "", ""] if e.crop is None else [e.crop.x, e.crop.y, e.crop.w, e.crop.h]
         age = "" if e.age is None else format(e.age, "g")
-        sex = "" if e.sex == "unknown" else e.sex
-        lines.append(",".join([e.path, *crop, age, sex]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+        rows.append([e.path, *crop, age, "" if e.sex == "unknown" else e.sex])
+    return _write_csv(MANIFEST_HEADER, rows)
 
 
 def write_features(fm):
     """Feature matrix to CSV bytes at full precision (round-trips exactly)."""
-    header = "id," + ",".join(f"f{i}" for i in range(fm.d))
-    lines = [header]
-    for i, row_id in enumerate(fm.ids):
-        lines.append(row_id + "," + ",".join(repr(float(v)) for v in fm.rows[i]))
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = ([row_id, *map(repr, row)] for row_id, row in zip(fm.ids, fm.rows.tolist()))
+    return _write_csv(["id", *(f"f{i}" for i in range(fm.d))], rows)
 
 
 def read_features(data):
     """Parse a feature CSV into a FeatureMatrix; errors carry line numbers."""
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows:
+    header, rows = _read_csv(data, "feature")
+    if header is None:
         raise ParseError("empty feature file", line=1)
-    header = rows[0]
-    if len(header) < 2 or header[0] != "id" or header[1:] != [f"f{i}" for i in range(len(header) - 1)]:
-        raise ParseError(
-            "feature header must be id,f0,...,f{d-1}", line=1
-        )
     d = len(header) - 1
+    if d < 1 or header != ["id", *(f"f{i}" for i in range(d))]:
+        raise ParseError("feature header must be id,f0,...,f{d-1}", line=1)
     ids, values, seen = [], [], set()
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or row == [""]:
-            continue
+    for lineno, row in rows:
         if len(row) != d + 1:
-            raise ParseError(
-                f"feature line {lineno} has {len(row) - 1} values, expected {d}",
-                line=lineno,
-            )
+            raise ParseError(f"feature line {lineno} has {len(row) - 1} values, expected {d}",
+                             line=lineno)
         row_id = row[0]
         if row_id in seen:
             raise ParseError(f"duplicate feature id {row_id!r}", line=lineno)
@@ -203,13 +210,9 @@ def read_features(data):
         try:
             vec = [float(v) for v in row[1:]]
         except ValueError:
-            raise ParseError(
-                f"feature line {lineno}: non-numeric value", line=lineno
-            ) from None
+            raise _row_error("feature", lineno, "non-numeric value") from None
         if not all(np.isfinite(vec)):
-            raise ParseError(
-                f"feature line {lineno}: non-finite value", line=lineno
-            )
+            raise _row_error("feature", lineno, "non-finite value")
         ids.append(row_id)
         values.append(vec)
     if not ids:
@@ -219,10 +222,7 @@ def read_features(data):
 
 def write_labels(ids, labels):
     """Cluster assignments to labels CSV bytes (header ``id,cluster``)."""
-    lines = ["id,cluster"]
-    for row_id, label in zip(ids, labels):
-        lines.append(f"{row_id},{int(label)}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    return _write_csv(LABELS_HEADER, ([row_id, int(label)] for row_id, label in zip(ids, labels)))
 
 
 def read_labels(data):
@@ -231,28 +231,19 @@ def read_labels(data):
     A cluster id must be a non-negative integer that fits the platform's
     index type; anything else is a ParseError carrying its line number.
     """
-    text = _decode(data)
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    if not rows or rows[0] != ["id", "cluster"]:
+    header, rows = _read_csv(data, "labels")
+    if header != LABELS_HEADER:
         raise ParseError("labels header must be 'id,cluster'", line=1)
     ids, labels = [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or row == [""]:
-            continue
+    for lineno, row in rows:
         if len(row) != 2:
             raise ParseError(f"labels line {lineno} must have 2 fields", line=lineno)
         try:
             label = int(row[1])
         except ValueError:
-            raise ParseError(
-                f"labels line {lineno}: cluster is not an integer", line=lineno
-            ) from None
+            raise _row_error("labels", lineno, "cluster is not an integer") from None
         if not 0 <= label <= _MAX_LABEL:
-            raise ParseError(
-                f"labels line {lineno}: cluster {label} outside [0, {_MAX_LABEL}]",
-                line=lineno,
-            )
+            raise _row_error("labels", lineno, f"cluster {label} outside [0, {_MAX_LABEL}]")
         labels.append(label)
         ids.append(row[0])
     return ids, np.array(labels, dtype=np.intp)
@@ -313,7 +304,8 @@ class SweepConfig:
 
     ``ks`` becomes an ascending list of distinct ints; a ``range`` stays a
     range (reversed when it descends), so a huge one is never listed before
-    :func:`sweep` checks its largest k against n.
+    :func:`sweep` checks its largest k against n. ``knobs`` sets ClusterConfig
+    fields other than k and seed for every cell; they are checked here, once.
     """
 
     algorithms: list = field(default_factory=lambda: list(ALGORITHM_SLUGS))
@@ -332,11 +324,19 @@ class SweepConfig:
         if isinstance(self.ks, range):
             self.ks = self.ks if self.ks.step > 0 else self.ks[::-1]
         else:
+            bad = [k for k in self.ks if not isinstance(k, numbers.Integral)]
+            if bad:
+                raise ConfigError(f"every k must be an integer, got {bad[0]!r}")
             self.ks = sorted(set(int(k) for k in self.ks))
         if not self.ks:
             raise ConfigError("k range must not be empty")
         if self.ks[0] < 2:
             raise ConfigError(f"every k must be >= 2, got {self.ks[0]}")
+        for name in self.knobs:
+            if name not in _KNOBS:
+                reason = "is set per cell by the sweep" if name in ("k", "seed") else "is unknown"
+                raise ConfigError(f"knob {name!r} {reason}; valid knobs: {', '.join(_KNOBS)}")
+        ClusterConfig(k=self.ks[0], **self.knobs).validate()
 
 
 @dataclass(eq=False)
@@ -454,13 +454,12 @@ def render_report_csv(report, include_runtime=False):
     values would break the guarantee that equal seeds produce byte-identical
     reports. The measured values stay available on the SweepRow objects.
     """
-    lines = ["algorithm,k,silhouette,runtime_ms,converged"]
-    for row in report.rows:
-        score = "" if row.silhouette is None else f"{row.silhouette:.4f}"
-        runtime = f"{row.runtime_ms:.0f}" if include_runtime else ""
-        converged = "true" if row.converged else "false"
-        lines.append(f"{row.algorithm},{row.k},{score},{runtime},{converged}")
-    return ("\n".join(lines) + "\n").encode("utf-8")
+    rows = (
+        [row.algorithm, row.k, "" if row.silhouette is None else f"{row.silhouette:.4f}",
+         f"{row.runtime_ms:.0f}" if include_runtime else "", "true" if row.converged else "false"]
+        for row in report.rows
+    )
+    return _write_csv(["algorithm", "k", "silhouette", "runtime_ms", "converged"], rows)
 
 
 def _chart_series(report):

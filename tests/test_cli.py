@@ -342,3 +342,105 @@ class TestUsageErrors:
             "--out-dir", str(tmp_path / "proc"),
         ]) == 2
         assert "truncated" in capsys.readouterr().err
+
+
+def synth_features(tmp_path, separation="9", noise="0.1"):
+    features = tmp_path / "f.csv"
+    run(["synth", "--per-blob", "30", "--blobs", "3", "--dim", "2",
+         "--separation", separation, "--noise", noise, "--seed", "5", "--out", str(features)])
+    return features
+
+
+class TestKnobFlags:
+    # each value moves the labels off the default on these overlapping blobs
+    @pytest.mark.parametrize("flag, value, algo, field, setting", [
+        ("--batch-size", "7", "minibatch-kmeans", "batch_size", 7),
+        ("--sigma", "0.3", "spectral", "rbf_sigma", 0.3),
+        ("--birch-threshold", "1.5", "birch", "birch_threshold", 1.5),
+        ("--tol", "0.5", "kmeans", "tol", 0.5),
+        ("--max-iters", "1", "kmeans", "max_iters", 1),
+    ])
+    def test_flag_sets_its_config_field(self, tmp_path, flag, value, algo, field, setting):
+        from radclust.clustering import ClusterConfig
+        from radclust.pipeline import ALGORITHMS
+
+        features = synth_features(tmp_path, separation="2", noise="1")
+        out = tmp_path / "labels.csv"
+        assert run(["cluster", "--features", str(features), "--algo", algo, "--k", "3",
+                    "--out", str(out), flag, value]) == 0
+        _, labels = read_labels(out.read_bytes())
+        runner = next(r for slug, _, r in ALGORITHMS if slug == algo)
+        rows = read_features(features.read_bytes()).rows
+        expected = runner(rows, ClusterConfig(k=3, seed=0, **{field: setting})).labels
+        default = runner(rows, ClusterConfig(k=3, seed=0)).labels
+        assert np.array_equal(labels, expected)
+        assert not np.array_equal(labels, default)
+
+    def test_bad_knob_fails_the_sweep_up_front(self, tmp_path, capsys):
+        features = synth_features(tmp_path)
+        out = tmp_path / "r.csv"
+        capsys.readouterr()
+        assert run(["sweep", "--features", str(features), "--birch-threshold", "-1",
+                    "--out", str(out)]) == 1
+        assert "birch_threshold must be positive, got -1.0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestFileEdges:
+    def test_quoted_id_survives_cluster_then_evaluate(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_text('id,f0\n"a,b",0.0\nc,0.1\nd,5.0\n"e ""x""",5.1\n')
+        labels = tmp_path / "l.csv"
+        assert run(["cluster", "--features", str(features), "--algo", "kmeans", "--k", "2",
+                    "--out", str(labels)]) == 0
+        assert labels.read_bytes().splitlines()[1] == b'"a,b",0'
+        assert run(["evaluate", "--features", str(features), "--labels", str(labels)]) == 0
+        assert "mean_silhouette," in capsys.readouterr().out
+
+    def test_non_utf8_features_exit_2(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        features.write_bytes(b"id,f0\ncaf\xe9,1.0\n")
+        assert run(["sweep", "--features", str(features), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "feature file is not UTF-8: invalid byte at offset 9" in err
+        assert "Traceback" not in err
+
+    def test_preprocess_out_dir_naming_a_file_exits_2(self, tmp_path, capsys):
+        raw, manifest = write_image_tree(tmp_path, n_per_class=1, size=32)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory")
+        assert run(["preprocess", "--manifest", str(manifest), "--out-dir", str(taken)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create {taken}")
+        assert "Traceback" not in err
+
+
+class TestExitCodes:
+    @pytest.mark.parametrize("name, code, prefix", [
+        ("UsageError", 1, "error"),
+        ("ConfigError", 1, "error"),
+        ("ParseError", 2, "error"),
+        ("DataError", 2, "error"),
+        ("BoundsError", 2, "error"),
+        ("ShapeError", 2, "error"),
+        ("NonConvergenceError", 3, "numeric failure"),
+        ("NotPositiveDefiniteError", 3, "numeric failure"),
+        ("DegenerateComponentError", 3, "numeric failure"),
+    ])
+    def test_each_error_class_carries_its_exit_code(self, monkeypatch, capsys, name, code, prefix):
+        import radclust.cli as cli
+        import radclust.errors as errors
+
+        cls = getattr(errors, name)
+        extra = {"NotPositiveDefiniteError": {"pivot": 0},
+                 "DegenerateComponentError": {"component": 0}}.get(name, {})
+
+        def fail(args):
+            raise cls("injected", **extra)
+
+        monkeypatch.setitem(cli._COMMANDS, "synth", fail)
+        assert cls.exit_code == code
+        assert run(["synth", "--out", "unused.csv"]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"{prefix}: injected\n")
+        assert ("usage:" in err) == (name == "UsageError")
