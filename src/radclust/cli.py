@@ -184,15 +184,15 @@ def _cmd_extract(args):
 
 
 def _cmd_cluster(args):
-    if args.algo not in pipeline.ALGORITHM_SLUGS:
-        raise UsageError(f"unknown algorithm {args.algo!r}; valid names: "
-                         f"{', '.join(pipeline.ALGORITHM_SLUGS)}")
+    slugs = pipeline.algorithms_from_arg(args.algo)
+    if len(slugs) != 1:
+        raise UsageError("cluster takes a single --algo name, not a list")
     ks = _parse_k_range(args.k)
     if ks[-1] != ks[0]:
         raise UsageError("cluster takes a single --k value, not a range")
     fm = pipeline.read_features(_read_file(args.features))
     cfg = ClusterConfig(k=ks[0], seed=args.seed, **_knobs_from_args(args))
-    runner = next(r for slug, _, r in pipeline.ALGORITHMS if slug == args.algo)
+    runner = {slug: r for slug, _, r in pipeline.ALGORITHMS}[slugs[0]]
     result = runner(fm.rows, cfg)
     data = pipeline.write_labels(fm.ids, result.labels)
     if args.out == "-":

@@ -179,13 +179,14 @@ def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
 def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     """Mini-batch k-means with cumulative per-center learning rates.
 
-    Each iteration draws ``batch_size`` points without replacement from the
-    seeded stream, assigns them to the centers as of the batch start, and
-    applies the running-mean update c += (x - c) / count. Stops when the
+    Each iteration draws ``batch_size`` points by partial Fisher-Yates from
+    the seeded stream and assigns them to the centers as of the batch start.
+    Under the rate 1/count (Sculley, WWW 2010) a center is the mean of every
+    point assigned to it so far (its start until it has one). Stops when the
     largest center movement over an iteration is at most ``cfg.tol`` or at
     ``cfg.max_iters``; final labels come from one full assignment pass. The
-    trace holds each batch's inertia against the centers as of the batch
-    start (Sculley, WWW 2010), so it need not decrease.
+    trace holds each batch's inertia against the batch-start centers, so it
+    need not decrease.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -197,18 +198,19 @@ def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
         centers = rows[:cfg.k].copy()
     else:
         centers = _kmeans_pp(rows, cfg.k, sub)
+    totals = np.zeros_like(centers)
     counts = np.zeros(cfg.k, dtype=np.int64)
     trace = []
     converged = False
     for _ in range(cfg.max_iters):
-        order = stream.shuffle(list(range(n)))[:batch]
+        points = rows[stream.sample(n, batch)]
         snapshot = centers.copy()
-        batch_labels, d2 = _assign(rows[order], snapshot)
+        batch_labels, d2 = _assign(points, snapshot)
         trace.append(float(d2[np.arange(batch), batch_labels].sum()))
-        for j, i in enumerate(order):
-            c = batch_labels[j]
-            counts[c] += 1
-            centers[c] += (rows[i] - centers[c]) / counts[c]
+        np.add.at(totals, batch_labels, points)
+        counts += np.bincount(batch_labels, minlength=cfg.k)
+        seen = counts > 0
+        centers[seen] = totals[seen] / counts[seen, None]
         movement = float(np.sqrt(((centers - snapshot) ** 2).sum(axis=1)).max())
         if movement <= cfg.tol:
             converged = True

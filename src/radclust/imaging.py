@@ -99,13 +99,9 @@ def _read_token(data, pos):
 
 def _read_int_token(data, pos, what):
     token, start, end = _read_token(data, pos)
-    try:
-        value = int(token)
-    except ValueError:
-        raise ParseError(
-            f"PGM {what} is not an integer ({token!r}) at byte {start}", offset=start
-        ) from None
-    return value, start, end
+    if not token.isdigit():
+        raise ParseError(f"PGM {what} is not an integer ({token!r}) at byte {start}", offset=start)
+    return int(token), start, end
 
 
 def load_pgm(data):

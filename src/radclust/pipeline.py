@@ -95,8 +95,8 @@ def _read_csv(data, what):
     """The header row (None if empty) and (line, fields) of each non-blank row after it.
 
     ``line`` is the 1-based line a row starts on. Bytes that are not UTF-8 raise a
-    ParseError with their offset; a row the csv module rejects (a bare CR in an
-    unquoted field, a field over its size limit), one with its line.
+    ParseError with their offset; a row the csv module rejects (a bare CR or stray
+    quote, an unclosed quote, a field over its size limit), one with its line.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -104,17 +104,17 @@ def _read_csv(data, what):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{what} file is not UTF-8: invalid byte at offset {exc.start}",
                              offset=exc.start) from None
-    reader = csv.reader(io.StringIO(data))
+    reader = csv.reader(io.StringIO(data), strict=True)
+    rows, end = [], 0
     try:
-        header = next(reader, None)
-        rows, end = [], reader.line_num
+        header, end = next(reader, None), reader.line_num
         for row in reader:
             if row and row != [""]:
                 rows.append((end + 1, row))
             end = reader.line_num
     except csv.Error as exc:
         # without the csv module's advice to open the file in universal-newline mode
-        raise _row_error(what, reader.line_num, str(exc).partition(" - ")[0]) from None
+        raise _row_error(what, end + 1, str(exc).partition(" - ")[0]) from None
     return header, rows
 
 

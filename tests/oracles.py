@@ -2,15 +2,21 @@
 
 Every oracle here is deliberately slow and literal (plain loops, textbook
 formulas) and shares no code with the package under test beyond its
-exception types and, for the shuffle, the scalar ``next_below`` draws of
-the stream it is handed.
+exception types and, for the shuffle and sample draws, the scalar
+``next_below`` draws of the stream it is handed. The mini-batch reference
+is the exception: it reuses k-means' seeding and assignment helpers, so
+that only its center update differs from the package's.
 """
 
 import math
 
 import numpy as np
 
+from radclust.clustering.base import ClusterResult
+from radclust.clustering.kmeans import _assign, _kmeans_pp, _repair_empty
 from radclust.errors import NonConvergenceError
+from radclust.features import as_rows
+from radclust.numerics import RngStream
 
 
 def splitmix64_reference(seed, count):
@@ -30,14 +36,71 @@ def splitmix64_reference(seed, count):
 def fisher_yates_shuffle(stream, items):
     """In-place Fisher-Yates shuffle with one scalar ``stream.next_below`` per swap.
 
-    The loop ``RngStream.shuffle`` ran before it drew in bulk, kept verbatim:
-    the bulk form must give the same permutation and leave the stream in the
-    same state.
+    ``RngStream.shuffle`` must give the same permutation and leave the stream
+    in the same state.
     """
     for i in range(len(items) - 1, 0, -1):
         j = stream.next_below(i + 1)
         items[i], items[j] = items[j], items[i]
     return items
+
+
+def partial_fisher_yates(stream, n, m):
+    """The first ``m`` slots of a dense range(n) after ``m`` forward swaps.
+
+    Swap ``i`` exchanges slots ``i`` and ``i + stream.next_below(n - i)``;
+    ``RngStream.sample`` must return the same list and leave the stream in
+    the same state.
+    """
+    items = list(range(n))
+    for i in range(m):
+        j = i + stream.next_below(n - i)
+        items[i], items[j] = items[j], items[i]
+    return items[:m]
+
+
+def sequential_minibatch_kmeans(x, cfg):
+    """Mini-batch k-means that moves one center per point, in batch order.
+
+    The per-point update c += (x - c) / count that ``minibatch_kmeans`` ran
+    before it took each center as the mean of its points in closed form,
+    kept verbatim apart from drawing each batch with ``RngStream.sample``.
+    """
+    rows = as_rows(x)
+    n = rows.shape[0]
+    cfg.validate_for(n)
+    batch = min(cfg.batch_size or min(n, 100), n)
+    stream = RngStream(cfg.seed)
+    sub = stream.spawn()
+    if cfg.init == "first_k":
+        centers = rows[:cfg.k].copy()
+    else:
+        centers = _kmeans_pp(rows, cfg.k, sub)
+    counts = np.zeros(cfg.k, dtype=np.int64)
+    trace = []
+    converged = False
+    for _ in range(cfg.max_iters):
+        order = stream.sample(n, batch)
+        snapshot = centers.copy()
+        batch_labels, d2 = _assign(rows[order], snapshot)
+        trace.append(float(d2[np.arange(batch), batch_labels].sum()))
+        for j, i in enumerate(order):
+            c = batch_labels[j]
+            counts[c] += 1
+            centers[c] += (rows[i] - centers[c]) / counts[c]
+        movement = float(np.sqrt(((centers - snapshot) ** 2).sum(axis=1)).max())
+        if movement <= cfg.tol:
+            converged = True
+            break
+    labels, d2 = _assign(rows, centers)
+    labels = _repair_empty(rows, labels, d2, cfg.k)
+    return ClusterResult(
+        labels=labels,
+        centroids=centers,
+        objective_trace=trace,
+        iterations=len(trace),
+        converged=converged,
+    )
 
 
 def naive_pairwise(rows):

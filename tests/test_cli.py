@@ -157,6 +157,15 @@ class TestClusterCommand:
         err = capsys.readouterr().err
         assert "kmeans" in err and "gmm-full" in err
 
+    def test_algorithm_list_rejected_for_cluster(self, tmp_path, capsys):
+        features = tmp_path / "f.csv"
+        run(["synth", "--per-blob", "5", "--blobs", "2", "--dim", "2",
+             "--separation", "9", "--noise", "0.1", "--seed", "1", "--out", str(features)])
+        assert run([
+            "cluster", "--features", str(features), "--algo", "kmeans,birch", "--k", "2",
+        ]) == 1
+        assert "single --algo name" in capsys.readouterr().err
+
     def test_k_range_rejected_for_cluster(self, tmp_path, capsys):
         features = tmp_path / "f.csv"
         run(["synth", "--per-blob", "5", "--blobs", "2", "--dim", "2",

@@ -90,6 +90,8 @@ def test_mutated_file_parses_or_fails_positioned(kind, changes):
      3, None, "crop offset must be >= 0"),
     ("manifest", b"path,crop_x,crop_y,crop_w,crop_h,age,sex\nb.pgm,0,0,4,-4,,\n",
      2, None, "crop extent must be >= 1"),
+    ("labels", b'id,cluster\n"x"y,1\n', 2, None, "',' expected after '\"'"),
+    ("labels", b'id,cluster\n"x,1\na,2\n', 2, None, "unexpected end of data"),
 ])
 def test_escapes_become_positioned_parse_errors(kind, data, line, offset, message):
     with pytest.raises(ParseError, match=message) as exc:

@@ -92,6 +92,13 @@ class TestLoadPgm:
         with pytest.raises(ParseError, match="width"):
             load_pgm(b"P5 x 2 255 " + bytes(4))
 
+    @pytest.mark.parametrize("token", [b"1_0", b"+1", b"-1"])
+    def test_header_field_must_be_ascii_digits(self, token):
+        # int() would read 1_0 as 10 and +1 as 1
+        with pytest.raises(ParseError, match="height is not an integer") as exc:
+            load_pgm(b"P5 2 " + token + b" 255 " + bytes(40))
+        assert exc.value.offset == 5
+
     def test_round_trip_is_bit_exact(self):
         img = ramp(5, 7)
         data = save_pgm(img)

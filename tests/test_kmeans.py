@@ -5,7 +5,7 @@ from radclust.clustering import ClusterConfig, kmeans, minibatch_kmeans
 from radclust.errors import ConfigError, ShapeError
 from radclust.pipeline import synth_blobs
 
-from oracles import best_two_partition_sse, naive_sse
+from oracles import best_two_partition_sse, naive_sse, sequential_minibatch_kmeans
 
 # Four corners of a 10x1 rectangle, ordered so the first-2 init starts one
 # centroid on each natural cluster.
@@ -143,18 +143,19 @@ class TestMinibatchKmeans:
 
     @pytest.mark.parametrize("max_iters, tol, iterations, converged, centroids", [
         (40, 1e-4, 40, False, [
-            "0x1.836e819d5c8a8p+2", "0x1.bb206e4b07becp-4", "0x1.ca06182e32fecp-3",
-            "0x1.7f83a22344871p+2", "-0x1.778b45e0c8d2ep-3", "0x1.c21d7a12edde0p-5",
+            "0x1.82e9886916e33p+2", "0x1.c42ce4d4f3994p-5", "0x1.ded16731b8a1ep-3",
+            "0x1.80485e1732fcdp+2", "-0x1.06f995fa488fap-3", "0x1.11c12c1254be8p-10",
         ]),
-        (200, 0.02, 13, True, [
-            "0x1.8615264b2132fp+2", "0x1.2984c4daf2b29p-3", "0x1.b71c53569b42ep-3",
-            "0x1.818e752b4bf79p+2", "-0x1.e9b11d18ea058p-4", "0x1.49c52d8623645p-5",
+        (200, 0.02, 20, True, [
+            "0x1.862fa6513cf7ap+2", "0x1.89c8cfdc810c2p-5", "0x1.bb29799f4a54cp-3",
+            "0x1.7d6a8f41e8fa5p+2", "-0x1.ee4c1e10306a2p-4", "-0x1.0474dd8d4025ap-6",
         ]),
     ], ids=["max-iters", "tol"])
     def test_batch_inertia_trace_and_pinned_fit(self, max_iters, tol, iterations, converged,
                                                 centroids):
-        # Labels, centroid bits, iterations and converged were recorded when
-        # the trace still came from a full assignment each iteration; the
+        # Labels, centroid bits, iterations and converged were recorded with
+        # batches drawn by partial Fisher-Yates; the labels go back to when
+        # the trace still came from a full assignment each iteration, so the
         # trace is bookkeeping and must not move the fit.
         rng = np.random.RandomState(16)
         rows = np.vstack([rng.randn(20, 2) * 0.5 + c for c in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
@@ -170,15 +171,33 @@ class TestMinibatchKmeans:
         assert np.all(np.isfinite(trace)) and np.all(trace >= 0.0)
 
     def test_pinned_fit_with_batches_below_n(self):
-        # Every iteration shuffles all 600 rows to draw its batch of 50.
-        # Recorded before the shuffle drew in bulk; it must not move a bit.
+        # Every iteration draws 50 of the 600 rows by partial Fisher-Yates.
+        # Recorded with the closed-form center means; it must not move a bit.
         fm, _ = synth_blobs(200, 3, 4, 5.0, 1.0, 21)
         res = minibatch_kmeans(fm.rows, ClusterConfig(k=3, seed=1, batch_size=50, max_iters=30))
         assert res.labels.tolist() == [0] * 200 + [2] * 200 + [1] * 200
         assert [float(v).hex() for v in res.centroids.ravel()] == [
-            "0x1.3b38fe68fe508p+2", "-0x1.b9156fc7da85fp-3", "0x1.51d16892449f9p-4",
-            "0x1.297c6f362dccdp-4", "-0x1.0496e056cd7c8p-5", "0x1.ac4710103a0cep-3",
-            "0x1.2c25bf2bbd0c3p+2", "-0x1.65bdb6679a129p-5", "0x1.e7947a7fe4674p-5",
-            "0x1.41128dc7ca734p+2", "-0x1.e31df493d53edp-8", "0x1.acb13160a25fep-6",
+            "0x1.43ac9ebd75938p+2", "-0x1.65ca731d26be0p-4", "0x1.49500847928eap-4",
+            "0x1.97ada85f8f9f2p-5", "0x1.b3751c195c580p-4", "0x1.20bc3a376ad15p-2",
+            "0x1.20cc41f056a0fp+2", "-0x1.9be6b43b3507cp-6", "0x1.2c45af3b2b246p-11",
+            "0x1.4077425f0e97ap+2", "0x1.fd041099e5669p-5", "0x1.966f13fe14697p-5",
         ]
         assert res.iterations == 30
+
+    @pytest.mark.parametrize("per_blob, blobs, separation, noise, seed, tol", [
+        (150, 2, 10.0, 0.1, 1, 1e-4),
+        (1000, 4, 6.0, 1.0, 2, 1e-4),
+        (1000, 4, 6.0, 1.0, 3, 0.05),
+    ], ids=["blobs-300", "archive-4000", "archive-4000-tol"])
+    @pytest.mark.parametrize("init", ["first_k", "kmeans++"])
+    def test_closed_form_means_match_sequential_updates(self, per_blob, blobs, separation,
+                                                        noise, seed, tol, init):
+        fm, _ = synth_blobs(per_blob, blobs, 16, separation, noise, seed)
+        for k in range(2, 7):
+            cfg = ClusterConfig(k=k, seed=seed * 10 + k, tol=tol, init=init)
+            res = minibatch_kmeans(fm.rows, cfg)
+            ref = sequential_minibatch_kmeans(fm.rows, cfg)
+            assert np.array_equal(res.labels, ref.labels)
+            assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
+            gap = np.linalg.norm(res.centroids - ref.centroids, axis=1)
+            assert np.all(gap <= 1e-12 * np.linalg.norm(ref.centroids, axis=1))

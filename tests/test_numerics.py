@@ -18,6 +18,7 @@ from oracles import (
     fisher_yates_shuffle,
     jacobi_eigen,
     naive_pairwise,
+    partial_fisher_yates,
     splitmix64_reference,
 )
 
@@ -91,31 +92,13 @@ class TestRngStream:
             assert np.array_equal(out, expected)
             assert bulk._state == scalar._state
 
-    def test_shuffle_rejection_replays_scalar_draws(self, monkeypatch):
-        n, seed = 10, 3
-        bulk_draws = RngStream.u64s
-        scalar_draw = RngStream.next_below
-        scalar_calls = []
-
-        def planted(self, count):
-            u = bulk_draws(self, count)
-            # the draw for bound 7 (not a power of two, 2**64 mod 7 == 2): rejected
-            u[n - 7] = np.uint64(2**64 - 1)
-            return u
-
-        def counted(self, bound):
-            scalar_calls.append(bound)
-            return scalar_draw(self, bound)
-
-        monkeypatch.setattr(RngStream, "u64s", planted)
-        monkeypatch.setattr(RngStream, "next_below", counted)
-        stream = RngStream(seed)
-        out = stream.shuffle(list(range(n)))
-        assert scalar_calls == list(range(n, 1, -1))
-        monkeypatch.undo()
-        oracle = RngStream(seed)
-        assert out == fisher_yates_shuffle(oracle, list(range(n)))
-        assert stream._state == oracle._state
+    @pytest.mark.parametrize("n", [1, 2, 7, 600, 4000])
+    def test_sample_matches_partial_fisher_yates_oracle(self, n):
+        for m in sorted({0, 1, n // 2, n}):
+            for seed in range(5):
+                stream, scalar = RngStream(seed), RngStream(seed)
+                assert stream.sample(n, m) == partial_fisher_yates(scalar, n, m)
+                assert stream._state == scalar._state
 
     def test_next_below_bounds(self):
         rng = RngStream(13)
