@@ -240,7 +240,8 @@ def birch(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
     ``prepared`` is a :func:`prepare` result for the same rows; when given,
     ``x`` is not read and only the global phase runs. When the tree
     compresses below ``cfg.k`` entries the global phase runs with one
-    cluster per entry instead.
+    cluster per entry instead. ``diagnostics["polish"]`` is the global
+    k-means' polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
     """
     if prepared is None:
         prepared = prepare(x, cfg)
@@ -261,5 +262,9 @@ def birch(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
         iterations=inner.iterations,
         converged=inner.converged,
         model=stats,
-        diagnostics={"threshold": stats.threshold, "leaf_entries": stats.leaf_entry_count},
+        diagnostics={
+            "threshold": stats.threshold,
+            "leaf_entries": stats.leaf_entry_count,
+            "polish": inner.diagnostics["polish"],
+        },
     )

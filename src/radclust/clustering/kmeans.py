@@ -14,6 +14,10 @@ from ..features import as_rows
 from ..numerics import RngStream, squared_distances
 from .base import ClusterConfig, ClusterResult
 
+_MAX_POLISH_PASSES = 200
+# Rows screened per step of the polish; bounds the rescan after each move.
+_SCREEN_ROWS = 256
+
 
 def _assign(rows, centers):
     """Nearest-center labels and full squared-distance matrix."""
@@ -106,37 +110,84 @@ def _lloyd(rows, centers, cfg):
 
 
 def _polish(rows, labels, k):
-    """Single-point improvement passes over a Lloyd fixed point.
+    """Single-point improvement passes over a Lloyd fixed point (Hartigan).
 
-    Moves one point at a time to whichever cluster lowers the SSE most
-    (weighted by the exact size-corrected gain), sweeping in row order until
-    no move helps. The result is still Voronoi-consistent, and strictly
-    fewer local optima survive than under Lloyd alone.
+    Sweeps the rows in order, moving each point to whichever other cluster
+    lowers the SSE most by the exact size-corrected gain, until a pass moves
+    nothing or 200 passes have run. The result is still Voronoi-consistent,
+    and strictly fewer local optima survive than under Lloyd alone
+    (Telgarsky & Vattani, AISTATS 2010).
+
+    The sweep is replayed exactly without a loop over rows: an (n, k) table
+    holds every point-to-centre squared distance, :func:`_first_move`
+    screens a block of rows at once against the current centres, and only
+    the first row that moves is applied, by the same scalar centre and count
+    updates, before the two changed columns are recomputed and the screen
+    resumes at the next row. Rows before that hit saw the state the
+    sequential sweep would have shown them, so labels and centres are
+    bit-for-bit those of the row-by-row loop. Returns the labels, their
+    means and ``{"passes", "moves", "capped"}``; ``capped`` is true when the
+    last allowed pass still moved a point.
     """
     labels = labels.copy()
     n = rows.shape[0]
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     centers = _means(rows, labels, k)
-    for _ in range(200):
+    # Each row of a last-axis sum adds in the order a 1-D sum of that row
+    # does, and (x - c) ** 2 == (c - x) ** 2 exactly, so dist[i, c] has the
+    # bits of ((rows[i] - centers[c]) ** 2).sum().
+    dist = np.empty((n, k))
+    for c in range(k):
+        dist[:, c] = ((centers[c] - rows) ** 2).sum(axis=1)
+    moves = 0
+    for passes in range(1, _MAX_POLISH_PASSES + 1):
         moved = False
-        for i in range(n):
-            a = labels[i]
-            if counts[a] <= 1:
+        i = 0
+        while i < n:
+            hit = _first_move(dist, labels, counts, i)
+            if hit is None:
+                i += _SCREEN_ROWS
                 continue
-            leave = counts[a] / (counts[a] - 1.0) * float(((rows[i] - centers[a]) ** 2).sum())
-            join = counts / (counts + 1.0) * ((centers - rows[i]) ** 2).sum(axis=1)
-            join[a] = np.inf
-            c = int(np.argmin(join))
-            if join[c] - leave < -1e-12:
-                centers[a] = (centers[a] * counts[a] - rows[i]) / (counts[a] - 1.0)
-                centers[c] = (centers[c] * counts[c] + rows[i]) / (counts[c] + 1.0)
-                counts[a] -= 1.0
-                counts[c] += 1.0
-                labels[i] = c
-                moved = True
+            i, c = hit
+            a = labels[i]
+            centers[a] = (centers[a] * counts[a] - rows[i]) / (counts[a] - 1.0)
+            centers[c] = (centers[c] * counts[c] + rows[i]) / (counts[c] + 1.0)
+            counts[a] -= 1.0
+            counts[c] += 1.0
+            labels[i] = c
+            for col in (a, c):
+                dist[:, col] = ((centers[col] - rows) ** 2).sum(axis=1)
+            moves += 1
+            moved = True
+            i += 1
         if not moved:
             break
-    return labels, _means(rows, labels, k)
+    stats = {"passes": passes, "moves": moves, "capped": moved}
+    return labels, _means(rows, labels, k), stats
+
+
+def _first_move(dist, labels, counts, lo):
+    """(row, target) of the first row in ``lo:lo + _SCREEN_ROWS`` that moves.
+
+    A row moves when its cluster has another member and the cheapest join
+    beats the leave cost by more than 1e-12; the target is the lowest-index
+    cheapest other cluster. None when no row of the block moves.
+    """
+    block = dist[lo:lo + _SCREEN_ROWS]
+    own = labels[lo:lo + _SCREEN_ROWS]
+    at = np.arange(own.shape[0])
+    ca = counts[own]
+    with np.errstate(divide="ignore", invalid="ignore"):  # singletons never move
+        leave = ca / (ca - 1.0) * block[at, own]
+        join = counts / (counts + 1.0) * block
+        join[at, own] = np.inf
+        target = np.argmin(join, axis=1)
+        gain = join[at, target] - leave
+    hits = np.flatnonzero((ca > 1) & (gain < -1e-12))
+    if hits.size == 0:
+        return None
+    first = int(hits[0])
+    return lo + first, int(target[first])
 
 
 def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
@@ -147,8 +198,12 @@ def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     repaired deterministically and never surface. With several restarts the
     first uses ``cfg.init`` and the rest use kmeans++, each on an
     independent child stream; every restart's fixed point is refined by
-    single-point moves before the lowest final SSE wins (first on ties).
-    A single-restart run keeps plain Lloyd mechanics.
+    Hartigan single-point moves (:func:`_polish`: a vectorised screen of
+    each block of rows, then an exact replay of the first move, so the moves
+    are those of a row-by-row sweep) before the lowest final SSE wins (first
+    on ties). The winner's ``diagnostics["polish"]`` holds that restart's
+    ``passes``, ``moves`` and ``capped`` (the 200-pass limit stopped it).
+    A single-restart run keeps plain Lloyd mechanics and no diagnostics.
     """
     rows = as_rows(x)
     cfg.validate_for(rows.shape[0])
@@ -162,7 +217,7 @@ def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
             centers = _kmeans_pp(rows, cfg.k, sub)
         result = _lloyd(rows, centers, cfg)
         if cfg.restarts > 1:
-            labels, centers = _polish(rows, result.labels, cfg.k)
+            labels, centers, polish = _polish(rows, result.labels, cfg.k)
             if not np.array_equal(labels, result.labels):
                 result = ClusterResult(
                     labels=labels,
@@ -171,6 +226,7 @@ def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
                     iterations=result.iterations + 1,
                     converged=result.converged,
                 )
+            result.diagnostics["polish"] = polish
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
     return best

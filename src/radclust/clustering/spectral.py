@@ -95,8 +95,9 @@ def spectral(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
     ``prepared`` is a :func:`prepare` result for the same rows with at least
     ``cfg.k`` columns; when given, ``x`` is not read. Points whose degree
     underflows to zero are embedded at the origin and listed in
-    ``diagnostics["isolated_points"]``. See :func:`prepare` for ``sigma``
-    and the size limit.
+    ``diagnostics["isolated_points"]``. ``diagnostics["polish"]`` is the
+    inner k-means' polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
+    See :func:`prepare` for ``sigma`` and the size limit.
     """
     if prepared is None:
         prepared = prepare(x, cfg)
@@ -121,5 +122,6 @@ def spectral(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
             "sigma": prepared.sigma,
             "isolated_points": list(prepared.isolated_points),
             "laplacian_min_eigenvalue": prepared.laplacian_min_eigenvalue,
+            "polish": inner.diagnostics["polish"],
         },
     )

@@ -263,9 +263,10 @@ def squared_distances(rows, other=None):
     the rounding bound (d + 2) * eps * (|x_i|**2 + max_j |y_j|**2) of 0 is
     recomputed from coordinate differences: identical rows are exactly 0 apart.
 
-    ``_CfTree._nearest`` and ``kmeans._polish`` keep the difference form: one
-    point against a few dozen centroids per call, where this kernel's
-    overhead made an n=4000 BIRCH cell 10-25% slower.
+    ``_CfTree._nearest`` keeps the difference form: one point against a few
+    dozen centroids per call, where this kernel's overhead made an n=4000
+    BIRCH cell 10-25% slower. ``kmeans._polish`` keeps it too, as a cached
+    (n, k) table whose sums replay its row-by-row Hartigan sweep bit for bit.
     """
     symmetric = other is None
     if symmetric:

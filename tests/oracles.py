@@ -3,9 +3,10 @@
 Every oracle here is deliberately slow and literal (plain loops, textbook
 formulas) and shares no code with the package under test beyond its
 exception types and, for the shuffle and sample draws, the scalar
-``next_below`` draws of the stream it is handed. The mini-batch reference
-is the exception: it reuses k-means' seeding and assignment helpers, so
-that only its center update differs from the package's.
+``next_below`` draws of the stream it is handed. The mini-batch and polish
+references are the exceptions: they reuse k-means' seeding, assignment and
+mean helpers, so that only the center update or the move sweep differs from
+the package's.
 """
 
 import math
@@ -13,7 +14,7 @@ import math
 import numpy as np
 
 from radclust.clustering.base import ClusterResult
-from radclust.clustering.kmeans import _assign, _kmeans_pp, _repair_empty
+from radclust.clustering.kmeans import _assign, _kmeans_pp, _means, _repair_empty
 from radclust.errors import NonConvergenceError
 from radclust.features import as_rows
 from radclust.numerics import RngStream
@@ -101,6 +102,38 @@ def sequential_minibatch_kmeans(x, cfg):
         iterations=len(trace),
         converged=converged,
     )
+
+
+def sequential_polish(rows, labels, k):
+    """Hartigan single-point passes, one row at a time: ``kmeans._polish``
+    as it was before its screen over blocks of rows, kept verbatim.
+
+    ``_polish`` must return the same labels and centres, bit for bit.
+    """
+    labels = labels.copy()
+    n = rows.shape[0]
+    counts = np.bincount(labels, minlength=k).astype(np.float64)
+    centers = _means(rows, labels, k)
+    for _ in range(200):
+        moved = False
+        for i in range(n):
+            a = labels[i]
+            if counts[a] <= 1:
+                continue
+            leave = counts[a] / (counts[a] - 1.0) * float(((rows[i] - centers[a]) ** 2).sum())
+            join = counts / (counts + 1.0) * ((centers - rows[i]) ** 2).sum(axis=1)
+            join[a] = np.inf
+            c = int(np.argmin(join))
+            if join[c] - leave < -1e-12:
+                centers[a] = (centers[a] * counts[a] - rows[i]) / (counts[a] - 1.0)
+                centers[c] = (centers[c] * counts[c] + rows[i]) / (counts[c] + 1.0)
+                counts[a] -= 1.0
+                counts[c] += 1.0
+                labels[i] = c
+                moved = True
+        if not moved:
+            break
+    return labels, _means(rows, labels, k)
 
 
 def naive_pairwise(rows):

@@ -1,11 +1,22 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from radclust import pipeline
 from radclust.clustering import ClusterConfig, kmeans, minibatch_kmeans
 from radclust.errors import ConfigError, ShapeError
-from radclust.pipeline import synth_blobs
+from radclust.numerics import mix_seed
+from radclust.pipeline import SweepConfig, synth_blobs
 
-from oracles import best_two_partition_sse, naive_sse, sequential_minibatch_kmeans
+from oracles import (
+    best_two_partition_sse,
+    naive_sse,
+    sequential_minibatch_kmeans,
+    sequential_polish,
+)
+
+KMEANS = importlib.import_module("radclust.clustering.kmeans")
 
 # Four corners of a 10x1 rectangle, ordered so the first-2 init starts one
 # centroid on each natural cluster.
@@ -201,3 +212,54 @@ class TestMinibatchKmeans:
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
             gap = np.linalg.norm(res.centroids - ref.centroids, axis=1)
             assert np.all(gap <= 1e-12 * np.linalg.norm(ref.centroids, axis=1))
+
+
+class TestPolish:
+    def test_every_call_of_a_blobs_sweep_matches_sequential_sweep(self, monkeypatch):
+        calls = []
+        polish = KMEANS._polish
+
+        def recording(rows, labels, k):
+            out = polish(rows, labels, k)
+            calls.append((rows.copy(), labels.copy(), k, out))
+            return out
+
+        monkeypatch.setattr(KMEANS, "_polish", recording)
+        fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=1)
+        report = pipeline.sweep(fm, SweepConfig(ks=[2, 3, 4, 5, 6], seed=0))
+        assert all(row.error is None for row in report.rows)
+        # five restarts per spectral and BIRCH cell
+        assert len(calls) == 2 * 5 * 5
+        for rows, labels, k, (got_labels, got_centers, _) in calls:
+            want_labels, want_centers = sequential_polish(rows, labels, k)
+            assert np.array_equal(got_labels, want_labels)
+            assert got_centers.tobytes() == want_centers.tobytes()
+        assert sum(stats["moves"] for *_, (_, _, stats) in calls) > 0
+
+    @pytest.mark.parametrize("slug", ["spectral", "birch"])
+    def test_sweep_cell_reports_polish_of_winning_restart(self, slug):
+        fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=0)
+        index = pipeline.ALGORITHM_SLUGS.index(slug)
+        runner = pipeline.ALGORITHMS[index][2]
+        res = runner(fm.rows, ClusterConfig(k=4, seed=mix_seed(0, index, 4)))
+        polish = res.diagnostics["polish"]
+        assert set(polish) == {"passes", "moves", "capped"}
+        assert polish["moves"] >= 1 and polish["passes"] >= 2
+        assert polish["capped"] is False
+
+    def test_pass_limit_is_reported(self, monkeypatch):
+        rng = np.random.RandomState(2)
+        rows = rng.randn(80, 2) + 5.0 * rng.randint(0, 3, size=(80, 1))
+        labels = rng.randint(0, 3, size=80)
+        free = KMEANS._polish(rows, labels, 3)[2]
+        assert free["passes"] > 2 and not free["capped"]
+        monkeypatch.setattr(KMEANS, "_MAX_POLISH_PASSES", 1)
+        capped = KMEANS._polish(rows, labels, 3)[2]
+        assert capped["passes"] == 1 and capped["capped"]
+        assert capped["moves"] < free["moves"]
+
+    def test_single_restart_records_no_polish(self):
+        rows = np.random.RandomState(5).randn(30, 2)
+        assert "polish" not in kmeans(rows, ClusterConfig(k=3, seed=1)).diagnostics
+        polished = kmeans(rows, ClusterConfig(k=3, seed=1, init="kmeans++", restarts=2))
+        assert polished.diagnostics["polish"]["passes"] >= 1
