@@ -1,8 +1,21 @@
+import hashlib
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from radclust.clustering import ClusterConfig, gmm
 from radclust.errors import ConfigError
+from radclust.pipeline import synth_blobs
+
+# Per cell "data/mode/k[/max_iters=m]": labels, iterations, converged and the
+# float.hex of every trace entry, and for full and tied the sha256 of the
+# model's means, weights and covariances. Recorded before the three covariance
+# modes shared one E-step loop and one M-step loop.
+PINS = json.loads((Path(__file__).parent / "data" / "gmm_pins.json").read_text())
+PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (100, 4, 16, 6.0, 1.0, 1)}
 
 
 def same_partition(a, b):
@@ -102,3 +115,30 @@ class TestEmBehavior:
         res = gmm(rows, ClusterConfig(k=2, seed=9), mode="full")
         assert np.all(np.isfinite(res.objective_trace))
         assert set(res.labels.tolist()) <= {0, 1}
+
+
+def sha256(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("cell", sorted(PINS))
+def test_pinned_cell(cell):
+    name, mode, k, *cap = cell.split("/")
+    rows = synth_blobs(*PIN_DATA[name])[0].rows
+    knobs = {"max_iters": int(cap[0].split("=")[1])} if cap else {}
+    res = gmm(rows, ClusterConfig(k=int(k), seed=1, **knobs), mode=mode)
+    pin = PINS[cell]
+    assert sha256(res.labels.astype(np.int64)) == pin["labels"]
+    assert (res.iterations, res.converged) == (pin["iterations"], pin["converged"])
+    trace = [float.fromhex(h) for h in pin["trace"]]
+    if mode == "diag":
+        # the diag E-step may round differently in the last bits
+        assert len(res.objective_trace) == len(trace)
+        for got, want in zip(res.objective_trace, trace):
+            assert math.isclose(got, want, rel_tol=1e-12)
+        return
+    assert [float(v).hex() for v in res.objective_trace] == pin["trace"]
+    model = res.model
+    assert [sha256(model.means), sha256(model.weights), sha256(model.covariances)] == [
+        pin["means"], pin["weights"], pin["covariances"]
+    ]
