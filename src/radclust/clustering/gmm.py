@@ -2,9 +2,19 @@
 
 Means start from a seeded k-means run, weights start uniform, and every
 covariance starts from the global sample covariance restricted to the mode.
-The E-step works in log space through log-sum-exp; each M-step adds
-``_COVARIANCE_REG`` (1e-6) to the covariance diagonals. The objective is the
-mean per-sample log-likelihood and never decreases.
+The covariance mode enters in two places only:
+
+- the E-step is one per-component loop for every mode. Each component
+  whitens its centred rows with the transposed inverse of a Cholesky factor,
+  which tied mode factors once for all components and diag mode writes in
+  closed form, ``diag(1 / sqrt(var))``;
+- the M-step is one loop that builds each component's centred scatter
+  matrix, and :func:`_covariances` pools them per mode. Fed the global
+  scatter, the same helper gives the initial covariances.
+
+The E-step works in log space through log-sum-exp; every covariance gets
+``_COVARIANCE_REG`` (1e-6) on its diagonal. The objective is the mean
+per-sample log-likelihood and never decreases.
 """
 
 import math
@@ -37,13 +47,23 @@ class GmmModel:
     mode: str
 
 
-def _chol_with_escalation(cov, reg, component):
-    """Cholesky of cov + extra*I, escalating extra from 0 by 10x up to 1e-2."""
+def _whitening(cov, reg, component):
+    """Log-determinant of cov and the transposed inverse of its Cholesky factor L.
+
+    With ``y = (x - mean) @ inv(L).T``, ``y @ y`` is the Mahalanobis form
+    ``(x - mean) @ inv(cov) @ (x - mean)``. A diag mode's variance vector
+    takes the closed form ``(sum(log(var)), diag(1 / sqrt(var)))``. A matrix
+    goes through :func:`numerics.cholesky`; when that fails it is retried on
+    ``cov + extra*I``, ``extra`` rising from ``reg`` by 10x, and past 1e-2 a
+    DegenerateComponentError names ``component``.
+    """
+    if cov.ndim == 1:
+        return float(np.log(cov).sum()), np.diag(1.0 / np.sqrt(cov))
     extra = 0.0
     while True:
         try:
-            shifted = cov if extra == 0.0 else cov + extra * np.eye(cov.shape[0])
-            return cholesky(shifted)
+            L = cholesky(cov if extra == 0.0 else cov + extra * np.eye(cov.shape[0]))
+            break
         except NotPositiveDefiniteError:
             extra = reg if extra == 0.0 else extra * 10.0
             if extra > 1e-2:
@@ -52,30 +72,18 @@ def _chol_with_escalation(cov, reg, component):
                     "non-positive-definite after regularization up to 1e-02",
                     component=component,
                 ) from None
-
-
-def _whitening(cov, reg, component):
-    """Log-determinant of cov and the transposed inverse of its Cholesky factor L.
-
-    With ``y = (x - mean) @ inv(L).T``, ``y @ y`` is the Mahalanobis form
-    ``(x - mean) @ inv(cov) @ (x - mean)``.
-    """
-    L = _chol_with_escalation(cov, reg, component)
     return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L).T
 
 
 def _log_density(rows, means, covariances, mode, reg):
-    """Log N(x | mean_c, cov_c) for every row and component: (n, k)."""
+    """Log N(x | mean_c, cov_c) for every row and component: (n, k).
+
+    One loop serves every mode: each component whitens its centred rows with
+    its :func:`_whitening` factor, which tied mode computes once for all.
+    """
     n, d = rows.shape
     k = means.shape[0]
     out = np.empty((n, k))
-    if mode == "diag":
-        for c in range(k):
-            var = covariances[c]
-            diff = rows - means[c]
-            q = ((diff * diff) / var[None, :]).sum(axis=1)
-            out[:, c] = -0.5 * (d * _LOG_2PI + np.log(var).sum() + q)
-        return out
     tied = _whitening(covariances, reg, 0) if mode == "tied" else None
     for c in range(k):
         logdet, linv_t = tied if tied is not None else _whitening(covariances[c], reg, c)
@@ -94,15 +102,17 @@ def _e_step(rows, weights, means, covariances, mode, reg):
     return resp, float(log_norm.mean())
 
 
-def _initial_covariances(rows, mode, reg, k):
-    d = rows.shape[1]
-    diff = rows - rows.mean(axis=0)
-    cov = diff.T @ diff / rows.shape[0] + reg * np.eye(d)
-    if mode == "full":
-        return np.repeat(cov[None, :, :], k, axis=0)
-    if mode == "diag":
-        return np.repeat(np.diag(cov)[None, :], k, axis=0)
-    return cov
+def _covariances(scatter, counts, total, mode, reg):
+    """Pool centred scatter matrices into the mode's covariances, plus reg*I.
+
+    ``scatter`` is (k, d, d), or one (1, d, d) matrix that all ``counts.size``
+    components share. Full divides each by its count, diag keeps the diagonal
+    of that, and tied sums them and divides by ``total``, the sample count.
+    """
+    cov = scatter.sum(axis=0) / total if mode == "tied" else scatter / counts[:, None, None]
+    diag = np.arange(cov.shape[-1])
+    cov[..., diag, diag] += reg
+    return cov[..., diag, diag] if mode == "diag" else cov
 
 
 def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
@@ -123,45 +133,30 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
 
     means = kmeans(rows, cfg).centroids.copy()
     weights = np.full(k, 1.0 / k)
-    covariances = _initial_covariances(rows, mode, reg, k)
+    centred = rows - rows.mean(axis=0)
+    covariances = _covariances((centred.T @ centred)[None], np.full(k, float(n)), n, mode, reg)
 
     trace = []
-    converged = False
     tiny = 10.0 * np.finfo(np.float64).eps
     for _ in range(cfg.max_iters):
         resp, mean_ll = _e_step(rows, weights, means, covariances, mode, reg)
-        if trace and mean_ll - trace[-1] <= cfg.tol:
-            trace.append(mean_ll)
-            converged = True
-            break
+        converged = bool(trace) and mean_ll - trace[-1] <= cfg.tol
         trace.append(mean_ll)
+        if converged:
+            break
 
         nk = resp.sum(axis=0)
         nk_safe = np.maximum(nk, tiny)
         weights = nk / n
         means = (resp.T @ rows) / nk_safe[:, None]
-        if mode == "full":
-            covariances = np.empty((k, d, d))
-            for c in range(k):
-                diff = rows - means[c]
-                covariances[c] = (diff * resp[:, c:c + 1]).T @ diff / nk_safe[c]
-                covariances[c][np.diag_indices(d)] += reg
-        elif mode == "diag":
-            covariances = np.empty((k, d))
-            for c in range(k):
-                diff = rows - means[c]
-                covariances[c] = (resp[:, c:c + 1] * diff * diff).sum(axis=0) / nk_safe[c] + reg
-        else:
-            pooled = np.zeros((d, d))
-            for c in range(k):
-                diff = rows - means[c]
-                pooled += (diff * resp[:, c:c + 1]).T @ diff
-            covariances = pooled / n
-            covariances[np.diag_indices(d)] += reg
-
-    # final E-step so labels always reflect the returned parameters (a no-op
-    # numerically when the loop broke on convergence)
-    resp, _ = _e_step(rows, weights, means, covariances, mode, reg)
+        scatter = np.empty((k, d, d))
+        for c in range(k):
+            diff = rows - means[c]
+            scatter[c] = (diff * resp[:, c:c + 1]).T @ diff
+        covariances = _covariances(scatter, nk_safe, n, mode, reg)
+    else:
+        # the last M-step moved the parameters: label the rows by the returned ones
+        resp, _ = _e_step(rows, weights, means, covariances, mode, reg)
     labels = np.argmax(resp, axis=1)
     model = GmmModel(weights=weights, means=means, covariances=covariances, mode=mode)
     return ClusterResult(

@@ -59,7 +59,6 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
 
     sizes = np.ones(n, dtype=np.int64)
     cluster_ids = np.arange(n)
-    active = np.ones(n, dtype=bool)
     merges = []
 
     for t in range(n - 1):
@@ -72,28 +71,18 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
         merged_size = int(sizes[i] + sizes[j])
         merges.append((int(min(a, b)), int(max(a, b)), height, merged_size))
 
-        others = active.copy()
-        others[i] = others[j] = False
-        idx = np.flatnonzero(others)
-        if idx.size:
-            if linkage == "average":
-                updated = (sizes[i] * dist[i, idx] + sizes[j] * dist[j, idx]) / (
-                    sizes[i] + sizes[j]
-                )
-            else:
-                total = sizes[i] + sizes[j] + sizes[idx]
-                updated = (
-                    (sizes[i] + sizes[idx]) * dist[i, idx]
-                    + (sizes[j] + sizes[idx]) * dist[j, idx]
-                    - sizes[idx] * height
-                ) / total
-            dist[i, idx] = updated
-            dist[idx, i] = updated
-
+        # Lance-Williams on the whole of row and column i: the diagonal and
+        # merged-away clusters hold inf, and the update keeps them inf
+        if linkage == "average":
+            updated = (sizes[i] * dist[i] + sizes[j] * dist[j]) / (sizes[i] + sizes[j])
+        else:
+            updated = (
+                (sizes[i] + sizes) * dist[i] + (sizes[j] + sizes) * dist[j] - sizes * height
+            ) / (sizes[i] + sizes[j] + sizes)
+        dist[i, :] = updated
+        dist[:, i] = updated
         dist[j, :] = np.inf
         dist[:, j] = np.inf
-        dist[i, i] = np.inf
-        active[j] = False
         sizes[i] += sizes[j]
         cluster_ids[i] = n + t
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from radclust.clustering import ClusterConfig, gmm
-from radclust.errors import ConfigError
+from radclust.errors import ConfigError, DegenerateComponentError
 from radclust.pipeline import synth_blobs
 
 # Per cell "data/mode/k[/max_iters=m]": labels, iterations, converged and the
@@ -16,6 +17,8 @@ from radclust.pipeline import synth_blobs
 # modes shared one E-step loop and one M-step loop.
 PINS = json.loads((Path(__file__).parent / "data" / "gmm_pins.json").read_text())
 PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (100, 4, 16, 6.0, 1.0, 1)}
+GMM = importlib.import_module("radclust.clustering.gmm")
+REG = 1e-6
 
 
 def same_partition(a, b):
@@ -59,6 +62,83 @@ class TestClosedForms:
         res = gmm(rows, ClusterConfig(k=2, seed=2), mode="diag")
         assert res.model.covariances.shape == (2, 2)
         assert np.all(res.model.covariances > 0.0)
+
+
+class TestCovariancePooling:
+    def test_k1_every_mode_is_the_biased_sample_covariance(self):
+        rng = np.random.RandomState(12)
+        mix = np.array([[2.0, 0.5, 0.0], [0.0, 1.0, -0.7], [0.0, 0.0, 0.3]])
+        rows = rng.randn(80, 3) @ mix + 40.0
+        expected = np.cov(rows.T, bias=True) + REG * np.eye(3)
+        full, diag, tied = (
+            gmm(rows, ClusterConfig(k=1, seed=0), mode=mode).model.covariances
+            for mode in ("full", "diag", "tied")
+        )
+        assert (full.shape, diag.shape, tied.shape) == ((1, 3, 3), (1, 3), (3, 3))
+        assert np.allclose(full[0], expected, rtol=1e-10, atol=1e-12)
+        assert np.allclose(diag[0], np.diag(expected), rtol=1e-10, atol=1e-12)
+        assert np.allclose(tied, expected, rtol=1e-10, atol=1e-12)
+
+    def test_separated_blobs_get_their_own_full_covariances(self):
+        rng = np.random.RandomState(13)
+        blobs = [
+            rng.randn(60, 2) @ np.array([[1.0, 0.0], [0.8, 0.4]]),
+            rng.randn(70, 2) @ np.array([[0.3, -0.5], [0.0, 1.5]]) + [40.0, 0.0],
+        ]
+        model = gmm(np.vstack(blobs), ClusterConfig(k=2, seed=13), mode="full").model
+        for blob in blobs:
+            c = int(np.argmin(np.linalg.norm(model.means - blob.mean(axis=0), axis=1)))
+            expected = np.cov(blob.T, bias=True) + REG * np.eye(2)
+            assert np.allclose(model.covariances[c], expected, rtol=0.0, atol=1e-9)
+
+    def test_initial_covariances_are_the_global_covariance_per_mode(self):
+        rng = np.random.RandomState(14)
+        rows = rng.randn(30, 2) * [3.0, 0.5]
+        centred = rows - rows.mean(axis=0)
+        scatter = (centred.T @ centred)[None]
+        expected = centred.T @ centred / 30 + REG * np.eye(2)
+        full, diag, tied = (
+            GMM._covariances(scatter, np.full(3, 30.0), 30, mode, REG)
+            for mode in ("full", "diag", "tied")
+        )
+        assert np.array_equal(full, np.repeat(expected[None], 3, axis=0))
+        assert np.array_equal(diag, np.repeat(np.diag(expected)[None], 3, axis=0))
+        assert np.array_equal(tied, expected)
+
+
+class TestWhitening:
+    def test_diag_variances_take_the_closed_form(self):
+        var = np.array([4.0, 0.25, 9.0])
+        logdet, linv_t = GMM._whitening(var, REG, 0)
+        assert logdet == pytest.approx(np.log(9.0))
+        assert np.array_equal(linv_t, np.diag([0.5, 2.0, 1.0 / 3.0]))
+
+    def test_singular_psd_matrix_escalates_to_a_finite_factor(self):
+        cov = np.array([[1.0, 1.0], [1.0, 1.0]])
+        logdet, linv_t = GMM._whitening(cov, REG, 0)
+        assert np.isfinite(logdet) and np.all(np.isfinite(linv_t))
+        # the factor whitens cov + reg*I, the first shift that factors
+        whitened = linv_t.T @ (cov + REG * np.eye(2)) @ linv_t
+        assert np.allclose(whitened, np.eye(2), atol=1e-6)
+
+    def test_negative_definite_matrix_names_its_component(self):
+        with pytest.raises(DegenerateComponentError) as info:
+            GMM._whitening(-np.eye(3), 1e-6, 4)
+        assert info.value.component == 4
+
+
+class TestFinalEStep:
+    @pytest.mark.parametrize("mode", ["tied", "diag", "full"])
+    def test_closing_e_step_runs_only_after_max_iters(self, monkeypatch, mode):
+        calls = []
+        e_step = GMM._e_step
+        monkeypatch.setattr(GMM, "_e_step", lambda *a: calls.append(1) or e_step(*a))
+        rows, _ = two_blobs(seed=15)
+        converged = gmm(rows, ClusterConfig(k=2, seed=15), mode=mode)
+        assert converged.converged and len(calls) == converged.iterations
+        calls.clear()
+        capped = gmm(rows, ClusterConfig(k=2, seed=15, tol=1e-300, max_iters=2), mode=mode)
+        assert not capped.converged and len(calls) == capped.iterations + 1 == 3
 
 
 class TestEmBehavior:
