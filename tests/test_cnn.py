@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import zlib
 
@@ -246,6 +247,64 @@ class TestForward:
     def test_feature_vector_validation(self):
         with pytest.raises(ShapeError):
             FeatureVector(values=np.zeros(8))
+
+
+def _sha(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+class TestPinnedBytes:
+    """sha256 pins of the seeded weight files and of every forward activation."""
+
+    WEIGHT_FILES = {
+        0: "d6c8ecb376c39f4ffd5090e654602e82e00931e8febe0fc1626c8c5bcde898ab",
+        1: "9b16ebb895e1f3b14aef84b88c4c139d64f8151ca7555d274e933b68b914eed8",
+        42: "e007a1bb881441acc164dc8b8b644379d07e684b1e7b7d00dc443395be1c026b",
+    }
+    # the feature vector, then the seven return_activations entries
+    ACTIVATIONS = {
+        "uniform": [
+            "e26d405452e22f25969505c73dc7fa839bec282f9bf288b6dd94f1fe82575db5",
+            "23e84916f65da2b63d3eee3a2d2c01a7f7d13f0dc542565dc89936c47610f0b1",
+            "81c4951362e7fe7458cc46701743ce871d2d87f17e669c9bc9a081b968018669",
+            "fc5d90c09fbadac22c94bb128e352eee9693f552848c537018025226f63e5227",
+            "6af952337f945316f1647c56f1bbd8dc211c734c16c89034a6ea9b6ae43047c6",
+            "492bd7d10b7be5f33442a384db7a84c688d5a7185c3d6d0030cf8a6854221354",
+            "183399f4bb5626454dda365a1f04332c5b7854ad8924cc3aedb286ea925a97de",
+            "e26d405452e22f25969505c73dc7fa839bec282f9bf288b6dd94f1fe82575db5",
+        ],
+        "padded": [
+            "85cff25c4663e68ac733a381dab34ac3b3edc312b8ae0668584b9bb601177853",
+            "d7872dbc747892fe9ebcc435e04ff13a3fd5fbb13f75617df292e323ad28e211",
+            "8f85ca03d3fa8a7881e2299b0286a18eb9dad32dd6d3f187f0d149d87ad939b6",
+            "b9b92b6286e8e4b380594ee6c83e6d0c548fcba78e749d7c739d4b2bdeaf8780",
+            "598c5a0521d293a808df72dfbe46e55e142adc0e1c578978fa2c3fda18dbd2f2",
+            "fcafd3e2b094c4f444da307adfc54a834154294dd0678de1051b64e2cb01691e",
+            "0f4e6586ef08b72913dd043d6821449a167c97477febc5c9bff4d1a903161c97",
+            "85cff25c4663e68ac733a381dab34ac3b3edc312b8ae0668584b9bb601177853",
+        ],
+    }
+
+    @pytest.mark.parametrize("seed", sorted(WEIGHT_FILES))
+    def test_seeded_weight_file(self, seed):
+        assert _sha(save_weights(init_weights(CnnSpec(), seed))) == self.WEIGHT_FILES[seed]
+
+    def test_activations_with_nonzero_biases(self):
+        # the weights and inputs of test_nonzero_biases_match_relu_before_pool_order
+        rng = np.random.RandomState(14)
+        base = init_weights(CnnSpec(), 10)
+        ws = WeightSet(
+            conv_kernels=base.conv_kernels,
+            conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
+            dense_weights=base.dense_weights,
+            dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
+        )
+        padded = np.zeros((128, 128, 1))
+        padded[24:104, 32:96] = rng.rand(80, 64, 1)
+        for name, x in (("uniform", np.asarray(RngStream_like_input())), ("padded", padded)):
+            fv, acts = forward(x, ws, return_activations=True)
+            got = [_sha(fv.values.tobytes())] + [_sha(a.tobytes()) for a in acts]
+            assert got == self.ACTIVATIONS[name], name
 
 
 def RngStream_like_input():
