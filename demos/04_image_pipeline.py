@@ -46,7 +46,7 @@ for entry in read_manifest((base / "manifest.csv").read_bytes()):
 # fixed random projection here; externally trained weights would load from
 # a weight file instead.
 weights = init_weights(CnnSpec(), seed=4)
-vectors = [forward(t, weights, image_id=i).values for t, i in zip(tensors, ids)]
+vectors = [forward(t, weights).values for t in tensors]
 fm = FeatureMatrix(rows=np.array(vectors), ids=ids)
 print(f"extracted features: n={fm.n}, d={fm.d}")
 

@@ -1,10 +1,15 @@
-"""Forward-only convolutional feature extractor.
+"""Forward-only convolutional feature extractor with one fixed topology.
 
-The network is fixed: four 3x3 same-padding convolution blocks with 64, 64,
-128, and 128 filters, each followed by ReLU, dropout, and 2x2 max pooling,
-then a flatten and two dense layers of 64 (ReLU) and 16 (linear) units. On a
-128x128x1 input the activations run 64x64x64 -> 32x32x64 -> 16x16x128 ->
-8x8x128 -> 8192 -> 64 -> 16.
+The topology is written once, as the module constants below and the layer
+table :data:`LAYERS` derived from them: one ``(name, weight shape)`` pair per
+weighted layer, in forward order, which is also the order of the weight file.
+Four 3x3 same-padding convolutions (``conv1``-``conv4``, 64, 64, 128 and 128
+filters) each run conv, 2x2 max pool, dropout, ReLU; a flatten feeds two
+dense layers (``dense1``, 64 units with ReLU; ``dense2``, 16 linear units).
+On a 128x128x1 input the activations run 64x64x64 -> 32x32x64 -> 16x16x128
+-> 8x8x128 -> 8192 -> 64 -> 16. :class:`CnnSpec`, :class:`WeightSet`,
+:func:`init_weights`, :func:`forward` and :func:`load_weights` all read the
+table.
 
 There is no training here. The default weights are He-normal draws from a
 seeded stream (a random-projection feature extractor); externally trained
@@ -13,15 +18,14 @@ is the identity map, kept in the layer sequence only for fidelity to the
 architecture. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
 
-``forward`` applies each block as conv, max pool, dropout, ReLU: ReLU is
-monotone, so it commutes with max bit for bit, and running it after the pool
-touches a quarter of the values.
+Each block pools before its ReLU: ReLU is monotone, so it commutes with max
+bit for bit, and running it after the pool touches a quarter of the values.
 """
 
 import math
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,61 +36,53 @@ from .numerics import RngStream
 WEIGHTS_MAGIC = b"OCNN"
 WEIGHTS_VERSION = 1
 
+INPUT_SHAPE = (128, 128, 1)
+KERNEL_SIZE = 3
+CONV_FILTERS = (64, 64, 128, 128)
+DENSE_WIDTHS = (64, 16)
 
-@dataclass(frozen=True)
+
+def _layer_table():
+    """(name, weight shape) per weighted layer, in forward and weight-file order."""
+    layers, cin = [], INPUT_SHAPE[2]
+    for i, cout in enumerate(CONV_FILTERS, 1):
+        layers.append((f"conv{i}", (cout, cin, KERNEL_SIZE, KERNEL_SIZE)))
+        cin = cout
+    side = INPUT_SHAPE[0] >> len(CONV_FILTERS)
+    width = side * side * cin
+    for i, cout in enumerate(DENSE_WIDTHS, 1):
+        layers.append((f"dense{i}", (cout, width)))
+        width = cout
+    return tuple(layers)
+
+
+LAYERS = _layer_table()
+_CONV = len(CONV_FILTERS)
+
+
 class CnnSpec:
-    """The fixed layer topology; constructing any other shape is an error."""
-
-    conv_filters: tuple = (64, 64, 128, 128)
-    dense_widths: tuple = (64, 16)
-    kernel_size: int = 3
-    input_size: int = 128
-    input_channels: int = 1
-
-    def __post_init__(self):
-        if tuple(self.conv_filters) != (64, 64, 128, 128):
-            raise ShapeError(f"conv filter counts must be (64, 64, 128, 128), got {self.conv_filters}")
-        if tuple(self.dense_widths) != (64, 16):
-            raise ShapeError(f"dense widths must be (64, 16), got {self.dense_widths}")
-        if (self.kernel_size, self.input_size, self.input_channels) != (3, 128, 1):
-            raise ShapeError("kernel size, input size, and channels are fixed at 3, 128, 1")
+    """The network's one topology, read from :data:`LAYERS`; ``CnnSpec()`` takes no arguments."""
 
     def weight_shapes(self):
-        """Shapes of the six weight tensors in forward order."""
-        shapes = []
-        cin = self.input_channels
-        for cout in self.conv_filters:
-            shapes.append((cout, cin, self.kernel_size, self.kernel_size))
-            cin = cout
-        shapes.append((self.dense_widths[0], self.flatten_width()))
-        shapes.append((self.dense_widths[1], self.dense_widths[0]))
-        return shapes
-
-    def flatten_width(self):
-        side = self.input_size // (2 ** len(self.conv_filters))
-        return side * side * self.conv_filters[-1]
+        """The weight shape of each :data:`LAYERS` row, in forward order."""
+        return [shape for _, shape in LAYERS]
 
     def shape_chain(self):
         """Activation shapes after each block, then flatten and dense widths."""
-        chain = []
-        side = self.input_size
-        for cout in self.conv_filters:
-            side //= 2
-            chain.append((side, side, cout))
-        chain.append(self.flatten_width())
-        chain.extend(self.dense_widths)
-        return chain
-
-
-_LAYER_NAMES = ("conv1", "conv2", "conv3", "conv4", "dense1", "dense2")
+        side, widths = INPUT_SHAPE[0], [shape[0] for _, shape in LAYERS]
+        chain = [(side >> i, side >> i, cout) for i, cout in enumerate(widths[:_CONV], 1)]
+        return chain + [LAYERS[_CONV][1][1]] + widths[_CONV:]
 
 
 @dataclass(eq=False)
 class WeightSet:
-    """All network parameters: conv kernels/biases then dense weights/biases.
+    """All network parameters, one (weight, bias) pair per :data:`LAYERS` row.
 
-    ``provenance`` records where the values came from: ``"seed:<n>"`` for
-    seeded initialization or ``"external"`` for loaded files.
+    The conv rows fill ``conv_kernels``/``conv_biases`` and the dense rows
+    ``dense_weights``/``dense_biases``; every tensor must have its row's
+    shape and hold only finite values. ``provenance`` records where the
+    values came from: ``"seed:<n>"`` for seeded initialization or
+    ``"external"`` for loaded files.
     """
 
     conv_kernels: list
@@ -94,14 +90,14 @@ class WeightSet:
     dense_weights: list
     dense_biases: list
     provenance: str = "external"
-    spec: CnnSpec = field(default_factory=CnnSpec)
 
     def __post_init__(self):
-        if len(self.conv_kernels) != 4 or len(self.dense_weights) != 2:
-            raise ShapeError("expected 4 conv kernels and 2 dense weight matrices")
-        if len(self.conv_biases) != 4 or len(self.dense_biases) != 2:
-            raise ShapeError("expected 4 conv biases and 2 dense bias vectors")
-        for name, (w, b), expect in zip(_LAYER_NAMES, self.tensors(), self.spec.weight_shapes()):
+        n_conv, n_dense = _CONV, len(DENSE_WIDTHS)
+        if len(self.conv_kernels) != n_conv or len(self.dense_weights) != n_dense:
+            raise ShapeError(f"expected {n_conv} conv kernels and {n_dense} dense weight matrices")
+        if len(self.conv_biases) != n_conv or len(self.dense_biases) != n_dense:
+            raise ShapeError(f"expected {n_conv} conv biases and {n_dense} dense bias vectors")
+        for (name, expect), (w, b) in zip(LAYERS, self.tensors()):
             if w.shape != expect:
                 raise ShapeError(f"weight tensor shape {w.shape} does not match {expect}")
             if b.shape != (expect[0],):
@@ -110,6 +106,12 @@ class WeightSet:
             for tensor, what in ((w, kind), (b, "bias")):
                 if not np.all(np.isfinite(tensor)):
                     raise ShapeError(f"{name} {what} must be finite")
+
+    @classmethod
+    def from_pairs(cls, pairs, provenance="external"):
+        """Build from (weight, bias) pairs in :data:`LAYERS` order."""
+        weights, biases = [w for w, _ in pairs], [b for _, b in pairs]
+        return cls(weights[:_CONV], biases[:_CONV], weights[_CONV:], biases[_CONV:], provenance)
 
     def tensors(self):
         """(weight, bias) pairs in forward/serialization order."""
@@ -121,15 +123,15 @@ class WeightSet:
 
 @dataclass(eq=False)
 class FeatureVector:
-    """One image's 16-dimensional embedding."""
+    """One image's embedding: the finite output of ``dense2``, 16 float64 values."""
 
     values: np.ndarray
-    image_id: str = ""
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != (16,):
-            raise ShapeError(f"feature vector must have length 16, got shape {v.shape}")
+        width = DENSE_WIDTHS[-1]
+        if v.shape != (width,):
+            raise ShapeError(f"feature vector must have length {width}, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ShapeError("feature vector must be finite")
         self.values = v
@@ -178,19 +180,18 @@ def dropout(t, rate=0.5):
 def maxpool2d(t):
     """Non-overlapping 2x2 max pooling, stride 2, per channel, of an (h, w, c) tensor.
 
-    The result is the elementwise max of the four stride-2 slices, so any
-    memory layout of ``t`` (a transposed view from :func:`conv2d` included)
-    is read in place; the output keeps that layout. Max is exact, so the
-    value does not depend on the order the four slices are combined.
+    Two elementwise maxima over stride-2 slices: column pairs first, then
+    row pairs of that result. Any memory layout of ``t`` (a transposed view
+    from :func:`conv2d` included) is read in place, and the output keeps
+    that layout. Max is exact, so the value does not depend on the order
+    the four inputs of a window are combined.
     """
     t = np.asarray(t, dtype=np.float64)
     h, w, c = t.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max pooling needs even spatial dims, got {h}x{w}")
-    return np.maximum(
-        np.maximum(t[0::2, 0::2], t[0::2, 1::2]),
-        np.maximum(t[1::2, 0::2], t[1::2, 1::2]),
-    )
+    cols = np.maximum(t[:, 0::2], t[:, 1::2])
+    return np.maximum(cols[0::2], cols[1::2])
 
 
 def dense(v, w, b):
@@ -211,49 +212,29 @@ def flatten(t):
 def init_weights(spec, seed):
     """He-normal weights (std sqrt(2/fan_in)) from one seeded stream; zero biases.
 
-    Draw order is fixed: conv blocks 1-4 then the two dense layers, each
-    tensor filled in C order. fan_in is kh*kw*cin for convolutions and the
-    input width for dense layers.
+    Draw order is fixed: the :data:`LAYERS` rows in order, each tensor filled
+    in C order. fan_in is the product of a weight shape's trailing
+    dimensions: cin*kh*kw for a convolution, the input width for a dense
+    layer.
     """
     stream = RngStream(seed)
-    conv_kernels, conv_biases, dense_weights, dense_biases = [], [], [], []
+    pairs = []
     for shape in spec.weight_shapes():
-        if len(shape) == 4:
-            fan_in = shape[1] * shape[2] * shape[3]
-        else:
-            fan_in = shape[1]
-        std = math.sqrt(2.0 / fan_in)
-        values = (stream.gaussians(int(np.prod(shape))) * std).astype(np.float32)
-        tensor = values.reshape(shape)
-        bias = np.zeros(shape[0], dtype=np.float32)
-        if len(shape) == 4:
-            conv_kernels.append(tensor)
-            conv_biases.append(bias)
-        else:
-            dense_weights.append(tensor)
-            dense_biases.append(bias)
-    return WeightSet(
-        conv_kernels=conv_kernels,
-        conv_biases=conv_biases,
-        dense_weights=dense_weights,
-        dense_biases=dense_biases,
-        provenance=f"seed:{seed}",
-        spec=spec,
-    )
+        std = math.sqrt(2.0 / math.prod(shape[1:]))
+        values = (stream.gaussians(math.prod(shape)) * std).astype(np.float32)
+        pairs.append((values.reshape(shape), np.zeros(shape[0], dtype=np.float32)))
+    return WeightSet.from_pairs(pairs, provenance=f"seed:{seed}")
 
 
-def forward(t, weights, image_id="", return_activations=False):
-    """Run the network on a (128, 128, 1) tensor and return a FeatureVector.
+def forward(t, weights, return_activations=False):
+    """Run the network on an :data:`INPUT_SHAPE` tensor and return a FeatureVector.
 
     With ``return_activations=True`` also returns the list of post-block
     activations plus the flatten and dense outputs, for shape inspection.
     """
     x = t.values if isinstance(t, PixelTensor) else np.asarray(t, dtype=np.float64)
-    spec = weights.spec
-    expect = (spec.input_size, spec.input_size, spec.input_channels)
-    if x.shape != expect:
-        raise ShapeError(f"input tensor shape {x.shape} does not match {expect}")
-    x = x.astype(np.float64)
+    if x.shape != INPUT_SHAPE:
+        raise ShapeError(f"input tensor shape {x.shape} does not match {INPUT_SHAPE}")
     activations = []
     for kernel, bias in zip(weights.conv_kernels, weights.conv_biases):
         x = relu(dropout(maxpool2d(conv2d(x, kernel, bias))))
@@ -264,10 +245,8 @@ def forward(t, weights, image_id="", return_activations=False):
     activations.append(hidden)
     out = dense(hidden, weights.dense_weights[1], weights.dense_biases[1])
     activations.append(out)
-    fv = FeatureVector(values=out, image_id=image_id)
-    if return_activations:
-        return fv, activations
-    return fv
+    fv = FeatureVector(values=out)
+    return (fv, activations) if return_activations else fv
 
 
 def save_weights(weights):
@@ -306,78 +285,60 @@ def _take(data, pos, count, what):
 def load_weights(data):
     """Parse bytes produced by :func:`save_weights` back into a WeightSet.
 
-    The shape table must match the fixed topology exactly; any deviation is
+    The shape table must match :data:`LAYERS` exactly; any deviation is
     reported as a shape-table error with the offending layer. A NaN or
     infinite float32 anywhere in the payload (weights or biases) is a
     ParseError naming its layer, with ``offset`` at the value's first byte.
+    So is any byte after the checksum, with ``offset`` at the first one.
     """
     data = bytes(data)
-    spec = CnnSpec()
     if data[:4] != WEIGHTS_MAGIC:
         raise ParseError(f"bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}", offset=0)
-    pos = 4
-    raw, pos = _take(data, pos, 1, "version")
+    raw, pos = _take(data, 4, 1, "version")
     version = raw[0]
     if version != WEIGHTS_VERSION:
         raise ParseError(f"unsupported weight file version {version}", offset=4)
     raw, pos = _take(data, pos, 4, "layer count")
     (count,) = struct.unpack("<I", raw)
-    expected = spec.weight_shapes()
+    expected = CnnSpec().weight_shapes()
     if count != len(expected):
         raise ParseError(
             f"shape table declares {count} layers, expected {len(expected)}", offset=5
         )
-    shapes = []
-    for i in range(count):
+    for i, shape in enumerate(expected):
         raw, pos = _take(data, pos, 4, f"layer {i} ndim")
         (ndim,) = struct.unpack("<I", raw)
-        if ndim != len(expected[i]):
+        if ndim != len(shape):
             raise ParseError(
-                f"shape table: layer {i} has {ndim} dims, expected {len(expected[i])}",
+                f"shape table: layer {i} has {ndim} dims, expected {len(shape)}",
                 offset=pos - 4,
             )
         raw, pos = _take(data, pos, 4 * ndim, f"layer {i} dims")
         dims = struct.unpack(f"<{ndim}I", raw)
-        if dims != expected[i]:
+        if dims != shape:
             raise ParseError(
-                f"shape table: layer {i} shape {dims} does not match {expected[i]}",
+                f"shape table: layer {i} shape {dims} does not match {shape}",
                 offset=pos - 4 * ndim,
             )
-        shapes.append(dims)
-    sizes = [int(np.prod(s)) + s[0] for s in shapes]
-    payload_len = 4 * sum(sizes)
+    # each layer's weight tensor, then its bias
+    ends = np.cumsum([n for shape in expected for n in (math.prod(shape), shape[0])])
     start = pos
-    payload, pos = _take(data, pos, payload_len, "payload")
+    payload, pos = _take(data, pos, 4 * int(ends[-1]), "payload")
     raw, pos = _take(data, pos, 4, "checksum")
+    if pos < len(data):
+        raise ParseError(f"unexpected data after the checksum at byte {pos}", offset=pos)
     (crc,) = struct.unpack("<I", raw)
     if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
         raise ParseError("payload checksum mismatch", offset=pos - 4)
-    bad = np.flatnonzero(~np.isfinite(np.frombuffer(payload, dtype="<f4")))
+    floats = np.frombuffer(payload, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(floats))
     if bad.size:
-        layer = int(np.searchsorted(np.cumsum(sizes), bad[0], side="right"))
+        layer = int(np.searchsorted(ends, bad[0], side="right")) // 2
         offset = start + 4 * int(bad[0])
         raise ParseError(
             f"layer {layer} holds a non-finite float32 at byte {offset}", offset=offset
         )
-    conv_kernels, conv_biases, dense_weights, dense_biases = [], [], [], []
-    at = 0
-    for s in shapes:
-        wn = int(np.prod(s))
-        w = np.frombuffer(payload, dtype="<f4", count=wn, offset=at).reshape(s).copy()
-        at += 4 * wn
-        b = np.frombuffer(payload, dtype="<f4", count=s[0], offset=at).copy()
-        at += 4 * s[0]
-        if len(s) == 4:
-            conv_kernels.append(w)
-            conv_biases.append(b)
-        else:
-            dense_weights.append(w)
-            dense_biases.append(b)
-    return WeightSet(
-        conv_kernels=conv_kernels,
-        conv_biases=conv_biases,
-        dense_weights=dense_weights,
-        dense_biases=dense_biases,
-        provenance="external",
-        spec=spec,
+    parts = np.split(floats.copy(), ends[:-1])
+    return WeightSet.from_pairs(
+        [(w.reshape(shape), b) for w, b, shape in zip(parts[0::2], parts[1::2], expected)]
     )

@@ -228,8 +228,9 @@ def write_labels(ids, labels):
 def read_labels(data):
     """Parse a labels CSV into (ids, label array).
 
-    A cluster id must be a non-negative integer that fits the platform's
-    index type; anything else is a ParseError carrying its line number.
+    A cluster id must be ASCII digits (a leading minus is read only so that
+    a negative id is reported as out of range) and fit the platform's index
+    type; anything else is a ParseError carrying its line number.
     """
     header, rows = _read_csv(data, "labels")
     if header != LABELS_HEADER:
@@ -238,10 +239,10 @@ def read_labels(data):
     for lineno, row in rows:
         if len(row) != 2:
             raise ParseError(f"labels line {lineno} must have 2 fields", line=lineno)
-        try:
-            label = int(row[1])
-        except ValueError:
-            raise _row_error("labels", lineno, "cluster is not an integer") from None
+        digits = row[1].removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise _row_error("labels", lineno, "cluster is not an integer")
+        label = int(row[1])
         if not 0 <= label <= _MAX_LABEL:
             raise _row_error("labels", lineno, f"cluster {label} outside [0, {_MAX_LABEL}]")
         labels.append(label)

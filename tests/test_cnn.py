@@ -214,17 +214,8 @@ class TestForward:
     def test_nonzero_biases_match_relu_before_pool_order(self):
         # forward pools before ReLU; with non-zero biases every activation
         # must still carry the bytes of the conv, ReLU, pool composition
-        rng = np.random.RandomState(14)
-        base = init_weights(CnnSpec(), 10)
-        ws = WeightSet(
-            conv_kernels=base.conv_kernels,
-            conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
-            dense_weights=base.dense_weights,
-            dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
-        )
-        padded = np.zeros((128, 128, 1))
-        padded[24:104, 32:96] = rng.rand(80, 64, 1)
-        for x in (np.asarray(RngStream_like_input()), padded):
+        ws, inputs = _nonzero_bias_case()
+        for x in inputs.values():
             _, acts = forward(x, ws, return_activations=True)
             expect = []
             manual = x
@@ -290,21 +281,26 @@ class TestPinnedBytes:
         assert _sha(save_weights(init_weights(CnnSpec(), seed))) == self.WEIGHT_FILES[seed]
 
     def test_activations_with_nonzero_biases(self):
-        # the weights and inputs of test_nonzero_biases_match_relu_before_pool_order
-        rng = np.random.RandomState(14)
-        base = init_weights(CnnSpec(), 10)
-        ws = WeightSet(
-            conv_kernels=base.conv_kernels,
-            conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
-            dense_weights=base.dense_weights,
-            dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
-        )
-        padded = np.zeros((128, 128, 1))
-        padded[24:104, 32:96] = rng.rand(80, 64, 1)
-        for name, x in (("uniform", np.asarray(RngStream_like_input())), ("padded", padded)):
+        ws, inputs = _nonzero_bias_case()
+        for name, x in inputs.items():
             fv, acts = forward(x, ws, return_activations=True)
             got = [_sha(fv.values.tobytes())] + [_sha(a.tobytes()) for a in acts]
             assert got == self.ACTIVATIONS[name], name
+
+
+def _nonzero_bias_case():
+    """Seed-10 weights with random non-zero biases; a uniform and a zero-padded input."""
+    rng = np.random.RandomState(14)
+    base = init_weights(CnnSpec(), 10)
+    ws = WeightSet(
+        conv_kernels=base.conv_kernels,
+        conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
+        dense_weights=base.dense_weights,
+        dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
+    )
+    padded = np.zeros((128, 128, 1))
+    padded[24:104, 32:96] = rng.rand(80, 64, 1)
+    return ws, {"uniform": np.asarray(RngStream_like_input()), "padded": padded}
 
 
 def RngStream_like_input():
@@ -348,6 +344,14 @@ class TestWeightsIO:
         data[-100] ^= 0xFF  # flip a payload byte, keep the stored CRC
         with pytest.raises(ParseError, match="checksum"):
             load_weights(bytes(data))
+
+    @pytest.mark.parametrize("extra", ["one-byte", "second-file"])
+    def test_bytes_after_checksum_rejected(self, extra):
+        data = save_weights(init_weights(CnnSpec(), 1))
+        tail = b"\x00" if extra == "one-byte" else data
+        with pytest.raises(ParseError, match="after the checksum") as exc:
+            load_weights(data + tail)
+        assert exc.value.offset == len(data)
 
     def test_version_mismatch(self):
         data = bytearray(save_weights(init_weights(CnnSpec(), 1)))

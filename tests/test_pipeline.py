@@ -160,6 +160,14 @@ class TestFeaturesIO:
             read_labels(f"id,cluster\na,0\nb,{value}\n")
         assert exc.value.line == 3
 
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "3 ", "+2", "", "-"],
+                             ids=["underscore", "arabic-indic", "leading-space",
+                                  "trailing-space", "plus", "empty", "minus-only"])
+    def test_label_not_ascii_digits_rejected(self, value):
+        with pytest.raises(ParseError, match="cluster is not an integer") as exc:
+            read_labels(f"id,cluster\na,0\nb,{value}\n")
+        assert exc.value.line == 3
+
 
 class TestSynth:
     def test_blob_centers_on_axes(self):
