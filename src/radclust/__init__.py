@@ -18,16 +18,12 @@ Every stochastic step runs off a seeded, platform-independent random stream
 results.
 """
 
-from .clustering import (
-    ClusterConfig,
-    ClusterResult,
-    agglomerative,
-    birch,
-    gmm,
-    kmeans,
-    minibatch_kmeans,
-    spectral,
-)
+from .clustering import ClusterConfig, ClusterResult
+from .clustering.birch import birch
+from .clustering.gmm import gmm
+from .clustering.hierarchy import agglomerative
+from .clustering.kmeans import kmeans, minibatch_kmeans
+from .clustering.spectral import spectral
 from .features import FeatureMatrix
 from .metrics import SilhouetteReport, silhouette, sse
 from .numerics import RngStream, cholesky, mix_seed, pairwise_distances, sym_eigen

@@ -143,18 +143,35 @@ def _manifest_dir(args):
     return Path(args.in_dir) if args.in_dir else Path(args.manifest).parent
 
 
+def _output_names(entries, manifest, what, name_of):
+    """The output name ``name_of(Path(entry.path))`` of each entry.
+
+    Two entries with one name would overwrite each other's output, so they
+    raise a DataError naming both manifest paths. The commands call this
+    before they read any image, so a collision writes nothing.
+    """
+    paths = {}
+    for entry in entries:
+        name = name_of(Path(entry.path))
+        if name in paths:
+            raise DataError(f"manifest {manifest}: {paths[name]!r} and {entry.path!r} "
+                            f"give the same {what} {name!r}")
+        paths[name] = entry.path
+    return list(paths)
+
+
 def _cmd_preprocess(args):
     entries = pipeline.read_manifest(_read_file(args.manifest))
+    names = _output_names(entries, args.manifest, "output file", lambda path: path.name)
     in_dir = _manifest_dir(args)
     out_dir = Path(args.out_dir)
     _on_file("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
     out_entries = []
-    for entry in entries:
+    for entry, name in zip(entries, names):
         img = load_pgm(_read_file(in_dir / entry.path))
         if entry.crop is not None:
             img = crop(img, entry.crop)
         img = resize(img, args.size, args.size)
-        name = Path(entry.path).name
         _write_file(out_dir / name, save_pgm(img))
         out_entries.append(pipeline.ManifestEntry(path=name, age=entry.age, sex=entry.sex))
     _write_file(out_dir / "manifest.csv", pipeline.write_manifest(out_entries))
@@ -165,6 +182,7 @@ def _cmd_extract(args):
     entries = pipeline.read_manifest(_read_file(args.manifest))
     if not entries:
         raise DataError(f"manifest {args.manifest} lists no images")
+    ids = _output_names(entries, args.manifest, "feature id", lambda path: path.stem)
     in_dir = _manifest_dir(args)
     if args.weights:
         weights = load_weights(_read_file(args.weights))
@@ -172,11 +190,10 @@ def _cmd_extract(args):
         weights = init_weights(CnnSpec(), args.seed)
     if args.save_weights:
         _write_file(args.save_weights, save_weights(weights))
-    ids, vectors = [], []
+    vectors = []
     for entry in entries:
         img = load_pgm(_read_file(in_dir / entry.path))
         tensor = normalize(img)
-        ids.append(Path(entry.path).stem)
         vectors.append(forward(tensor, weights).values)
     fm = FeatureMatrix(rows=np.array(vectors), ids=ids)
     _write_file(args.out, pipeline.write_features(fm))

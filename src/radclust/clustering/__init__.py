@@ -1,31 +1,25 @@
 """Nine clustering variants over a shared config/result contract.
 
-Functions: :func:`kmeans`, :func:`minibatch_kmeans`, :func:`spectral`,
-:func:`agglomerative` (average or Ward linkage), :func:`birch`, and
-:func:`gmm` (tied, diag, or full covariance). All take an (n, d) feature
-matrix and a :class:`ClusterConfig` and return a :class:`ClusterResult`;
-all are deterministic under a fixed seed. Spectral, agglomerative and BIRCH
-also take ``prepared=``, the result of their module's ``prepare(x, cfg)``:
-the work that does not depend on k, done once and cut for each k.
+The package exports only the two shared records, :class:`ClusterConfig` and
+:class:`ClusterResult`; each family is its own module, so
+``radclust.clustering.<name>`` is the module and its constants and
+``prepare`` are addressable by dotted name:
+
+- :mod:`.kmeans`: ``kmeans`` (Lloyd, with restarts and Hartigan polish),
+  ``minibatch_kmeans``, and ``refine``, the seeded k-means global phase
+  that spectral and BIRCH run on their derived points;
+- :mod:`.spectral`: ``spectral``, on the normalized Laplacian's embedding;
+- :mod:`.hierarchy`: ``agglomerative``, average or Ward linkage;
+- :mod:`.birch`: ``birch``, a CF tree followed by the global phase;
+- :mod:`.gmm`: ``gmm``, with tied, diag or full covariances.
+
+Every fit function takes an (n, d) feature matrix and a ClusterConfig and
+returns a ClusterResult, deterministically under a fixed seed; the package
+:mod:`radclust` re-exports them. Spectral, agglomerative and BIRCH also take
+``prepared=``, the result of their module's ``prepare(x, cfg)``: the work
+that does not depend on k, done once and cut for each k.
 """
 
 from .base import ClusterConfig, ClusterResult
-from .birch import CfTreeStats, birch
-from .gmm import GmmModel, gmm
-from .hierarchy import Dendrogram, agglomerative
-from .kmeans import kmeans, minibatch_kmeans
-from .spectral import spectral
 
-__all__ = [
-    "CfTreeStats",
-    "ClusterConfig",
-    "ClusterResult",
-    "Dendrogram",
-    "GmmModel",
-    "agglomerative",
-    "birch",
-    "gmm",
-    "kmeans",
-    "minibatch_kmeans",
-    "spectral",
-]
+__all__ = ["ClusterConfig", "ClusterResult"]

@@ -26,9 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..features import as_rows
-from ..numerics import RngStream, mix_seed, pairwise_distances, squared_distances
+from ..numerics import RngStream, pairwise_distances, squared_distances
 from .base import ClusterConfig, ClusterResult
-from .kmeans import kmeans
+from .kmeans import refine
 
 _THRESHOLD_SALT = 0x42495243
 _GLOBAL_SALT = 0x474C4F42
@@ -179,6 +179,12 @@ def default_threshold(rows):
     cluster through radius dilution. Above 256 rows the subsample is drawn
     from one fixed stream, so the threshold depends on the rows alone,
     not on a cell's seed or k.
+
+    When that median is 0 (half the sampled rows have an exact duplicate), the
+    threshold is a quarter of the smallest positive distance in the sample,
+    or 1.0 when every sampled row is identical: duplicates then absorb
+    despite the rounding residue of their radius, and no two distinct
+    sampled rows share an entry.
     """
     n = rows.shape[0]
     if n < 2:
@@ -190,9 +196,11 @@ def default_threshold(rows):
         sample = rows
     dist = pairwise_distances(sample)
     np.fill_diagonal(dist, np.inf)
-    nn = dist.min(axis=1)
-    threshold = float(np.median(nn))
-    return threshold if threshold > 0.0 else 1e-12
+    threshold = float(np.median(dist.min(axis=1)))
+    if threshold > 0.0:
+        return threshold
+    smallest = float(dist[dist > 0.0].min())  # the diagonal's inf when all rows are equal
+    return smallest / 4.0 if smallest < np.inf else 1.0
 
 
 @dataclass(eq=False)
@@ -240,31 +248,17 @@ def birch(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
     ``prepared`` is a :func:`prepare` result for the same rows; when given,
     ``x`` is not read and only the global phase runs. When the tree
     compresses below ``cfg.k`` entries the global phase runs with one
-    cluster per entry instead. ``diagnostics["polish"]`` is the global
-    k-means' polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
+    cluster per entry instead. The global phase is
+    :func:`~radclust.clustering.kmeans.refine`; ``diagnostics["polish"]`` is
+    its polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
     """
     if prepared is None:
         prepared = prepare(x, cfg)
     cfg.validate_for(prepared.entry_of.shape[0])
     stats = prepared.stats
-    inner_cfg = replace(
-        cfg,
-        k=min(cfg.k, stats.leaf_entry_count),
-        seed=mix_seed(cfg.seed, _GLOBAL_SALT),
-        init="kmeans++",
-        restarts=5,
-    )
-    inner = kmeans(prepared.centroids, inner_cfg)
-    return ClusterResult(
-        labels=inner.labels[prepared.entry_of],
-        centroids=inner.centroids,
-        objective_trace=inner.objective_trace,
-        iterations=inner.iterations,
-        converged=inner.converged,
-        model=stats,
-        diagnostics={
-            "threshold": stats.threshold,
-            "leaf_entries": stats.leaf_entry_count,
-            "polish": inner.diagnostics["polish"],
-        },
-    )
+    inner = refine(prepared.centroids, cfg, min(cfg.k, stats.leaf_entry_count), _GLOBAL_SALT)
+    return replace(inner, labels=inner.labels[prepared.entry_of], model=stats, diagnostics={
+        "threshold": stats.threshold,
+        "leaf_entries": stats.leaf_entry_count,
+        "polish": inner.diagnostics["polish"],
+    })

@@ -7,11 +7,12 @@ exactly.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from ..features import as_rows
-from ..numerics import RngStream, squared_distances
+from ..numerics import RngStream, mix_seed, squared_distances
 from .base import ClusterConfig, ClusterResult
 
 _MAX_POLISH_PASSES = 200
@@ -230,6 +231,18 @@ def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
     return best
+
+
+def refine(points, cfg: ClusterConfig, k, salt) -> ClusterResult:
+    """The global phase of a two-stage fit: :func:`kmeans` on derived points.
+
+    Spectral clustering runs it on its row-normalized embedding, BIRCH on
+    its leaf-entry centroids. It clusters ``points`` into ``k`` groups with
+    kmeans++ starts and 5 restarts, seeded by mixing ``cfg.seed`` with the
+    caller's ``salt``; the other fields of ``cfg`` carry over.
+    """
+    inner_cfg = replace(cfg, k=k, seed=mix_seed(cfg.seed, salt), init="kmeans++", restarts=5)
+    return kmeans(points, inner_cfg)
 
 
 def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:

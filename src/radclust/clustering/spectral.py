@@ -17,9 +17,9 @@ import numpy as np
 
 from ..errors import ConfigError
 from ..features import as_rows
-from ..numerics import mix_seed, squared_distances, sym_eigen
+from ..numerics import squared_distances, sym_eigen
 from .base import ClusterConfig, ClusterResult
-from .kmeans import kmeans
+from .kmeans import refine
 
 _EMBED_SALT = 0x53504543
 _DENSE_CAP = 2000
@@ -95,8 +95,9 @@ def spectral(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
     ``prepared`` is a :func:`prepare` result for the same rows with at least
     ``cfg.k`` columns; when given, ``x`` is not read. Points whose degree
     underflows to zero are embedded at the origin and listed in
-    ``diagnostics["isolated_points"]``. ``diagnostics["polish"]`` is the
-    inner k-means' polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
+    ``diagnostics["isolated_points"]``. The embedding is clustered by
+    :func:`~radclust.clustering.kmeans.refine`; ``diagnostics["polish"]`` is
+    its polish record (see :func:`~radclust.clustering.kmeans.kmeans`).
     See :func:`prepare` for ``sigma`` and the size limit.
     """
     if prepared is None:
@@ -108,20 +109,10 @@ def spectral(x, cfg: ClusterConfig, prepared=None) -> ClusterResult:
     embedding = prepared.basis[:, :cfg.k].copy()
     norms = np.sqrt((embedding * embedding).sum(axis=1))
     embedding /= np.where(norms > 0.0, norms, 1.0)[:, None]
-    inner = kmeans(
-        embedding,
-        replace(cfg, seed=mix_seed(cfg.seed, _EMBED_SALT), init="kmeans++", restarts=5),
-    )
-    return ClusterResult(
-        labels=inner.labels,
-        centroids=None,
-        objective_trace=inner.objective_trace,
-        iterations=inner.iterations,
-        converged=inner.converged,
-        diagnostics={
-            "sigma": prepared.sigma,
-            "isolated_points": list(prepared.isolated_points),
-            "laplacian_min_eigenvalue": prepared.laplacian_min_eigenvalue,
-            "polish": inner.diagnostics["polish"],
-        },
-    )
+    inner = refine(embedding, cfg, cfg.k, _EMBED_SALT)
+    return replace(inner, centroids=None, diagnostics={
+        "sigma": prepared.sigma,
+        "isolated_points": list(prepared.isolated_points),
+        "laplacian_min_eigenvalue": prepared.laplacian_min_eigenvalue,
+        "polish": inner.diagnostics["polish"],
+    })

@@ -22,6 +22,7 @@ a double quote, a CR or an LF):
 import csv
 import functools
 import io
+import itertools
 import numbers
 import time
 import types
@@ -29,10 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, minibatch_kmeans, spectral
-from .clustering.birch import prepare as prepare_tree
-from .clustering.hierarchy import prepare as prepare_dendrogram
-from .clustering.spectral import prepare as prepare_embedding
+from .clustering import ClusterConfig, birch, gmm, hierarchy, kmeans, spectral
 from .errors import BoundsError, ConfigError, ParseError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
@@ -61,17 +59,17 @@ def _prepared(fit, prepare, **options):
 
 # Table order of the nine variants: slug, display name, runner.
 ALGORITHMS = [
-    ("kmeans", "K-Means", kmeans),
-    ("minibatch-kmeans", "Mini batch K-means", minibatch_kmeans),
-    ("spectral", "Spectral clustering", _prepared(spectral, prepare_embedding)),
+    ("kmeans", "K-Means", kmeans.kmeans),
+    ("minibatch-kmeans", "Mini batch K-means", kmeans.minibatch_kmeans),
+    ("spectral", "Spectral clustering", _prepared(spectral.spectral, spectral.prepare)),
     ("agglomerative-ward", "Agglomerative Ward clustering",
-     _prepared(agglomerative, prepare_dendrogram, linkage="ward")),
+     _prepared(hierarchy.agglomerative, hierarchy.prepare, linkage="ward")),
     ("agglomerative-average", "Agglomerative average clustering",
-     _prepared(agglomerative, prepare_dendrogram, linkage="average")),
-    ("birch", "Birch clustering", _prepared(birch, prepare_tree)),
-    ("gmm-tied", "Gaussian mixture (Tied)", lambda x, cfg: gmm(x, cfg, mode="tied")),
-    ("gmm-diag", "Gaussian mixture (Diag)", lambda x, cfg: gmm(x, cfg, mode="diag")),
-    ("gmm-full", "Gaussian mixture (Full)", lambda x, cfg: gmm(x, cfg, mode="full")),
+     _prepared(hierarchy.agglomerative, hierarchy.prepare, linkage="average")),
+    ("birch", "Birch clustering", _prepared(birch.birch, birch.prepare)),
+    ("gmm-tied", "Gaussian mixture (Tied)", functools.partial(gmm.gmm, mode="tied")),
+    ("gmm-diag", "Gaussian mixture (Diag)", functools.partial(gmm.gmm, mode="diag")),
+    ("gmm-full", "Gaussian mixture (Full)", functools.partial(gmm.gmm, mode="full")),
 ]
 ALGORITHM_SLUGS = [slug for slug, _, _ in ALGORITHMS]
 
@@ -263,13 +261,10 @@ def synth_blobs(n_per_blob, n_blobs, d, separation, noise_sigma, seed):
         raise ConfigError("separation and noise_sigma must be positive")
     if n_blobs > 2 * d:
         raise ConfigError(f"cannot place {n_blobs} blobs along {d} axes (max {2 * d})")
+    blobs = np.arange(n_blobs)
     centers = np.zeros((n_blobs, d))
-    for b in range(n_blobs):
-        if b < d:
-            centers[b, b] = separation
-        else:
-            centers[b, b - d] = -separation
-    labels = np.repeat(np.arange(n_blobs), n_per_blob)
+    centers[blobs, blobs % d] = np.where(blobs < d, separation, -separation)
+    labels = np.repeat(blobs, n_per_blob)
     n = n_blobs * n_per_blob
     noise = RngStream(seed).gaussians(n * d).reshape(n, d) * noise_sigma
     rows = centers[labels] + noise
@@ -463,16 +458,21 @@ def render_report_csv(report, include_runtime=False):
     return _write_csv(["algorithm", "k", "silhouette", "runtime_ms", "converged"], rows)
 
 
-def _chart_series(report):
-    """Per-algorithm lists of (k, silhouette), in first-appearance order."""
-    series = {}
-    order = []
-    for row in report.rows:
-        if row.algorithm not in series:
-            series[row.algorithm] = []
-            order.append(row.algorithm)
-        series[row.algorithm].append((row.k, row.silhouette))
-    return [(name, series[name]) for name in order]
+def _fmt(value):
+    """An SVG coordinate: an int as written, a float to one decimal place."""
+    return f"{value:.1f}" if isinstance(value, float) else str(value)
+
+
+def _line(x1, y1, x2, y2, stroke):
+    return (f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
+            f'stroke="{stroke}" stroke-width="1"/>')
+
+
+def _text(x, y, size, body, anchor="middle", extra=""):
+    """A sans-serif label; ``anchor=None`` leaves text-anchor out."""
+    anchor = f' text-anchor="{anchor}"' if anchor else ""
+    return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor} font-family="sans-serif" '
+            f'font-size="{size}"{extra}>{body}</text>')
 
 
 def render_chart_svg(report):
@@ -483,15 +483,12 @@ def render_chart_svg(report):
     """
     width, height = 760, 480
     left, right, top, bottom = 70, 540, 40, 430
-    series = _chart_series(report)
-    ks = sorted({row.k for row in report.rows})
-    if not ks:
-        ks = [2]
-    k_min, k_max = min(ks), max(ks)
-    span = (k_max - k_min) or 1
+    mid_x, mid_y = (left + right) / 2, (top + bottom) / 2
+    ks = sorted({row.k for row in report.rows}) or [2]
+    span = (ks[-1] - ks[0]) or 1
 
     def sx(k):
-        return left + (right - left) * (k - k_min) / span
+        return left + (right - left) * (k - ks[0]) / span
 
     def sy(v):
         return bottom - (bottom - top) * v
@@ -501,80 +498,39 @@ def render_chart_svg(report):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}">',
         f'<rect x="0" y="0" width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{(left + right) / 2:.1f}" y="22" text-anchor="middle" '
-        'font-family="sans-serif" font-size="15">Mean silhouette by cluster count</text>',
+        _text(mid_x, 22, 15, "Mean silhouette by cluster count"),
     ]
-    for tick in range(6):
-        v = tick / 5.0
-        y = sy(v)
-        parts.append(
-            f'<line x1="{left}" y1="{y:.1f}" x2="{right}" y2="{y:.1f}" '
-            'stroke="#dddddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{left - 8}" y="{y + 4:.1f}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{v:.1f}</text>'
-        )
+    for v in (tick / 5.0 for tick in range(6)):
+        parts += [_line(left, sy(v), right, sy(v), "#dddddd"),
+                  _text(left - 8, sy(v) + 4, 11, f"{v:.1f}", anchor="end")]
     for k in ks:
-        x = sx(k)
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{bottom}" x2="{x:.1f}" y2="{bottom + 5}" '
-            'stroke="#333333" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{bottom + 18}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{k}</text>'
-        )
-    parts.append(
-        f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" '
-        'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" '
-        'stroke="#333333" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{(left + right) / 2:.1f}" y="{bottom + 36}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12">clusters</text>'
-    )
-    parts.append(
-        f'<text x="20" y="{(top + bottom) / 2:.1f}" text-anchor="middle" '
-        'font-family="sans-serif" font-size="12" '
-        f'transform="rotate(-90 20 {(top + bottom) / 2:.1f})">silhouette</text>'
-    )
+        parts += [_line(sx(k), bottom, sx(k), bottom + 5, "#333333"),
+                  _text(sx(k), bottom + 18, 11, k)]
+    parts += [
+        _line(left, bottom, right, bottom, "#333333"),
+        _line(left, top, left, bottom, "#333333"),
+        _text(mid_x, bottom + 36, 12, "clusters"),
+        _text(20, mid_y, 12, "silhouette", extra=f' transform="rotate(-90 20 {mid_y:.1f})"'),
+    ]
 
-    for index, (name, points) in enumerate(series):
+    series = {}  # algorithm -> [(k, silhouette)], in first-appearance order
+    for row in report.rows:
+        series.setdefault(row.algorithm, []).append((row.k, row.silhouette))
+    for index, (name, points) in enumerate(series.items()):
         color = _CHART_COLORS[index % len(_CHART_COLORS)]
-        runs, current = [], []
-        for k, v in points:
-            if v is None:
-                if current:
-                    runs.append(current)
-                current = []
+        for blank, run in itertools.groupby(points, key=lambda point: point[1] is None):
+            if blank:
+                continue
+            xy = [(f"{sx(k):.1f}", f"{sy(min(max(v, 0.0), 1.0)):.1f}") for k, v in run]
+            if len(xy) >= 2:
+                coords = " ".join(f"{x},{y}" for x, y in xy)
+                parts.append(f'<polyline points="{coords}" fill="none" stroke="{color}" '
+                             'stroke-width="2"/>')
             else:
-                current.append((k, min(max(v, 0.0), 1.0)))
-        if current:
-            runs.append(current)
-        for run in runs:
-            if len(run) >= 2:
-                coords = " ".join(f"{sx(k):.1f},{sy(v):.1f}" for k, v in run)
-                parts.append(
-                    f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                    'stroke-width="2"/>'
-                )
-            else:
-                k, v = run[0]
-                parts.append(
-                    f'<circle cx="{sx(k):.1f}" cy="{sy(v):.1f}" r="3.5" fill="{color}"/>'
-                )
+                parts.append(f'<circle cx="{xy[0][0]}" cy="{xy[0][1]}" r="3.5" fill="{color}"/>')
         ly = 50 + index * 22
-        parts.append(
-            f'<rect x="{right + 20}" y="{ly - 9}" width="14" height="14" fill="{color}"/>'
-        )
-        parts.append(
-            f'<text x="{right + 40}" y="{ly + 2}" font-family="sans-serif" '
-            f'font-size="11">{name}</text>'
-        )
+        parts += [f'<rect x="{right + 20}" y="{ly - 9}" width="14" height="14" fill="{color}"/>',
+                  _text(right + 40, ly + 2, 11, name, anchor=None)]
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from radclust.clustering import ClusterConfig, agglomerative, birch, gmm, kmeans, spectral
+from radclust import ClusterConfig, agglomerative, gmm, kmeans, spectral
 from radclust.clustering.birch import _CfTree, default_threshold
 from radclust.cli import cli_main
 from radclust.cnn import (
@@ -26,7 +26,7 @@ from radclust.errors import ParseError
 from radclust.features import FeatureMatrix
 from radclust.imaging import load_pgm, save_pgm
 from radclust.metrics import silhouette
-from radclust.numerics import RngStream, cholesky, pairwise_distances, sym_eigen
+from radclust.numerics import RngStream, cholesky, sym_eigen
 from radclust.pipeline import (
     ManifestEntry,
     read_features,

@@ -1,15 +1,12 @@
 import hashlib
-import importlib
 
 import numpy as np
 import pytest
 
-from radclust.clustering import ClusterConfig, birch
+import radclust.clustering.birch as BIRCH_MODULE
+from radclust import ClusterConfig, birch
 from radclust.clustering.birch import _CfTree, default_threshold
 from radclust.pipeline import synth_blobs
-
-# The package re-exports the function under the module's name.
-BIRCH_MODULE = importlib.import_module("radclust.clustering.birch")
 
 
 def radius(tree, e):
@@ -75,6 +72,16 @@ PINNED_TREES = {
     (8, "repeated"): (40, 132, "0x1.19799812dea11p-40",
                       "4396497df58188f9f534b1c7c42253a98814ce246fbbffa7335996aa54071516",
                       "a2aa06a74dbbadc99ee6ca3fced929e358a5a2cdb3b89f28a83c091414c992ac"),
+}
+
+
+# rows made of exact duplicates, so the median nearest-neighbour distance is 0,
+# and the number of distinct rows; the first `distinct` rows are the distinct ones
+DUPLICATED = {
+    "constant-1d": (np.full((50, 1), 0.1), 1),
+    "constant-2d": (np.tile([0.1, 0.3], (50, 1)), 1),
+    "30-rows-10-times": (np.tile(np.random.RandomState(31).randn(30, 4), (10, 1)), 30),
+    "near-1e6": (np.tile([[1e6], [1e6 + 1.0], [1e6 + 2.5]], (40, 1)), 3),
 }
 
 
@@ -184,6 +191,13 @@ class TestBirch:
         assert res.model.leaf_entry_count >= 50
         assert res.model.node_count > 10
 
+    def test_branching_patchable_by_dotted_name(self, monkeypatch):
+        rows = np.random.RandomState(2).randn(60, 2) * 10.0
+        cfg = ClusterConfig(k=3, seed=3, birch_threshold=0.1)
+        wide = birch(rows, cfg).model.node_count
+        monkeypatch.setattr("radclust.clustering.birch._BRANCHING", 3)
+        assert birch(rows, cfg).model.node_count > wide
+
     def test_separated_blobs_recovered(self):
         rng = np.random.RandomState(4)
         rows = np.vstack([rng.randn(50, 2) * 0.2, rng.randn(50, 2) * 0.2 + 12.0])
@@ -204,6 +218,19 @@ class TestBirch:
         t2 = default_threshold(rows + 55.0)
         assert t1 > 0.0
         assert t1 == pytest.approx(t2, rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(DUPLICATED))
+    def test_default_threshold_absorbs_exact_duplicates(self, name):
+        rows, distinct = DUPLICATED[name]
+        tree = BIRCH_MODULE.prepare(rows, ClusterConfig(k=1))
+        assert tree.stats.leaf_entry_count == distinct
+        # one entry per distinct row: entries and distinct rows pair up one to one
+        assert len({(row.tobytes(), e) for row, e in zip(rows, tree.entry_of)}) == distinct
+        if distinct == 1:
+            assert tree.stats.threshold == 1.0
+        else:
+            gaps = [np.linalg.norm(a - b) for a in rows[:distinct] for b in rows[:distinct]]
+            assert tree.stats.threshold == pytest.approx(min(g for g in gaps if g > 0) / 4)
 
     def test_translation_invariance(self):
         rng = np.random.RandomState(10)

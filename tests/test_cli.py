@@ -122,6 +122,27 @@ class TestPreprocessAndExtract:
         assert code == 2
 
 
+    @pytest.mark.parametrize("command", ["preprocess", "extract"])
+    def test_colliding_output_names_exit_2_and_write_nothing(self, tmp_path, capsys, command):
+        # a/x.pgm and b/x.pgm would both write x.pgm (preprocess) and feature id x (extract)
+        imgs, _, _ = synth_textured_images(1, 128, seed=0)
+        for sub, img in zip(("a", "b"), imgs):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "x.pgm").write_bytes(save_pgm(img))
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(write_manifest([ManifestEntry(path="a/x.pgm"),
+                                             ManifestEntry(path="b/x.pgm")]))
+        out = tmp_path / "out"
+        flags = ["--out-dir", str(out)] if command == "preprocess" else [
+            "--out", str(out), "--save-weights", str(tmp_path / "w.bin")]
+        before = sorted(tmp_path.rglob("*"))
+        assert run([command, "--manifest", str(manifest), *flags]) == 2
+        err = capsys.readouterr().err
+        name = "x.pgm" if command == "preprocess" else "x"
+        assert "'a/x.pgm' and 'b/x.pgm' give the same" in err and f"{name!r}" in err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestClusterCommand:
     def test_labels_to_file(self, tmp_path):
         features = tmp_path / "f.csv"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from radclust.clustering import ClusterConfig, kmeans
+from radclust import ClusterConfig, kmeans
 from radclust.errors import ConfigError
 from radclust.pipeline import SweepConfig
 

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import json
 import math
 from pathlib import Path
@@ -7,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from radclust.clustering import ClusterConfig, gmm
+import radclust.clustering.gmm as GMM
+from radclust import ClusterConfig, gmm
 from radclust.errors import ConfigError, DegenerateComponentError
 from radclust.pipeline import synth_blobs
 
@@ -17,7 +17,6 @@ from radclust.pipeline import synth_blobs
 # modes shared one E-step loop and one M-step loop.
 PINS = json.loads((Path(__file__).parent / "data" / "gmm_pins.json").read_text())
 PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (100, 4, 16, 6.0, 1.0, 1)}
-GMM = importlib.import_module("radclust.clustering.gmm")
 REG = 1e-6
 
 

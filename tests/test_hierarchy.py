@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from radclust.clustering import ClusterConfig, agglomerative
+from radclust import ClusterConfig, agglomerative
 from radclust.errors import ConfigError
 
 from oracles import direct_average_linkage, greedy_ward_merges

@@ -1,10 +1,8 @@
-import importlib
-
 import numpy as np
 import pytest
 
-from radclust import pipeline
-from radclust.clustering import ClusterConfig, kmeans, minibatch_kmeans
+import radclust.clustering.kmeans as KMEANS
+from radclust import ClusterConfig, kmeans, minibatch_kmeans, pipeline
 from radclust.errors import ConfigError, ShapeError
 from radclust.numerics import mix_seed
 from radclust.pipeline import SweepConfig, synth_blobs
@@ -16,7 +14,6 @@ from oracles import (
     sequential_polish,
 )
 
-KMEANS = importlib.import_module("radclust.clustering.kmeans")
 
 # Four corners of a 10x1 rectangle, ordered so the first-2 init starts one
 # centroid on each natural cluster.

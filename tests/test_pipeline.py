@@ -1,5 +1,4 @@
 import csv
-import importlib
 import io
 import os
 import subprocess
@@ -13,7 +12,7 @@ import pytest
 
 import radclust
 import radclust.pipeline as pl
-from radclust.clustering import ClusterConfig, ClusterResult, birch, kmeans
+from radclust import ClusterConfig, ClusterResult, birch, kmeans
 from radclust.errors import ConfigError, ParseError, RadclustError, UsageError
 from radclust.numerics import mix_seed
 from radclust.pipeline import (
@@ -380,8 +379,7 @@ class TestPreparedSweep:
         assert all(row.error is None for row in report.rows)
 
     def test_failed_prepare_fails_every_cell_of_its_algorithm(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("radclust.clustering.spectral"),
-                            "_DENSE_CAP", 10)
+        monkeypatch.setattr("radclust.clustering.spectral._DENSE_CAP", 10)
         fm, _ = synth_blobs(10, 2, 2, 6.0, 0.2, seed=6)
         cfg = SweepConfig(algorithms=["kmeans", "spectral", "birch"], ks=[2, 3, 4], seed=0)
         report = pl.sweep(fm, cfg)

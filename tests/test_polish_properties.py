@@ -8,17 +8,15 @@ data and ties; labels are arbitrary, so singleton and empty clusters occur
 and most starts need several passes.
 """
 
-import importlib
-
 import numpy as np
 import pytest
+
+import radclust.clustering.kmeans as KMEANS
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from oracles import sequential_polish  # noqa: E402
-
-KMEANS = importlib.import_module("radclust.clustering.kmeans")
 
 VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, allow_subnormal=False)
 

@@ -11,9 +11,13 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import pytest
+
 import radclust
+import radclust.clustering
 
 TEST_ONLY = ("scipy", "sklearn", "hypothesis", "pytest")
 
@@ -42,3 +46,11 @@ def test_radclust_imports_no_test_only_package():
     assert "radclust.clustering.birch" in result["modules"]
     assert "radclust.cli" in result["modules"]
     assert result["test_only"] == []
+
+
+@pytest.mark.parametrize("name", ["kmeans", "spectral", "hierarchy", "birch", "gmm"])
+def test_clustering_families_are_modules(name):
+    # the package exports no fit function under a module's name
+    module = getattr(radclust.clustering, name)
+    assert isinstance(module, types.ModuleType)
+    assert module.__name__ == f"radclust.clustering.{name}"

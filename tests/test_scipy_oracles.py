@@ -11,9 +11,8 @@ from scipy.cluster.hierarchy import linkage  # noqa: E402
 from scipy.spatial.distance import cdist  # noqa: E402
 from scipy.stats import multivariate_normal  # noqa: E402
 
-from radclust.clustering import ClusterConfig  # noqa: E402
+from radclust import ClusterConfig, agglomerative  # noqa: E402
 from radclust.clustering.gmm import _log_density  # noqa: E402
-from radclust.clustering.hierarchy import agglomerative  # noqa: E402
 from radclust.numerics import squared_distances  # noqa: E402
 
 

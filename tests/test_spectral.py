@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 import subprocess
@@ -9,12 +8,10 @@ import numpy as np
 import pytest
 
 import radclust
-from radclust.clustering import ClusterConfig, kmeans, spectral
+import radclust.clustering.spectral as SPECTRAL_MODULE
+from radclust import ClusterConfig, kmeans, spectral
 from radclust.errors import ConfigError
 from radclust.numerics import sym_eigen
-
-# The package re-exports the function under the module's name.
-SPECTRAL_MODULE = importlib.import_module("radclust.clustering.spectral")
 
 
 def same_partition(a, b):
@@ -117,7 +114,7 @@ class TestSpectral:
         # settings; the labels must not.
         script = (
             "import json\n"
-            "from radclust.clustering import ClusterConfig, spectral\n"
+            "from radclust import ClusterConfig, spectral\n"
             "from radclust.pipeline import synth_blobs\n"
             "fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=7)\n"
             "print(json.dumps([spectral(fm, ClusterConfig(k=k, seed=7)).labels.tolist()\n"
