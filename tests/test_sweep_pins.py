@@ -5,6 +5,10 @@ objective trace, the iteration count, the converged flag and every
 diagnostics value (floats as float.hex); per chart, the sha256 of the SVG.
 Recorded before spectral and BIRCH shared one k-means global phase and the
 chart was drawn from element helpers.
+
+Per "report/data": the sha256 of the report CSV of a k=2..6 sweep (seed 0)
+over the archive-sweep variants ("archive") or all nine algorithms. Recorded
+before silhouette_batch shared one GEMM per distance block among labelings.
 """
 
 import functools
@@ -17,11 +21,16 @@ import pytest
 
 from radclust import ClusterConfig, birch, spectral
 from radclust.clustering.birch import prepare as prepare_tree
-from radclust.pipeline import SweepReport, SweepRow, render_chart_svg, synth_blobs
+from radclust.pipeline import (
+    ALGORITHM_SLUGS, SweepConfig, SweepReport, SweepRow, render_chart_svg, render_report_csv,
+    sweep, synth_blobs,
+)
 from test_pipeline import reference_report
 
 PINS = json.loads((Path(__file__).parent / "data" / "sweep_pins.json").read_text())
-PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (1000, 4, 16, 6.0, 1.0, 1)}
+PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (1000, 4, 16, 6.0, 1.0, 1),
+            "paper": (210, 4, 16, 6.0, 1.0, 1)}
+ARCHIVE_ALGOS = ["kmeans", "minibatch-kmeans", "birch", "gmm-tied", "gmm-diag", "gmm-full"]
 CELLS = [f"blobs/{algo}/{k}" for algo in ("spectral", "birch") for k in range(2, 7)]
 CELLS += [f"archive/birch/{k}" for k in range(2, 7)]
 
@@ -109,3 +118,11 @@ CHART_REPORTS = {
 def test_pinned_chart(name):
     svg = render_chart_svg(CHART_REPORTS[name]())
     assert hashlib.sha256(svg).hexdigest() == PINS[f"chart/{name}"]
+
+
+@pytest.mark.parametrize("name", ["archive", "blobs", "paper"])
+def test_pinned_report(name):
+    algorithms = ARCHIVE_ALGOS if name == "archive" else ALGORITHM_SLUGS
+    fm = synth_blobs(*PIN_DATA[name])[0]
+    report = sweep(fm, SweepConfig(algorithms=algorithms, ks=range(2, 7)))
+    assert hashlib.sha256(render_report_csv(report)).hexdigest() == PINS[f"report/{name}"]
