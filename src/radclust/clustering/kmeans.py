@@ -42,10 +42,10 @@ def _repair_empty(rows, labels, d2, k):
 
 
 def _means(rows, labels, k):
-    centers = np.zeros((k, rows.shape[1]))
-    counts = np.bincount(labels, minlength=k)
-    np.add.at(centers, labels, rows)
-    centers /= np.maximum(counts, 1)[:, None]
+    # bincount adds each column's rows in row order, as np.add.at would
+    centers = np.stack([np.bincount(labels, weights=column, minlength=k) for column in rows.T],
+                       axis=1)
+    centers /= np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
     return centers
 
 

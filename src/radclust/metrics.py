@@ -5,14 +5,19 @@ distance to the rest of its own cluster and b the smallest mean distance to
 another cluster. Members of singleton clusters score 0, as do points where
 both a and b vanish, so degenerate clusterings still produce a number.
 
-Scoring goes over the rows in blocks of about 2**20 / n rows. Each block's
+Scoring goes over the rows in blocks of about 2**19 / n rows. Each block's
 distances to all n rows are built once and shared by every labeling scored
 in the same call, so a sweep builds its distances once, not once per cell.
-Each labeling turns a block into per-cluster distance sums with one GEMM
-against its 0/1 cluster-membership matrix. Memory stays O(n * block): no
-n x n distance matrix is built, and a labeling with more clusters than a
-block has rows takes them a block's width at a time, each chunk's GEMM
-over the distance columns of its own members only.
+The labelings' 0/1 cluster-membership columns are packed into column groups
+of at most 2**19 / n columns, and each block takes one GEMM per group, from
+which every labeling reads its per-cluster distance sums. Only one group's
+membership matrix is held at a time; a batch that fits in one group builds
+it once, a larger one once per group and block. A block's distances and
+the matrix held each have at most 2**19 entries, so together they stay
+within 8 MiB of float64: no n x n distance matrix is built. A labeling
+with more clusters than a group holds is split into groups of its own, each
+chunk's GEMM over the distance columns of its own members only, so with
+many clusters the work per block stays n * block.
 """
 
 from dataclasses import dataclass
@@ -23,9 +28,9 @@ from .errors import ConfigError, ShapeError
 from .features import as_labels, as_rows
 from .numerics import pairwise_distances
 
-# Distance entries per silhouette row block (8 MiB of float64), and the most
-# one-hot entries built at once.
-_BLOCK_ELEMENTS = 1 << 20
+# Distance entries per silhouette row block, and the most one-hot entries
+# built at once: 4 MiB of float64 each, so the two fit in 8 MiB together.
+_BLOCK_ELEMENTS = 1 << 19
 
 
 @dataclass(eq=False)
@@ -46,8 +51,9 @@ def silhouette(x, labels) -> SilhouetteReport:
     raises :class:`ShapeError` (see :func:`~radclust.features.as_labels`)
     before any work that scales with the ids.
 
-    This is :func:`silhouette_batch` with one labeling, so a labeling scores
-    the same bits alone as inside a batch.
+    This is :func:`silhouette_batch` with one labeling. Inside a batch a
+    labeling's distance sums come from a wider GEMM, whose rounding can
+    differ in the last bits from that of the labeling scored alone.
     """
     (result,) = silhouette_batch(x, [labels])
     if isinstance(result, Exception):
@@ -65,9 +71,11 @@ def silhouette_batch(x, labelings) -> list:
 
     Each block ``pairwise_distances(rows[lo:hi], rows)`` is built once, in
     the original row order; its self entries, like those of any two
-    identical rows, are exactly 0. Every labeling then takes the block's
-    per-cluster distance sums as one GEMM, ``dist @ onehot``, from which its
-    a and b for those rows follow.
+    identical rows, are exactly 0. The block then takes one GEMM,
+    ``dist @ onehot``, per column group (see the module docstring), and each
+    labeling's a and b for those rows follow from its own columns. Scoring
+    the same batch twice gives the same bits, and a labeling that cannot be
+    scored takes no columns, so it leaves the others' bits unchanged.
     """
     rows = as_rows(x)
     n = rows.shape[0]
@@ -82,13 +90,65 @@ def silhouette_batch(x, labelings) -> list:
         return results
 
     step = max(1, _BLOCK_ELEMENTS // n)
+    groups = _column_groups(scorers, step)
+    built = None  # the group whose one-hot is held; a lone group is built once
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         dist = pairwise_distances(rows[lo:hi], rows)
-        for scorer in scorers:
-            scorer.add_block(dist, lo, hi)
+        for group in groups:
+            members, parts = group
+            if group is not built:
+                onehot = None  # so the next group's never coexists with this one
+                onehot = _onehot(members, parts, n)
+                built = group
+            sums = dist[:, members] @ onehot
+            for scorer, c0, c1, col in parts:
+                scorer.add_sums(sums[:, col:col + c1 - c0], lo, hi, c0, c1)
         del dist  # so the next block's buffer never coexists with this one
     return [r.report() if isinstance(r, _Scorer) else r for r in results]
+
+
+def _column_groups(scorers, width):
+    """Pack the scorers' cluster columns into groups of at most ``width``.
+
+    Returns ``(members, parts)`` pairs: ``members`` selects the rows whose
+    distance columns the group's GEMM reads, and each part
+    ``(scorer, c0, c1, col)`` puts the scorer's clusters c0..c1 in columns
+    col..col + c1 - c0. A labeling with at most ``width`` clusters joins the
+    open group over all rows, or opens the next one when it does not fit;
+    one with more is cut into chunks of ``width`` clusters, each a group
+    over its own members, in ascending order.
+    """
+    groups = []
+    used = width
+    for scorer in scorers:
+        k = scorer.counts.size
+        if k > width:
+            for c0 in range(0, k, width):
+                c1 = min(c0 + width, k)
+                members = np.flatnonzero((scorer.cluster >= c0) & (scorer.cluster < c1))
+                groups.append((members, [(scorer, c0, c1, 0)]))
+            continue
+        if used + k > width:
+            shared, used = [], 0
+            groups.append((slice(None), shared))
+        shared.append((scorer, 0, k, used))
+        used += k
+    return groups
+
+
+def _onehot(members, parts, n):
+    """A group's 0/1 matrix: a row per member, a column per cluster of its parts.
+
+    Every member's cluster lies in each part's c0..c1, as
+    :func:`_column_groups` selects them, so each part sets one 1 per row.
+    """
+    size = n if isinstance(members, slice) else members.size
+    onehot = np.zeros((size, sum(c1 - c0 for _, c0, c1, _ in parts)))
+    at = np.arange(size)
+    for scorer, c0, _, col in parts:
+        onehot[at, scorer.cluster[members] + (col - c0)] = 1.0
+    return onehot
 
 
 class _Scorer:
@@ -100,44 +160,32 @@ class _Scorer:
         self.used, self.cluster, self.counts = np.unique(
             labels, return_inverse=True, return_counts=True
         )
-        k = self.counts.size
-        if k < 2:
+        if self.counts.size < 2:
             raise ConfigError("silhouette undefined for one cluster")
         self.values = np.zeros(n)
-        # Clusters in chunks of at most _BLOCK_ELEMENTS // n, each with the
-        # rows (in row order) that belong to it: a chunk's GEMM runs over its
-        # members' distance columns only, so with many clusters the work per
-        # block stays n * width, not n * k. One chunk takes every column.
-        width = max(1, _BLOCK_ELEMENTS // n)
-        if k <= width:
-            self.chunks = [(0, k, slice(None))]
-        else:
-            self.chunks = [
-                (c0, min(c0 + width, k),
-                 np.flatnonzero((self.cluster >= c0) & (self.cluster < c0 + width)))
-                for c0 in range(0, k, width)
-            ]
 
-    def add_block(self, dist, lo, hi):
-        """Score rows lo..hi from their distances to all n rows."""
-        block = np.arange(hi - lo)
+    def add_sums(self, sums, lo, hi, c0, c1):
+        """Take rows lo..hi's distance sums to clusters c0..c1, one column each.
+
+        A block's cluster ranges arrive in ascending order; the first opens
+        the block's a and b, and the last turns them into silhouettes.
+        ``sums`` is overwritten.
+        """
         own = self.cluster[lo:hi]
-        a = np.empty(hi - lo)
-        b = np.full(hi - lo, np.inf)
-        for c0, c1, members in self.chunks:
-            onehot = (self.cluster[members, None] == np.arange(c0, c1)).astype(np.float64)
-            sums = dist[:, members] @ onehot
-            del onehot  # so the next chunk's never coexists with this one
-            mine = (own >= c0) & (own < c1)
-            at = (block[mine], own[mine] - c0)
-            a[mine] = sums[at] / np.maximum(self.counts[own[mine]] - 1, 1)
-            sums /= self.counts[c0:c1]
-            sums[at] = np.inf
-            np.minimum(b, sums.min(axis=1), out=b)
-
-        denom = np.maximum(a, b)
-        valid = (self.counts[own] > 1) & (denom > 0.0)
-        self.values[lo:hi][valid] = (b[valid] - a[valid]) / denom[valid]
+        if c0 == 0:
+            self.a = np.empty(hi - lo)
+            self.b = np.full(hi - lo, np.inf)
+        mine = (own >= c0) & (own < c1)
+        at = (np.flatnonzero(mine), own[mine] - c0)
+        self.a[mine] = sums[at] / np.maximum(self.counts[own[mine]] - 1, 1)
+        sums /= self.counts[c0:c1]
+        sums[at] = np.inf
+        np.minimum(self.b, sums.min(axis=1), out=self.b)
+        if c1 == self.counts.size:
+            a, b = self.a, self.b
+            denom = np.maximum(a, b)
+            valid = (self.counts[own] > 1) & (denom > 0.0)
+            self.values[lo:hi][valid] = (b[valid] - a[valid]) / denom[valid]
 
     def report(self):
         per_cluster = np.full(int(self.used[-1]) + 1, np.nan)

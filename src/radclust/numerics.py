@@ -132,11 +132,26 @@ class RngStream:
         Partial forward Fisher-Yates: step ``i`` swaps slots ``i`` and
         ``i + next_below(n - i)`` of range(n) and keeps slot ``i``. Only
         displaced slots are stored: m draws and O(m) memory whatever n is.
+        The m draws come from one :meth:`u64s` call, with the rejection test
+        of :meth:`next_below` applied to each. If any draw would be rejected,
+        or n does not fit in 64 bits, the stream rewinds and takes the scalar
+        draws, so the list and the final state never depend on which path ran.
         """
+        start = self._state
+        js = None
+        if 0 < m <= n <= _MASK64:
+            bounds = np.uint64(n) - np.arange(m, dtype=np.uint64)
+            u = self.u64s(m)
+            # next_below rejects u >= 2**64 - (2**64 mod b); 2**64 - b has the same residue
+            rem = (np.uint64(_MASK64) - bounds + np.uint64(1)) % bounds
+            if not np.any(u > np.uint64(_MASK64) - rem):
+                js = (np.arange(m, dtype=np.uint64) + u % bounds).tolist()
+        if js is None:
+            self._state = start
+            js = [i + self.next_below(n - i) for i in range(m)]
         displaced = {}
         out = []
-        for i in range(m):
-            j = i + self.next_below(n - i)
+        for i, j in enumerate(js):
             out.append(displaced.get(j, j))
             displaced[j] = displaced.get(i, i)
         return out

@@ -469,8 +469,9 @@ def _line(x1, y1, x2, y2, stroke):
 
 
 def _text(x, y, size, body, anchor="middle", extra=""):
-    """A sans-serif label; ``anchor=None`` leaves text-anchor out."""
+    """A sans-serif label, its body XML-escaped; ``anchor=None`` leaves text-anchor out."""
     anchor = f' text-anchor="{anchor}"' if anchor else ""
+    body = str(body).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
     return (f'<text x="{_fmt(x)}" y="{_fmt(y)}"{anchor} font-family="sans-serif" '
             f'font-size="{size}"{extra}>{body}</text>')
 

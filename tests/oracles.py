@@ -47,17 +47,29 @@ def fisher_yates_shuffle(stream, items):
 
 
 def partial_fisher_yates(stream, n, m):
-    """The first ``m`` slots of a dense range(n) after ``m`` forward swaps.
+    """The first ``m`` slots of range(n) after ``m`` forward swaps.
 
     Swap ``i`` exchanges slots ``i`` and ``i + stream.next_below(n - i)``;
     ``RngStream.sample`` must return the same list and leave the stream in
-    the same state.
+    the same state. Slot ``j`` holds ``j`` until a swap writes it, so only
+    written slots are stored and n may exceed memory.
     """
-    items = list(range(n))
+    items = {}
     for i in range(m):
         j = i + stream.next_below(n - i)
-        items[i], items[j] = items[j], items[i]
-    return items[:m]
+        items[i], items[j] = items.get(j, j), items.get(i, i)
+    return [items[i] for i in range(m)]
+
+
+def add_at_means(rows, labels, k):
+    """Per-cluster means with the rows added by ``np.add.at``, in row order.
+
+    ``kmeans._means`` must return the same bits; an empty cluster's mean is 0.
+    """
+    centers = np.zeros((k, rows.shape[1]))
+    np.add.at(centers, labels, rows)
+    centers /= np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
+    return centers
 
 
 def sequential_minibatch_kmeans(x, cfg):

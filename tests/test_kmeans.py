@@ -8,6 +8,7 @@ from radclust.numerics import mix_seed
 from radclust.pipeline import SweepConfig, synth_blobs
 
 from oracles import (
+    add_at_means,
     best_two_partition_sse,
     naive_sse,
     sequential_minibatch_kmeans,
@@ -111,6 +112,18 @@ class TestKmeans:
         rows[4, 1] = bad
         with pytest.raises(ShapeError, match=r"non-finite value .* at \(4, 1\)"):
             kmeans(rows, ClusterConfig(k=2, seed=0))
+
+
+def test_means_match_add_at_oracle_bit_for_bit():
+    # scales 1e-8..1e8, rows offset far from the origin, and empty clusters
+    for seed in range(300):
+        rng = np.random.RandomState(seed)
+        n, d, k = rng.randint(1, 600), rng.randint(1, 17), rng.randint(1, 9)
+        scale = 10.0 ** rng.uniform(-8, 8)
+        rows = (rng.randn(n, d) + rng.randn(d) * 10.0 ** rng.randint(0, 4)) * scale
+        labels = rng.randint(0, k, size=n)
+        labels[labels == seed % k] = 0
+        assert KMEANS._means(rows, labels, k).tobytes() == add_at_means(rows, labels, k).tobytes()
 
 
 class TestMinibatchKmeans:

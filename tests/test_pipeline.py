@@ -472,6 +472,12 @@ class TestRenderChart:
         svg = render_chart_svg(SweepReport(rows=rows)).decode()
         assert svg.count("<polyline") == 2
 
+    def test_algorithm_name_is_escaped(self):
+        report = SweepReport(rows=[SweepRow("K<Means & co", "", 2, 0.5, 0.0, True)])
+        root = ET.fromstring(render_chart_svg(report).decode())
+        labels = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert "K<Means & co" in labels
+
     def test_no_external_references(self):
         svg = render_chart_svg(reference_report()).decode()
         assert "http://www.w3.org/2000/svg" in svg
