@@ -26,7 +26,7 @@ from .clustering.kmeans import kmeans, minibatch_kmeans
 from .clustering.spectral import spectral
 from .features import FeatureMatrix
 from .metrics import SilhouetteReport, silhouette, sse
-from .numerics import RngStream, cholesky, mix_seed, pairwise_distances, sym_eigen
+from .numerics import RngStream, mix_seed, pairwise_distances, sym_eigen
 
 __all__ = [
     "ClusterConfig",
@@ -36,7 +36,6 @@ __all__ = [
     "SilhouetteReport",
     "agglomerative",
     "birch",
-    "cholesky",
     "gmm",
     "kmeans",
     "minibatch_kmeans",

@@ -115,8 +115,6 @@ class _CfTree:
         ids = self.items[node]
         d2 = squared_distances(self.centroid[ids])
         a, b = divmod(int(np.argmax(d2)), len(ids))
-        if a > b:
-            a, b = b, a
         if a == b:  # all centroids coincide; any two-way split works
             a, b = 0, 1
         group_a, group_b = [ids[a]], [ids[b]]

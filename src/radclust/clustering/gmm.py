@@ -5,9 +5,9 @@ covariance starts from the global sample covariance restricted to the mode.
 The covariance mode enters in two places only:
 
 - the E-step is one per-component loop for every mode. Each component
-  whitens its centred rows with the transposed inverse of a Cholesky factor,
-  which tied mode factors once for all components and diag mode writes in
-  closed form, ``diag(1 / sqrt(var))``;
+  whitens its centred rows with the transposed inverse of a Cholesky factor
+  from numpy's LAPACK, which tied mode factors once for all components and
+  diag mode writes in closed form, ``diag(1 / sqrt(var))``;
 - the M-step is one loop that builds each component's centred scatter
   matrix, and :func:`_covariances` pools them per mode. Fed the global
   scatter, the same helper gives the initial covariances.
@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateComponentError, NotPositiveDefiniteError
+from ..errors import ConfigError, DegenerateComponentError
 from ..features import as_rows
-from ..numerics import cholesky
 from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
 
@@ -53,25 +52,30 @@ def _whitening(cov, reg, component):
     With ``y = (x - mean) @ inv(L).T``, ``y @ y`` is the Mahalanobis form
     ``(x - mean) @ inv(cov) @ (x - mean)``. A diag mode's variance vector
     takes the closed form ``(sum(log(var)), diag(1 / sqrt(var)))``. A matrix
-    goes through :func:`numerics.cholesky`; when that fails it is retried on
-    ``cov + extra*I``, ``extra`` rising from ``reg`` by 10x, and past 1e-2 a
-    DegenerateComponentError names ``component``.
+    is factored as it stands by ``np.linalg.cholesky`` (LAPACK reads its
+    lower triangle). When that raises, or gives a non-finite factor (numpy
+    does not raise on NaN), it is retried on ``cov + extra*I``, ``extra``
+    rising from ``reg`` by 10x, and past 1e-2 a DegenerateComponentError
+    names ``component``.
     """
     if cov.ndim == 1:
         return float(np.log(cov).sum()), np.diag(1.0 / np.sqrt(cov))
     extra = 0.0
     while True:
         try:
-            L = cholesky(cov if extra == 0.0 else cov + extra * np.eye(cov.shape[0]))
-            break
-        except NotPositiveDefiniteError:
-            extra = reg if extra == 0.0 else extra * 10.0
-            if extra > 1e-2:
-                raise DegenerateComponentError(
-                    f"degenerate component {component}: covariance stayed "
-                    "non-positive-definite after regularization up to 1e-02",
-                    component=component,
-                ) from None
+            L = np.linalg.cholesky(cov if extra == 0.0 else cov + extra * np.eye(cov.shape[0]))
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            if np.isfinite(L).all():
+                break
+        extra = reg if extra == 0.0 else extra * 10.0
+        if extra > 1e-2:
+            raise DegenerateComponentError(
+                f"degenerate component {component}: covariance stayed "
+                "non-positive-definite after regularization up to 1e-02",
+                component=component,
+            )
     return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L).T
 
 

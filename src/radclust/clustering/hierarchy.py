@@ -64,8 +64,6 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
     for t in range(n - 1):
         flat = int(np.argmin(dist))
         i, j = divmod(flat, n)
-        if i > j:
-            i, j = j, i
         height = float(dist[i, j])
         a, b = cluster_ids[i], cluster_ids[j]
         merged_size = int(sizes[i] + sizes[j])

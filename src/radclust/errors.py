@@ -65,15 +65,6 @@ class NonConvergenceError(RadclustError):
         self.residual = residual
 
 
-class NotPositiveDefiniteError(RadclustError):
-    """Cholesky failed; ``pivot`` is the index of the failing pivot."""
-    exit_code = 3
-
-    def __init__(self, message, *, pivot):
-        super().__init__(message)
-        self.pivot = pivot
-
-
 class DegenerateComponentError(RadclustError):
     """A mixture component stayed non positive definite after regularization."""
     exit_code = 3

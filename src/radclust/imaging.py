@@ -65,14 +65,6 @@ class PixelTensor:
         self.values = v
 
     @property
-    def height(self):
-        return self.values.shape[0]
-
-    @property
-    def width(self):
-        return self.values.shape[1]
-
-    @property
     def channels(self):
         return self.values.shape[2]
 

@@ -7,13 +7,15 @@ on every platform, a dense symmetric eigensolver (LAPACK through numpy)
 whose eigenvector signs are fixed by a deterministic rule, and one
 squared-distance kernel. Matrices go in and come out as plain float64
 numpy arrays; there is no wrapper type. All floating arithmetic is 64-bit.
+Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
+numpy's LAPACK Cholesky directly.
 """
 
 import math
 
 import numpy as np
 
-from .errors import NonConvergenceError, NotPositiveDefiniteError, ShapeError
+from .errors import NonConvergenceError, ShapeError
 from .features import as_rows
 
 _MASK64 = (1 << 64) - 1
@@ -89,10 +91,6 @@ class RngStream:
         """Array of ``count`` uniforms in [0, 1)."""
         return np.asarray(self.u64s(count) >> np.uint64(11), dtype=np.float64) * _U53
 
-    def next_gaussian(self):
-        """Standard normal draw (mean 0, variance 1)."""
-        return float(self.gaussians(1)[0])
-
     def gaussians(self, count):
         """Array of ``count`` standard normal draws.
 
@@ -105,9 +103,12 @@ class RngStream:
         return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
 
     def next_below(self, bound):
-        """Uniform integer in [0, bound), rejection-sampled (no modulo bias)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        """Uniform integer in [0, bound), rejection-sampled (no modulo bias).
+
+        ``bound`` must lie in [1, 2**64]: one 64-bit draw cannot cover more.
+        """
+        if not 0 < bound <= 1 << 64:
+            raise ValueError(f"bound must be in [1, 2**64], got {bound}")
         limit = (1 << 64) - ((1 << 64) % bound)
         while True:
             u = self.next_u64()
@@ -134,8 +135,9 @@ class RngStream:
         displaced slots are stored: m draws and O(m) memory whatever n is.
         The m draws come from one :meth:`u64s` call, with the rejection test
         of :meth:`next_below` applied to each. If any draw would be rejected,
-        or n does not fit in 64 bits, the stream rewinds and takes the scalar
-        draws, so the list and the final state never depend on which path ran.
+        or n is 2**64, the stream rewinds and takes the scalar draws, so the
+        list and the final state never depend on which path ran. For n above
+        2**64 and m > 0, :meth:`next_below` raises ValueError.
         """
         start = self._state
         js = None
@@ -159,14 +161,6 @@ class RngStream:
     def spawn(self):
         """Independent child stream seeded from the next draw of this one."""
         return RngStream(self.next_u64())
-
-
-def _square(m):
-    """``m`` as a float64 array, checked to be a non-empty square matrix."""
-    a = np.asarray(m, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-        raise ShapeError(f"symmetric matrix must be square with dimension >= 1, got shape {a.shape}")
-    return a
 
 
 def sym_eigen(m):
@@ -196,7 +190,9 @@ def sym_eigen(m):
         If ``m`` has a non-finite entry (the message names its position) or
         LAPACK fails to converge.
     """
-    a = _square(m)
+    a = np.asarray(m, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+        raise ShapeError(f"symmetric matrix must be square with dimension >= 1, got shape {a.shape}")
     finite = np.isfinite(a)
     if not finite.all():
         i, j = np.argwhere(~finite)[0]
@@ -211,39 +207,6 @@ def sym_eigen(m):
     peaks = np.argmax(np.abs(v), axis=0)
     v *= np.where(v[peaks, cols] < 0.0, -1.0, 1.0)
     return w, v
-
-
-def cholesky(m):
-    """Lower-triangular Cholesky factor L with L @ L.T == (m + m.T) / 2.
-
-    ``m`` is an (n, n) array_like. Its symmetric part is what gets factored,
-    because covariance products built from floating-point sums are not
-    always bitwise symmetric; ``m`` itself is not modified.
-
-    Raises
-    ------
-    ShapeError
-        If ``m`` is not a non-empty square matrix.
-    NotPositiveDefiniteError
-        When a pivot is not strictly positive; carries the pivot index so
-        callers can regularize and retry.
-    """
-    a = _square(m)
-    a = (a + a.T) / 2.0
-    n = a.shape[0]
-    L = np.zeros_like(a)
-    for j in range(n):
-        row = L[j, :j]
-        d = a[j, j] - row @ row
-        if not (d > 0.0) or not math.isfinite(d):
-            raise NotPositiveDefiniteError(
-                f"matrix is not positive definite at pivot {j}", pivot=j
-            )
-        ljj = math.sqrt(d)
-        L[j, j] = ljj
-        if j + 1 < n:
-            L[j + 1:, j] = (a[j + 1:, j] - L[j + 1:, :j] @ row) / ljj
-    return L
 
 
 def pairwise_distances(x, y=None):

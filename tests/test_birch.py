@@ -219,6 +219,9 @@ class TestBirch:
         assert t1 > 0.0
         assert t1 == pytest.approx(t2, rel=1e-9)
 
+    def test_default_threshold_of_one_row_is_one(self):
+        assert default_threshold(np.array([[3.0, -4.0]])) == 1.0
+
     @pytest.mark.parametrize("name", sorted(DUPLICATED))
     def test_default_threshold_absorbs_exact_duplicates(self, name):
         rows, distinct = DUPLICATED[name]

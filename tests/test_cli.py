@@ -454,7 +454,6 @@ class TestExitCodes:
         ("BoundsError", 2, "error"),
         ("ShapeError", 2, "error"),
         ("NonConvergenceError", 3, "numeric failure"),
-        ("NotPositiveDefiniteError", 3, "numeric failure"),
         ("DegenerateComponentError", 3, "numeric failure"),
     ])
     def test_each_error_class_carries_its_exit_code(self, monkeypatch, capsys, name, code, prefix):
@@ -462,8 +461,7 @@ class TestExitCodes:
         import radclust.errors as errors
 
         cls = getattr(errors, name)
-        extra = {"NotPositiveDefiniteError": {"pivot": 0},
-                 "DegenerateComponentError": {"component": 0}}.get(name, {})
+        extra = {"component": 0} if name == "DegenerateComponentError" else {}
 
         def fail(args):
             raise cls("injected", **extra)

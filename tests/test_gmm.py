@@ -1,11 +1,15 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import radclust
 import radclust.clustering.gmm as GMM
 from radclust import ClusterConfig, gmm
 from radclust.errors import ConfigError, DegenerateComponentError
@@ -13,8 +17,11 @@ from radclust.pipeline import synth_blobs
 
 # Per cell "data/mode/k[/max_iters=m]": labels, iterations, converged and the
 # float.hex of every trace entry, and for full and tied the sha256 of the
-# model's means, weights and covariances. Recorded before the three covariance
-# modes shared one E-step loop and one M-step loop.
+# model's means, weights and covariances. Labels, iterations and converged were
+# recorded before the three covariance modes shared one E-step loop and one
+# M-step loop. The full and tied traces and model hashes were re-recorded when
+# the factor moved from a Python-loop Cholesky of (cov + cov.T) / 2 to numpy's
+# LAPACK Cholesky of cov as it stands; traces moved by at most 3.9e-14 relative.
 PINS = json.loads((Path(__file__).parent / "data" / "gmm_pins.json").read_text())
 PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (100, 4, 16, 6.0, 1.0, 1)}
 REG = 1e-6
@@ -112,6 +119,34 @@ class TestWhitening:
         assert logdet == pytest.approx(np.log(9.0))
         assert np.array_equal(linv_t, np.diag([0.5, 2.0, 1.0 / 3.0]))
 
+    def test_hand_checkable_2x2(self):
+        # L = [[2, 0], [1, sqrt(2)]], so det = (2 * sqrt(2))**2 = 8
+        logdet, linv_t = GMM._whitening(np.array([[4.0, 2.0], [2.0, 3.0]]), REG, 0)
+        assert logdet == pytest.approx(math.log(8.0), abs=1e-15)
+        expected = np.linalg.inv([[2.0, 0.0], [1.0, math.sqrt(2.0)]]).T
+        assert np.allclose(linv_t, expected, atol=1e-15)
+
+    def test_identity(self):
+        logdet, linv_t = GMM._whitening(np.eye(5), REG, 0)
+        assert logdet == 0.0 and np.array_equal(linv_t, np.eye(5))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 9, 17, 33, 50])
+    def test_round_trip_on_random_spd(self, n):
+        rng = np.random.RandomState(100 + n)
+        b = rng.randn(n, n)
+        a = b.T @ b + np.eye(n)
+        logdet, linv_t = GMM._whitening(a, REG, 0)
+        assert np.abs(linv_t.T @ a @ linv_t - np.eye(n)).max() <= 1e-10
+        assert logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
+
+    def test_asymmetric_input_read_from_its_lower_triangle(self):
+        a = np.array([[4.0, 1.0], [3.0, 3.0]])
+        before = a.copy()
+        lower = np.tril(a) + np.tril(a, -1).T
+        got, want = GMM._whitening(a, REG, 0), GMM._whitening(lower, REG, 0)
+        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert np.array_equal(a, before)
+
     def test_singular_psd_matrix_escalates_to_a_finite_factor(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
         logdet, linv_t = GMM._whitening(cov, REG, 0)
@@ -124,6 +159,15 @@ class TestWhitening:
         with pytest.raises(DegenerateComponentError) as info:
             GMM._whitening(-np.eye(3), 1e-6, 4)
         assert info.value.component == 4
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_names_its_component(self, bad):
+        # numpy gives a non-finite factor here instead of raising
+        cov = np.eye(3)
+        cov[1, 1] = bad
+        with pytest.raises(DegenerateComponentError) as info:
+            GMM._whitening(cov, REG, 2)
+        assert info.value.component == 2
 
 
 class TestFinalEStep:
@@ -221,3 +265,34 @@ def test_pinned_cell(cell):
     assert [sha256(model.means), sha256(model.weights), sha256(model.covariances)] == [
         pin["means"], pin["weights"], pin["covariances"]
     ]
+
+
+def test_pinned_cells_identical_across_blas_thread_counts():
+    # OpenBLAS reads its thread count once, at import, so each setting gets
+    # its own interpreter; the LAPACK factor must not change a single bit.
+    script = (
+        "import hashlib, json\n"
+        "import numpy as np\n"
+        "from radclust import ClusterConfig, gmm\n"
+        "from radclust.pipeline import synth_blobs\n"
+        f"rows = synth_blobs(*{PIN_DATA['blobs']})[0].rows\n"
+        "out = []\n"
+        "for mode, k in (('full', 4), ('tied', 6)):\n"
+        "    res = gmm(rows, ClusterConfig(k=k, seed=1), mode=mode)\n"
+        "    m = res.model\n"
+        "    out.append([[float(v).hex() for v in res.objective_trace]] + [\n"
+        "        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()\n"
+        "        for a in (res.labels.astype(np.int64), m.means, m.weights, m.covariances)])\n"
+        "print(json.dumps(out))\n"
+    )
+    src = str(Path(radclust.__file__).resolve().parents[1])
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                             text=True, timeout=300, check=True)
+        runs.append(json.loads(out.stdout))
+    assert [len(trace) for trace, *_ in runs[0]] == [PINS["blobs/full/4"]["iterations"],
+                                                     PINS["blobs/tied/6"]["iterations"]]
+    assert runs[0] == runs[1]

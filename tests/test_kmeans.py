@@ -4,7 +4,7 @@ import pytest
 import radclust.clustering.kmeans as KMEANS
 from radclust import ClusterConfig, kmeans, minibatch_kmeans, pipeline
 from radclust.errors import ConfigError, ShapeError
-from radclust.numerics import mix_seed
+from radclust.numerics import RngStream, mix_seed
 from radclust.pipeline import SweepConfig, synth_blobs
 
 from oracles import (
@@ -96,6 +96,18 @@ class TestKmeans:
         rows = np.array([[0.0, 0.0]] * 3 + [[5.0, 5.0], [5.1, 5.0], [9.0, 0.0]])
         res = kmeans(rows, ClusterConfig(k=3, seed=0))
         assert set(res.labels.tolist()) == {0, 1, 2}
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_kmeans_pp_draws_plainly_once_the_potential_is_zero(self, k):
+        # every row equals the first centre: no distance-weighted trials run,
+        # and each later centre takes one plain next_below(n) draw
+        rows = np.tile([[1.5, -2.0, 0.25]], (5, 1))
+        stream, reference = RngStream(31), RngStream(31)
+        centers = KMEANS._kmeans_pp(rows, k, stream)
+        assert np.array_equal(centers, rows[:k])
+        for _ in range(k):
+            reference.next_below(5)
+        assert stream._state == reference._state
 
     def test_final_sse_matches_naive(self):
         rng = np.random.RandomState(8)

@@ -4,10 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from radclust.errors import NonConvergenceError, NotPositiveDefiniteError, ShapeError
+from radclust.errors import NonConvergenceError, ShapeError
 from radclust.numerics import (
     RngStream,
-    cholesky,
     mix_seed,
     pairwise_distances,
     sym_eigen,
@@ -58,7 +57,8 @@ class TestRngStream:
         a, b = RngStream(9), RngStream(9)
         assert np.array_equal(a.uniforms(100), np.array([b.next_uniform() for _ in range(100)]))
         a, b = RngStream(11), RngStream(11)
-        assert np.array_equal(a.gaussians(50), np.array([b.next_gaussian() for _ in range(50)]))
+        assert np.array_equal(a.gaussians(50), np.concatenate([b.gaussians(1) for _ in range(50)]))
+        assert a._state == b._state
 
     def test_uniform_range_and_mean(self):
         u = RngStream(3).uniforms(100_000)
@@ -108,6 +108,26 @@ class TestRngStream:
         draws = [rng.next_below(7) for _ in range(500)]
         assert set(draws) <= set(range(7))
         assert len(set(draws)) == 7
+
+    def test_next_below_accepts_bounds_up_to_two_to_the_64(self):
+        rng, raw = RngStream(17), RngStream(17)
+        # at 2**64 no draw is rejected and no modulo applies
+        assert [rng.next_below(2**64) for _ in range(5)] == [raw.next_u64() for _ in range(5)]
+        assert RngStream(17).next_below(1) == 0
+
+    @pytest.mark.parametrize("bound", [0, -1, 2**64 + 1, 2**65])
+    def test_next_below_rejects_bounds_one_draw_cannot_cover(self, bound):
+        rng = RngStream(19)
+        with pytest.raises(ValueError, match="bound must be in"):
+            rng.next_below(bound)
+        assert rng._state == RngStream(19)._state
+
+    def test_sample_rejects_populations_above_two_to_the_64(self):
+        with pytest.raises(ValueError, match="bound must be in"):
+            RngStream(23).sample(2**64 + 1, 1)
+        assert RngStream(23).sample(2**64 + 1, 0) == []
+        stream, scalar = RngStream(23), RngStream(23)
+        assert stream.sample(2**64, 3) == partial_fisher_yates(scalar, 2**64, 3)
 
     def test_spawn_gives_distinct_deterministic_children(self):
         child1 = RngStream(21).spawn()
@@ -240,42 +260,6 @@ class TestSymEigen:
             proj = v[:, group] @ v[:, group].T
             proj_jac = v_jac[:, group] @ v_jac[:, group].T
             assert np.abs(proj - proj_jac).max() <= 1e-8
-
-
-class TestCholesky:
-    def test_hand_checkable_2x2(self):
-        L = cholesky([[4.0, 2.0], [2.0, 3.0]])
-        assert np.allclose(L, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-15)
-
-    def test_identity(self):
-        assert np.array_equal(cholesky(np.eye(5)), np.eye(5))
-
-    def test_indefinite_reports_failing_pivot(self):
-        with pytest.raises(NotPositiveDefiniteError) as exc:
-            cholesky([[1.0, 2.0], [2.0, 1.0]])
-        assert exc.value.pivot == 1
-
-    @pytest.mark.parametrize("n", [1, 2, 4, 9, 17, 33, 50])
-    def test_round_trip_on_random_spd(self, n):
-        rng = np.random.RandomState(100 + n)
-        b = rng.randn(n, n)
-        a = b.T @ b + np.eye(n)
-        L = cholesky(a)
-        assert np.abs(L @ L.T - a).max() <= 1e-10 * max(1.0, np.abs(a).max())
-        assert np.all(np.diag(L) > 0.0)
-
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ShapeError):
-            cholesky(np.zeros((2, 3)))
-
-    def test_asymmetric_input_factored_as_symmetric_part(self):
-        a = np.array([[4.0, 1.0], [3.0, 3.0]])
-        before = a.copy()
-        L = cholesky(a)
-        assert np.array_equal(L, cholesky([[4.0, 2.0], [2.0, 3.0]]))
-        assert np.allclose(L, [[2.0, 0.0], [1.0, math.sqrt(2.0)]], atol=1e-15)
-        assert np.array_equal(a, before)
 
 
 class TestPairwiseDistances:

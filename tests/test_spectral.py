@@ -94,6 +94,10 @@ class TestSpectral:
         u = vecs[:, :3]
         assert np.abs(u.T @ u - np.eye(3)).max() <= 1e-6
 
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_median_offdiagonal_without_pairs_is_zero(self, n):
+        assert SPECTRAL_MODULE.median_offdiagonal(np.zeros((n, n))) == 0.0
+
     def test_spectral_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(SPECTRAL_MODULE, "_DENSE_CAP", 10)
         rng = np.random.RandomState(9)
