@@ -4,16 +4,20 @@ Means start from a seeded k-means run, weights start uniform, and every
 covariance starts from the global sample covariance restricted to the mode.
 The covariance mode enters in two places only:
 
-- the E-step is one per-component loop for every mode. Each component
-  whitens its centred rows with the transposed inverse of a Cholesky factor
-  from numpy's LAPACK, which tied mode factors once for all components and
-  diag mode writes in closed form, ``diag(1 / sqrt(var))``;
+- the E-step whitens every component with the inverse of a Cholesky factor
+  from numpy's LAPACK. Full mode factors all k covariances in one batched
+  call, tied mode factors its one matrix, and diag mode writes the closed
+  form ``diag(1 / sqrt(var))``. The rows are centred once per fit and get a
+  ones column, so one stacked GEMM whitens them for all k components at
+  once, each component's mean folded into its whitening matrix;
 - the M-step is one loop that builds each component's centred scatter
   matrix, and :func:`_covariances` pools them per mode. Fed the global
   scatter, the same helper gives the initial covariances.
 
-The E-step works in log space through log-sum-exp; every covariance gets
-``_COVARIANCE_REG`` (1e-6) on its diagonal. The objective is the mean
+Per-sample arrays are component-major, (k, n). The E-step works in log
+space through log-sum-exp over components; every covariance gets
+``_COVARIANCE_REG`` (1e-6) on its diagonal, and a factor that needs more
+is reported in ``diagnostics["interventions"]``. The objective is the mean
 per-sample log-likelihood and never decreases.
 """
 
@@ -47,19 +51,20 @@ class GmmModel:
 
 
 def _whitening(cov, reg, component):
-    """Log-determinant of cov and the transposed inverse of its Cholesky factor L.
+    """Log-determinant of cov, the inverse of its Cholesky factor L, and the shift used.
 
-    With ``y = (x - mean) @ inv(L).T``, ``y @ y`` is the Mahalanobis form
+    With ``y = inv(L) @ (x - mean)``, ``y @ y`` is the Mahalanobis form
     ``(x - mean) @ inv(cov) @ (x - mean)``. A diag mode's variance vector
-    takes the closed form ``(sum(log(var)), diag(1 / sqrt(var)))``. A matrix
-    is factored as it stands by ``np.linalg.cholesky`` (LAPACK reads its
-    lower triangle). When that raises, or gives a non-finite factor (numpy
-    does not raise on NaN), it is retried on ``cov + extra*I``, ``extra``
-    rising from ``reg`` by 10x, and past 1e-2 a DegenerateComponentError
-    names ``component``.
+    takes the closed form ``(sum(log(var)), diag(1 / sqrt(var)), 0.0)``. A
+    matrix is factored as it stands by ``np.linalg.cholesky`` (LAPACK reads
+    its lower triangle). When that raises, or gives a non-finite factor
+    (numpy does not raise on NaN), it is retried on ``cov + extra*I``,
+    ``extra`` rising from ``reg`` by 10x, and past 1e-2 a
+    DegenerateComponentError names ``component``. The third value is the
+    ``extra`` that factored, 0.0 when none was needed.
     """
     if cov.ndim == 1:
-        return float(np.log(cov).sum()), np.diag(1.0 / np.sqrt(cov))
+        return float(np.log(cov).sum()), np.diag(1.0 / np.sqrt(cov)), 0.0
     extra = 0.0
     while True:
         try:
@@ -76,34 +81,69 @@ def _whitening(cov, reg, component):
                 "non-positive-definite after regularization up to 1e-02",
                 component=component,
             )
-    return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L).T
+    return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L), extra
 
 
-def _log_density(rows, means, covariances, mode, reg):
-    """Log N(x | mean_c, cov_c) for every row and component: (n, k).
+def _factors(covariances, mode, reg):
+    """Every component's log-determinant and whitening matrix, and the escalations.
 
-    One loop serves every mode: each component whitens its centred rows with
-    its :func:`_whitening` factor, which tied mode computes once for all.
+    Returns ``(logdet, w, escalations)``: ``logdet`` is (k,) and ``w`` is
+    (k, d, d) with ``w[c] = inv(L_c)``, or (1,) and (1, d, d) for the one
+    tied factor; ``escalations`` lists ``(component, extra)`` for each
+    factor that needed ``extra*I``. Full mode factors all k covariances
+    with one batched ``np.linalg.cholesky`` and one batched
+    ``np.linalg.inv``, which give the bits of per-matrix calls. Only when
+    the batch raises or gives a non-finite factor does every component go
+    through :func:`_whitening`, whose ladder regularizes the failing ones
+    and names a degenerate one.
     """
-    n, d = rows.shape
-    k = means.shape[0]
-    out = np.empty((n, k))
-    tied = _whitening(covariances, reg, 0) if mode == "tied" else None
-    for c in range(k):
-        logdet, linv_t = tied if tied is not None else _whitening(covariances[c], reg, c)
-        y = (rows - means[c]) @ linv_t
-        out[:, c] = -0.5 * (d * _LOG_2PI + logdet + np.einsum("nd,nd->n", y, y))
-    return out
+    if mode == "full":
+        try:
+            L = np.linalg.cholesky(covariances)
+        except np.linalg.LinAlgError:
+            L = None
+        if L is not None and np.isfinite(L).all():
+            logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+            return logdet, np.linalg.inv(L), []
+    elif mode == "tied":
+        covariances = covariances[None]
+    logdet, w, extra = zip(*(_whitening(cov, reg, c) for c, cov in enumerate(covariances)))
+    return np.array(logdet), np.stack(w), [(c, e) for c, e in enumerate(extra) if e]
 
 
-def _e_step(rows, weights, means, covariances, mode, reg):
-    """Responsibilities and mean log-likelihood under the current parameters."""
-    log_prob = _log_density(rows, means, covariances, mode, reg)
-    weighted = log_prob + np.log(np.maximum(weights, 1e-300))[None, :]
-    top = weighted.max(axis=1, keepdims=True)
-    log_norm = top[:, 0] + np.log(np.exp(weighted - top).sum(axis=1))
-    resp = np.exp(weighted - log_norm[:, None])
-    return resp, float(log_norm.mean())
+def _log_density(aug, offsets, covariances, mode, reg):
+    """Log N(x | mean_c, cov_c) for every component and row, (k, n), and the escalations.
+
+    ``aug`` is ``[rows - centre | 1]``, (n, d + 1), for one centre per fit,
+    and ``offsets`` is ``means - centre``, (k, d). Component c's whitened
+    rows are ``[w_c | -w_c @ offset_c] @ aug.T`` with ``w_c = inv(L_c)``
+    from :func:`_factors`, so one stacked ``np.matmul`` over (k, d, d + 1)
+    gives all k at once, and no pass subtracts a mean from the rows.
+    Centring keeps the folded offset small, so a translated data set gives
+    the same densities to roundoff. The escalations are those of
+    :func:`_factors`.
+    """
+    logdet, w, escalations = _factors(covariances, mode, reg)
+    k, d = offsets.shape
+    wt = np.empty((k, d, d + 1))
+    wt[:, :, :d] = w
+    wt[:, :, d] = -np.matmul(w, offsets[:, :, None])[:, :, 0]
+    y = np.matmul(wt, aug.T)
+    np.square(y, out=y)
+    out = y.sum(axis=1)
+    out += (d * _LOG_2PI + logdet)[:, None]
+    out *= -0.5
+    return out, escalations
+
+
+def _e_step(aug, weights, offsets, covariances, mode, reg):
+    """Responsibilities (k, n), mean log-likelihood and escalations under these parameters."""
+    weighted, escalations = _log_density(aug, offsets, covariances, mode, reg)
+    weighted += np.log(np.maximum(weights, 1e-300))[:, None]
+    top = weighted.max(axis=0)
+    log_norm = top + np.log(np.exp(weighted - top).sum(axis=0))
+    weighted -= log_norm
+    return np.exp(weighted, out=weighted), float(log_norm.mean()), escalations
 
 
 def _covariances(scatter, counts, total, mode, reg):
@@ -126,6 +166,12 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
     (default 1e-4) or at ``cfg.max_iters``. Ties in the final argmax break
     toward the lowest component index. ``mode`` picks the covariance
     structure: ``"tied"``, ``"diag"`` or ``"full"`` (the default).
+    ``diagnostics["interventions"]`` lists every factor that needed more
+    than the 1e-6 ridge as ``{"iteration", "component", "extra"}``:
+    ``iteration`` indexes the E-step (the trace entry, or ``max_iters`` for
+    the closing E-step of a capped fit), tied mode's one factor is
+    component 0, and ``extra`` is the shift that factored. It is empty on a
+    clean fit.
     """
     if mode not in COVARIANCE_MODES:
         raise ConfigError(f"covariance mode must be one of {COVARIANCE_MODES}, got {mode!r}")
@@ -137,31 +183,35 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
 
     means = kmeans(rows, cfg).centroids.copy()
     weights = np.full(k, 1.0 / k)
-    centred = rows - rows.mean(axis=0)
+    centre = rows.mean(axis=0)
+    centred = rows - centre
     covariances = _covariances((centred.T @ centred)[None], np.full(k, float(n)), n, mode, reg)
+    aug = np.hstack([centred, np.ones((n, 1))])
 
-    trace = []
+    trace, interventions = [], []
     tiny = 10.0 * np.finfo(np.float64).eps
-    for _ in range(cfg.max_iters):
-        resp, mean_ll = _e_step(rows, weights, means, covariances, mode, reg)
+    for iteration in range(cfg.max_iters + 1):
+        resp, mean_ll, escalations = _e_step(aug, weights, means - centre, covariances, mode, reg)
+        interventions += (
+            {"iteration": iteration, "component": c, "extra": extra} for c, extra in escalations
+        )
+        if iteration == cfg.max_iters:
+            break  # the last M-step moved the parameters: label the rows by the returned ones
         converged = bool(trace) and mean_ll - trace[-1] <= cfg.tol
         trace.append(mean_ll)
         if converged:
             break
 
-        nk = resp.sum(axis=0)
+        nk = resp.sum(axis=1)
         nk_safe = np.maximum(nk, tiny)
         weights = nk / n
-        means = (resp.T @ rows) / nk_safe[:, None]
+        means = (resp @ rows) / nk_safe[:, None]
         scatter = np.empty((k, d, d))
         for c in range(k):
             diff = rows - means[c]
-            scatter[c] = (diff * resp[:, c:c + 1]).T @ diff
+            scatter[c] = (diff * resp[c][:, None]).T @ diff
         covariances = _covariances(scatter, nk_safe, n, mode, reg)
-    else:
-        # the last M-step moved the parameters: label the rows by the returned ones
-        resp, _ = _e_step(rows, weights, means, covariances, mode, reg)
-    labels = np.argmax(resp, axis=1)
+    labels = np.argmax(resp, axis=0)
     model = GmmModel(weights=weights, means=means, covariances=covariances, mode=mode)
     return ClusterResult(
         labels=labels,
@@ -170,4 +220,5 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
         iterations=len(trace),
         converged=converged,
         model=model,
+        diagnostics={"interventions": interventions},
     )

@@ -136,9 +136,12 @@ class RngStream:
         The m draws come from one :meth:`u64s` call, with the rejection test
         of :meth:`next_below` applied to each. If any draw would be rejected,
         or n is 2**64, the stream rewinds and takes the scalar draws, so the
-        list and the final state never depend on which path ran. For n above
-        2**64 and m > 0, :meth:`next_below` raises ValueError.
+        list and the final state never depend on which path ran. For m > n
+        a ValueError names both before any draw; for n above 2**64 and
+        m > 0, :meth:`next_below` raises ValueError.
         """
+        if m > n:
+            raise ValueError(f"cannot sample m={m} distinct indices from range(n={n})")
         start = self._state
         js = None
         if 0 < m <= n <= _MASK64:

@@ -23,6 +23,7 @@ import csv
 import functools
 import io
 import itertools
+import math
 import numbers
 import time
 import types
@@ -209,7 +210,7 @@ def read_features(data):
             vec = [float(v) for v in row[1:]]
         except ValueError:
             raise _row_error("feature", lineno, "non-numeric value") from None
-        if not all(np.isfinite(vec)):
+        if not all(map(math.isfinite, vec)):
             raise _row_error("feature", lineno, "non-finite value")
         ids.append(row_id)
         values.append(vec)

@@ -22,6 +22,8 @@ from radclust.pipeline import synth_blobs
 # M-step loop. The full and tied traces and model hashes were re-recorded when
 # the factor moved from a Python-loop Cholesky of (cov + cov.T) / 2 to numpy's
 # LAPACK Cholesky of cov as it stands; traces moved by at most 3.9e-14 relative.
+# They were re-recorded again when the E-step went component-major, with one
+# stacked GEMM over centred rows; traces moved by at most 4.6e-14 relative.
 PINS = json.loads((Path(__file__).parent / "data" / "gmm_pins.json").read_text())
 PIN_DATA = {"blobs": (150, 2, 16, 10.0, 0.1, 1), "archive": (100, 4, 16, 6.0, 1.0, 1)}
 REG = 1e-6
@@ -115,28 +117,28 @@ class TestCovariancePooling:
 class TestWhitening:
     def test_diag_variances_take_the_closed_form(self):
         var = np.array([4.0, 0.25, 9.0])
-        logdet, linv_t = GMM._whitening(var, REG, 0)
+        logdet, w, extra = GMM._whitening(var, REG, 0)
         assert logdet == pytest.approx(np.log(9.0))
-        assert np.array_equal(linv_t, np.diag([0.5, 2.0, 1.0 / 3.0]))
+        assert np.array_equal(w, np.diag([0.5, 2.0, 1.0 / 3.0])) and extra == 0.0
 
     def test_hand_checkable_2x2(self):
         # L = [[2, 0], [1, sqrt(2)]], so det = (2 * sqrt(2))**2 = 8
-        logdet, linv_t = GMM._whitening(np.array([[4.0, 2.0], [2.0, 3.0]]), REG, 0)
+        logdet, w, extra = GMM._whitening(np.array([[4.0, 2.0], [2.0, 3.0]]), REG, 0)
         assert logdet == pytest.approx(math.log(8.0), abs=1e-15)
-        expected = np.linalg.inv([[2.0, 0.0], [1.0, math.sqrt(2.0)]]).T
-        assert np.allclose(linv_t, expected, atol=1e-15)
+        expected = np.linalg.inv([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
+        assert np.allclose(w, expected, atol=1e-15) and extra == 0.0
 
     def test_identity(self):
-        logdet, linv_t = GMM._whitening(np.eye(5), REG, 0)
-        assert logdet == 0.0 and np.array_equal(linv_t, np.eye(5))
+        logdet, w, extra = GMM._whitening(np.eye(5), REG, 0)
+        assert logdet == 0.0 and np.array_equal(w, np.eye(5)) and extra == 0.0
 
     @pytest.mark.parametrize("n", [1, 2, 4, 9, 17, 33, 50])
     def test_round_trip_on_random_spd(self, n):
         rng = np.random.RandomState(100 + n)
         b = rng.randn(n, n)
         a = b.T @ b + np.eye(n)
-        logdet, linv_t = GMM._whitening(a, REG, 0)
-        assert np.abs(linv_t.T @ a @ linv_t - np.eye(n)).max() <= 1e-10
+        logdet, w, _ = GMM._whitening(a, REG, 0)
+        assert np.abs(w @ a @ w.T - np.eye(n)).max() <= 1e-10
         assert logdet == pytest.approx(np.linalg.slogdet(a)[1], rel=1e-12)
 
     def test_asymmetric_input_read_from_its_lower_triangle(self):
@@ -144,16 +146,16 @@ class TestWhitening:
         before = a.copy()
         lower = np.tril(a) + np.tril(a, -1).T
         got, want = GMM._whitening(a, REG, 0), GMM._whitening(lower, REG, 0)
-        assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert got[0] == want[0] and np.array_equal(got[1], want[1]) and got[2] == want[2]
         assert np.array_equal(a, before)
 
     def test_singular_psd_matrix_escalates_to_a_finite_factor(self):
         cov = np.array([[1.0, 1.0], [1.0, 1.0]])
-        logdet, linv_t = GMM._whitening(cov, REG, 0)
-        assert np.isfinite(logdet) and np.all(np.isfinite(linv_t))
+        logdet, w, extra = GMM._whitening(cov, REG, 0)
+        assert np.isfinite(logdet) and np.all(np.isfinite(w))
         # the factor whitens cov + reg*I, the first shift that factors
-        whitened = linv_t.T @ (cov + REG * np.eye(2)) @ linv_t
-        assert np.allclose(whitened, np.eye(2), atol=1e-6)
+        assert extra == REG
+        assert np.allclose(w @ (cov + REG * np.eye(2)) @ w.T, np.eye(2), atol=1e-6)
 
     def test_negative_definite_matrix_names_its_component(self):
         with pytest.raises(DegenerateComponentError) as info:
@@ -168,6 +170,81 @@ class TestWhitening:
         with pytest.raises(DegenerateComponentError) as info:
             GMM._whitening(cov, REG, 2)
         assert info.value.component == 2
+
+
+def spd_stack(k, d, seed):
+    factors = np.random.RandomState(seed).randn(k, d, d)
+    return factors @ factors.transpose(0, 2, 1) + np.eye(d)
+
+
+def per_matrix_factor(cov):
+    L = np.linalg.cholesky(cov)
+    return 2.0 * float(np.log(np.diag(L)).sum()), np.linalg.inv(L)
+
+
+class TestFactors:
+    def test_full_batch_gives_the_bits_of_per_matrix_factors(self):
+        stack = spd_stack(6, 16, 20)
+        logdet, w, escalations = GMM._factors(stack, "full", REG)
+        assert escalations == []
+        for c, cov in enumerate(stack):
+            want_logdet, want_w = per_matrix_factor(cov)
+            assert logdet[c] == want_logdet and np.array_equal(w[c], want_w)
+
+    @pytest.mark.parametrize("component, bad", [(1, -np.eye(4)), (2, np.full((4, 4), np.nan))])
+    def test_failed_batch_names_the_degenerate_component(self, component, bad):
+        stack = spd_stack(3, 4, 21)
+        stack[component] = bad
+        with pytest.raises(DegenerateComponentError) as info:
+            GMM._factors(stack, "full", REG)
+        assert info.value.component == component
+
+    def test_only_the_failing_component_is_regularized(self):
+        stack = spd_stack(3, 4, 22)
+        stack[2] = np.ones((4, 4))
+        logdet, w, escalations = GMM._factors(stack, "full", REG)
+        assert escalations == [(2, REG)]
+        for c in (0, 1):
+            want_logdet, want_w = per_matrix_factor(stack[c])
+            assert logdet[c] == want_logdet and np.array_equal(w[c], want_w)
+
+    def test_tied_factors_once_and_diag_takes_the_closed_form(self):
+        stack = spd_stack(3, 4, 23)
+        logdet, w, _ = GMM._factors(stack[0], "tied", REG)
+        want_logdet, want_w = per_matrix_factor(stack[0])
+        assert (logdet.shape, w.shape) == ((1,), (1, 4, 4))
+        assert logdet[0] == want_logdet and np.array_equal(w[0], want_w)
+        var = np.diagonal(stack, axis1=1, axis2=2).copy()
+        logdet, w, _ = GMM._factors(var, "diag", REG)
+        assert np.array_equal(w, np.stack([np.diag(1.0 / np.sqrt(v)) for v in var]))
+        assert logdet.tolist() == [float(np.log(v).sum()) for v in var]
+
+
+def log_density(rows, means, covariances, mode):
+    """The E-step's densities: rows centred on their column mean, as a fit centres them."""
+    centre = rows.mean(axis=0)
+    aug = np.hstack([rows - centre, np.ones((len(rows), 1))])
+    return GMM._log_density(aug, means - centre, covariances, mode, REG)[0]
+
+
+class TestLogDensity:
+    @pytest.mark.parametrize("mode", ["tied", "diag", "full"])
+    def test_exact_large_shift_keeps_the_densities(self, mode):
+        # rows and means lie on multiples of 2**-8, so adding 2**20 is exact
+        rng = np.random.RandomState(24)
+        n, d, k = 200, 5, 3
+        rows = rng.randint(-512, 512, size=(n, d)) / 256.0
+        means = rng.randint(-512, 512, size=(k, d)) / 256.0
+        full = spd_stack(k, d, 25) - 0.5 * np.eye(d)
+        covariances = {"tied": full[0], "diag": np.diagonal(full, axis1=1, axis2=2).copy(),
+                       "full": full}[mode]
+        shift = 2.0 ** 20
+        assert np.array_equal(rows + shift - shift, rows)
+        assert np.array_equal(means + shift - shift, means)
+        want = log_density(rows, means, covariances, mode)
+        got = log_density(rows + shift, means + shift, covariances, mode)
+        assert got.shape == (k, n)
+        np.testing.assert_allclose(got, want, rtol=1e-13)
 
 
 class TestFinalEStep:
@@ -239,6 +316,32 @@ class TestEmBehavior:
         assert np.all(np.isfinite(res.objective_trace))
         assert set(res.labels.tolist()) <= {0, 1}
 
+    @pytest.mark.parametrize("mode", ["tied", "diag", "full"])
+    def test_clean_fit_reports_no_interventions(self, mode):
+        rows, _ = two_blobs(seed=3)
+        res = gmm(rows, ClusterConfig(k=2, seed=3), mode=mode)
+        assert res.diagnostics == {"interventions": []}
+
+    @pytest.mark.parametrize("mode", ["tied", "full"])
+    def test_each_escalation_is_reported_as_an_intervention(self, mode):
+        # points on a line at scale 1e6: a 1e-6 ridge is below the rounding
+        # of their variances, so factoring needs a larger one
+        t = np.arange(12.0)
+        rows = np.c_[t, 3.0 * t] * 1e6
+        res = gmm(rows, ClusterConfig(k=2, seed=9), mode=mode)
+        ladder = [REG]
+        while ladder[-1] * 10.0 <= 1e-2:
+            ladder.append(ladder[-1] * 10.0)
+        interventions = res.diagnostics["interventions"]
+        assert interventions
+        assert [i["iteration"] for i in interventions] == sorted(
+            i["iteration"] for i in interventions)
+        for entry in interventions:
+            assert set(entry) == {"iteration", "component", "extra"}
+            assert 0 <= entry["iteration"] < res.iterations
+            assert entry["component"] in ((0,) if mode == "tied" else (0, 1))
+            assert entry["extra"] in ladder
+
 
 def sha256(a):
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
@@ -269,15 +372,19 @@ def test_pinned_cell(cell):
 
 def test_pinned_cells_identical_across_blas_thread_counts():
     # OpenBLAS reads its thread count once, at import, so each setting gets
-    # its own interpreter; the LAPACK factor must not change a single bit.
+    # its own interpreter; the LAPACK factors and the E-step GEMM must not
+    # change a single bit. At n=300 every E-step GEMM runs on one thread; the
+    # n=4000 cell crosses OpenBLAS's threading cutoff.
+    cells = [(PIN_DATA["blobs"], "full", 4), (PIN_DATA["blobs"], "tied", 6),
+             ((1000, 4, 16, 6.0, 1.0, 1), "full", 4)]
     script = (
         "import hashlib, json\n"
         "import numpy as np\n"
         "from radclust import ClusterConfig, gmm\n"
         "from radclust.pipeline import synth_blobs\n"
-        f"rows = synth_blobs(*{PIN_DATA['blobs']})[0].rows\n"
         "out = []\n"
-        "for mode, k in (('full', 4), ('tied', 6)):\n"
+        f"for data, mode, k in {cells!r}:\n"
+        "    rows = synth_blobs(*data)[0].rows\n"
         "    res = gmm(rows, ClusterConfig(k=k, seed=1), mode=mode)\n"
         "    m = res.model\n"
         "    out.append([[float(v).hex() for v in res.objective_trace]] + [\n"
@@ -293,6 +400,6 @@ def test_pinned_cells_identical_across_blas_thread_counts():
         out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                              text=True, timeout=300, check=True)
         runs.append(json.loads(out.stdout))
-    assert [len(trace) for trace, *_ in runs[0]] == [PINS["blobs/full/4"]["iterations"],
-                                                     PINS["blobs/tied/6"]["iterations"]]
+    assert [len(trace) for trace, *_ in runs[0][:2]] == [PINS["blobs/full/4"]["iterations"],
+                                                         PINS["blobs/tied/6"]["iterations"]]
     assert runs[0] == runs[1]

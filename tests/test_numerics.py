@@ -129,6 +129,13 @@ class TestRngStream:
         stream, scalar = RngStream(23), RngStream(23)
         assert stream.sample(2**64, 3) == partial_fisher_yates(scalar, 2**64, 3)
 
+    @pytest.mark.parametrize("n, m", [(3, 5), (0, 1), (2**64 + 1, 2**64 + 2)])
+    def test_sample_rejects_more_indices_than_the_population(self, n, m):
+        stream = RngStream(29)
+        with pytest.raises(ValueError, match=rf"m={m} distinct indices from range\(n={n}\)"):
+            stream.sample(n, m)
+        assert stream._state == RngStream(29)._state
+
     def test_spawn_gives_distinct_deterministic_children(self):
         child1 = RngStream(21).spawn()
         child2 = RngStream(21).spawn()

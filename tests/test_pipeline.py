@@ -143,6 +143,13 @@ class TestFeaturesIO:
         with pytest.raises(ParseError, match="finite"):
             read_features("id,f0\na,nan\n")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_line_reported_before_a_later_duplicate(self, value):
+        data = f"id,f0,f1\na,1.0,2.0\nb,3.0,{value}\na,4.0,5.0\n"
+        with pytest.raises(ParseError, match="feature line 3: non-finite value") as exc:
+            read_features(data)
+        assert exc.value.line == 3
+
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             read_features("name,f0\na,1.0\n")
