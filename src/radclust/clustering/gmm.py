@@ -5,9 +5,9 @@ covariance starts from the global sample covariance restricted to the mode.
 The covariance mode enters in two places only:
 
 - the E-step whitens every component with the inverse of a Cholesky factor
-  from numpy's LAPACK. Full mode factors all k covariances in one batched
-  call, tied mode factors its one matrix, and diag mode writes the closed
-  form ``diag(1 / sqrt(var))``. The rows are centred once per fit and get a
+  from numpy's LAPACK. Full mode factors each of its k covariances, tied
+  mode factors its one matrix, and diag mode writes the closed form
+  ``diag(1 / sqrt(var))``. The rows are centred once per fit and get a
   ones column, so one stacked GEMM whitens them for all k components at
   once, each component's mean folded into its whitening matrix;
 - the M-step is one loop that builds each component's centred scatter
@@ -90,22 +90,11 @@ def _factors(covariances, mode, reg):
     Returns ``(logdet, w, escalations)``: ``logdet`` is (k,) and ``w`` is
     (k, d, d) with ``w[c] = inv(L_c)``, or (1,) and (1, d, d) for the one
     tied factor; ``escalations`` lists ``(component, extra)`` for each
-    factor that needed ``extra*I``. Full mode factors all k covariances
-    with one batched ``np.linalg.cholesky`` and one batched
-    ``np.linalg.inv``, which give the bits of per-matrix calls. Only when
-    the batch raises or gives a non-finite factor does every component go
-    through :func:`_whitening`, whose ladder regularizes the failing ones
-    and names a degenerate one.
+    factor that needed ``extra*I``. Every component goes through
+    :func:`_whitening`, whose ladder regularizes a failing factor and names
+    a degenerate one.
     """
-    if mode == "full":
-        try:
-            L = np.linalg.cholesky(covariances)
-        except np.linalg.LinAlgError:
-            L = None
-        if L is not None and np.isfinite(L).all():
-            logdet = 2.0 * np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-            return logdet, np.linalg.inv(L), []
-    elif mode == "tied":
+    if mode == "tied":
         covariances = covariances[None]
     logdet, w, extra = zip(*(_whitening(cov, reg, c) for c, cov in enumerate(covariances)))
     return np.array(logdet), np.stack(w), [(c, e) for c, e in enumerate(extra) if e]

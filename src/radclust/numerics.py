@@ -144,7 +144,7 @@ class RngStream:
             raise ValueError(f"cannot sample m={m} distinct indices from range(n={n})")
         start = self._state
         js = None
-        if 0 < m <= n <= _MASK64:
+        if 0 < m and n <= _MASK64:
             bounds = np.uint64(n) - np.arange(m, dtype=np.uint64)
             u = self.u64s(m)
             # next_below rejects u >= 2**64 - (2**64 mod b); 2**64 - b has the same residue

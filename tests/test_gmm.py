@@ -183,16 +183,8 @@ def per_matrix_factor(cov):
 
 
 class TestFactors:
-    def test_full_batch_gives_the_bits_of_per_matrix_factors(self):
-        stack = spd_stack(6, 16, 20)
-        logdet, w, escalations = GMM._factors(stack, "full", REG)
-        assert escalations == []
-        for c, cov in enumerate(stack):
-            want_logdet, want_w = per_matrix_factor(cov)
-            assert logdet[c] == want_logdet and np.array_equal(w[c], want_w)
-
     @pytest.mark.parametrize("component, bad", [(1, -np.eye(4)), (2, np.full((4, 4), np.nan))])
-    def test_failed_batch_names_the_degenerate_component(self, component, bad):
+    def test_failed_factor_names_the_degenerate_component(self, component, bad):
         stack = spd_stack(3, 4, 21)
         stack[component] = bad
         with pytest.raises(DegenerateComponentError) as info:
