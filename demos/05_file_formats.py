@@ -27,7 +27,7 @@ blob = save_weights(weights)
 back = load_weights(blob)
 assert all(
     (a.tobytes(), b.tobytes()) == (c.tobytes(), d.tobytes())
-    for (a, b), (c, d) in zip(weights.tensors(), back.tensors())
+    for (a, b), (c, d) in zip(weights.layers, back.layers)
 )
 print(f"weight file round trip: {len(blob):,} bytes, provenance {back.provenance!r}")
 

@@ -207,8 +207,9 @@ def _cmd_cluster(args):
     ks = _parse_k_range(args.k)
     if ks[-1] != ks[0]:
         raise UsageError("cluster takes a single --k value, not a range")
-    fm = pipeline.read_features(_read_file(args.features))
     cfg = ClusterConfig(k=ks[0], seed=args.seed, **_knobs_from_args(args))
+    cfg.validate()
+    fm = pipeline.read_features(_read_file(args.features))
     runner = {slug: r for slug, _, r in pipeline.ALGORITHMS}[slugs[0]]
     result = runner(fm.rows, cfg)
     data = pipeline.write_labels(fm.ids, result.labels)
@@ -236,10 +237,10 @@ def _cmd_evaluate(args):
 
 
 def _cmd_sweep(args):
-    fm = pipeline.read_features(_read_file(args.features))
     cfg = pipeline.SweepConfig(ks=_parse_k_range(args.k),
                                algorithms=pipeline.algorithms_from_arg(args.algos),
                                seed=args.seed, knobs=_knobs_from_args(args))
+    fm = pipeline.read_features(_read_file(args.features))
     report = pipeline.sweep(fm, cfg)
     for row in report.rows:
         if row.error is not None:

@@ -4,8 +4,8 @@ The topology is written once, as the module constants below and the layer
 table :data:`LAYERS` derived from them: one ``(name, weight shape)`` pair per
 weighted layer, in forward order, which is also the order of the weight file.
 Four 3x3 same-padding convolutions (``conv1``-``conv4``, 64, 64, 128 and 128
-filters) each run conv, 2x2 max pool, dropout, ReLU; a flatten feeds two
-dense layers (``dense1``, 64 units with ReLU; ``dense2``, 16 linear units).
+filters) each run conv, 2x2 max pool, ReLU; a flatten feeds two dense layers
+(``dense1``, 64 units with ReLU; ``dense2``, 16 linear units).
 On a 128x128x1 input the activations run 64x64x64 -> 32x32x64 -> 16x16x128
 -> 8x8x128 -> 8192 -> 64 -> 16. :class:`CnnSpec`, :class:`WeightSet`,
 :func:`init_weights`, :func:`forward` and :func:`load_weights` all read the
@@ -13,9 +13,9 @@ table.
 
 There is no training here. The default weights are He-normal draws from a
 seeded stream (a random-projection feature extractor); externally trained
-parameters load through the weight-file format below. Dropout at inference
-is the identity map, kept in the layer sequence only for fidelity to the
-architecture. Weights are stored as float32 and promoted to float64 for all
+parameters load through the weight-file format below. The architecture's
+dropout after each pool is the identity at inference, so no stage runs for
+it. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
 
 Each block pools before its ReLU: ReLU is monotone, so it commutes with max
@@ -78,26 +78,20 @@ class CnnSpec:
 class WeightSet:
     """All network parameters, one (weight, bias) pair per :data:`LAYERS` row.
 
-    The conv rows fill ``conv_kernels``/``conv_biases`` and the dense rows
-    ``dense_weights``/``dense_biases``; every tensor must have its row's
+    ``layers`` holds the pairs in forward and weight-file order: the four
+    conv rows, then the two dense rows. Every tensor must have its row's
     shape and hold only finite values. ``provenance`` records where the
     values came from: ``"seed:<n>"`` for seeded initialization or
     ``"external"`` for loaded files.
     """
 
-    conv_kernels: list
-    conv_biases: list
-    dense_weights: list
-    dense_biases: list
+    layers: list
     provenance: str = "external"
 
     def __post_init__(self):
-        n_conv, n_dense = _CONV, len(DENSE_WIDTHS)
-        if len(self.conv_kernels) != n_conv or len(self.dense_weights) != n_dense:
-            raise ShapeError(f"expected {n_conv} conv kernels and {n_dense} dense weight matrices")
-        if len(self.conv_biases) != n_conv or len(self.dense_biases) != n_dense:
-            raise ShapeError(f"expected {n_conv} conv biases and {n_dense} dense bias vectors")
-        for (name, expect), (w, b) in zip(LAYERS, self.tensors()):
+        if len(self.layers) != len(LAYERS):
+            raise ShapeError(f"expected {len(LAYERS)} (weight, bias) pairs, got {len(self.layers)}")
+        for (name, expect), (w, b) in zip(LAYERS, self.layers):
             if w.shape != expect:
                 raise ShapeError(f"weight tensor shape {w.shape} does not match {expect}")
             if b.shape != (expect[0],):
@@ -106,19 +100,6 @@ class WeightSet:
             for tensor, what in ((w, kind), (b, "bias")):
                 if not np.all(np.isfinite(tensor)):
                     raise ShapeError(f"{name} {what} must be finite")
-
-    @classmethod
-    def from_pairs(cls, pairs, provenance="external"):
-        """Build from (weight, bias) pairs in :data:`LAYERS` order."""
-        weights, biases = [w for w, _ in pairs], [b for _, b in pairs]
-        return cls(weights[:_CONV], biases[:_CONV], weights[_CONV:], biases[_CONV:], provenance)
-
-    def tensors(self):
-        """(weight, bias) pairs in forward/serialization order."""
-        return list(zip(
-            list(self.conv_kernels) + list(self.dense_weights),
-            list(self.conv_biases) + list(self.dense_biases),
-        ))
 
 
 @dataclass(eq=False)
@@ -172,11 +153,6 @@ def relu(t):
     return np.maximum(np.asarray(t, dtype=np.float64), 0.0)
 
 
-def dropout(t, rate=0.5):
-    """Inference-time dropout: the identity map, with no rescaling."""
-    return t
-
-
 def maxpool2d(t):
     """Non-overlapping 2x2 max pooling, stride 2, per channel, of an (h, w, c) tensor.
 
@@ -218,12 +194,12 @@ def init_weights(spec, seed):
     layer.
     """
     stream = RngStream(seed)
-    pairs = []
+    layers = []
     for shape in spec.weight_shapes():
         std = math.sqrt(2.0 / math.prod(shape[1:]))
         values = (stream.gaussians(math.prod(shape)) * std).astype(np.float32)
-        pairs.append((values.reshape(shape), np.zeros(shape[0], dtype=np.float32)))
-    return WeightSet.from_pairs(pairs, provenance=f"seed:{seed}")
+        layers.append((values.reshape(shape), np.zeros(shape[0], dtype=np.float32)))
+    return WeightSet(layers, provenance=f"seed:{seed}")
 
 
 def forward(t, weights, return_activations=False):
@@ -236,15 +212,14 @@ def forward(t, weights, return_activations=False):
     if x.shape != INPUT_SHAPE:
         raise ShapeError(f"input tensor shape {x.shape} does not match {INPUT_SHAPE}")
     activations = []
-    for kernel, bias in zip(weights.conv_kernels, weights.conv_biases):
-        x = relu(dropout(maxpool2d(conv2d(x, kernel, bias))))
+    for kernel, bias in weights.layers[:_CONV]:
+        x = relu(maxpool2d(conv2d(x, kernel, bias)))
         activations.append(x)
+    (w1, b1), (w2, b2) = weights.layers[_CONV:]
     flat = flatten(x)
-    activations.append(flat)
-    hidden = relu(dense(flat, weights.dense_weights[0], weights.dense_biases[0]))
-    activations.append(hidden)
-    out = dense(hidden, weights.dense_weights[1], weights.dense_biases[1])
-    activations.append(out)
+    hidden = relu(dense(flat, w1, b1))
+    out = dense(hidden, w2, b2)
+    activations += [flat, hidden, out]
     fv = FeatureVector(values=out)
     return (fv, activations) if return_activations else fv
 
@@ -258,15 +233,14 @@ def save_weights(weights):
     order; then a u32 CRC32 of the payload bytes.
     """
     parts = [WEIGHTS_MAGIC, struct.pack("<B", WEIGHTS_VERSION)]
-    tensors = weights.tensors()
-    parts.append(struct.pack("<I", len(tensors)))
-    for w, _ in tensors:
+    parts.append(struct.pack("<I", len(weights.layers)))
+    for w, _ in weights.layers:
         parts.append(struct.pack("<I", w.ndim))
         parts.append(struct.pack(f"<{w.ndim}I", *w.shape))
     payload = b"".join(
         np.ascontiguousarray(w, dtype="<f4").tobytes()
         + np.ascontiguousarray(b, dtype="<f4").tobytes()
-        for w, b in tensors
+        for w, b in weights.layers
     )
     parts.append(payload)
     parts.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
@@ -339,6 +313,5 @@ def load_weights(data):
             f"layer {layer} holds a non-finite float32 at byte {offset}", offset=offset
         )
     parts = np.split(floats.copy(), ends[:-1])
-    return WeightSet.from_pairs(
-        [(w.reshape(shape), b) for w, b, shape in zip(parts[0::2], parts[1::2], expected)]
-    )
+    pairs = zip(parts[0::2], parts[1::2], expected)
+    return WeightSet([(w.reshape(shape), b) for w, b, shape in pairs])

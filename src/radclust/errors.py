@@ -52,17 +52,8 @@ class ShapeError(RadclustError):
 
 
 class NonConvergenceError(RadclustError):
-    """A solver hit its iteration cap, failed, or was given non-finite input.
-
-    ``residual`` holds the remaining off-diagonal norm (or equivalent
-    convergence measure) at the point of failure, or None when the solver
-    reports none.
-    """
+    """A solver hit its iteration cap, failed, or was given non-finite input."""
     exit_code = 3
-
-    def __init__(self, message, *, residual=None):
-        super().__init__(message)
-        self.residual = residual
 
 
 class DegenerateComponentError(RadclustError):

@@ -64,10 +64,6 @@ class PixelTensor:
             raise ShapeError("pixel tensor values must lie in [0, 1]")
         self.values = v
 
-    @property
-    def channels(self):
-        return self.values.shape[2]
-
 
 def _read_token(data, pos):
     """Next header token after whitespace and '#' comments; returns (token, start, end)."""

@@ -205,9 +205,9 @@ def jacobi_eigen(m, max_sweeps=100):
 
     The input is symmetrized by averaging with its transpose. Returns the
     eigenvalues in ascending order and the orthonormal eigenvectors as
-    columns, with no sign convention. Raises NonConvergenceError, carrying
-    the remaining off-diagonal norm, if that norm has not vanished after
-    ``max_sweeps`` full rotation sweeps.
+    columns, with no sign convention. Raises NonConvergenceError, whose
+    message gives the remaining off-diagonal norm, if that norm has not
+    vanished after ``max_sweeps`` full rotation sweeps.
     """
     a = np.array(m, dtype=float)
     a = (a + a.T) / 2.0
@@ -229,8 +229,7 @@ def jacobi_eigen(m, max_sweeps=100):
         if sweep >= max_sweeps:
             raise NonConvergenceError(
                 f"Jacobi eigensolver did not converge in {max_sweeps} sweeps "
-                f"(off-diagonal norm {off:.3e})",
-                residual=off,
+                f"(off-diagonal norm {off:.3e})"
             )
         thresh = 0.2 * off / (n * n) if sweep < 3 else 0.0
         for p in range(n - 1):

@@ -251,7 +251,7 @@ def test_criterion_8_format_fidelity(tmp_path, capsys):
     weights = init_weights(CnnSpec(), 42)
     data = save_weights(weights)
     back = load_weights(data)
-    for (wa, ba), (wb, bb) in zip(weights.tensors(), back.tensors()):
+    for (wa, ba), (wb, bb) in zip(weights.layers, back.layers):
         assert wa.tobytes() == wb.tobytes() and ba.tobytes() == bb.tobytes()
     assert save_weights(back) == data
 

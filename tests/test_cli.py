@@ -1,4 +1,5 @@
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -10,10 +11,11 @@ import pytest
 import radclust
 from radclust.cli import cli_main
 from radclust.errors import NonConvergenceError
-from radclust.imaging import load_pgm, save_pgm
+from radclust.imaging import CropRect, crop, load_pgm, resize, save_pgm
 from radclust.pipeline import (
     read_features,
     read_labels,
+    read_manifest,
     synth_textured_images,
     write_manifest,
     ManifestEntry,
@@ -112,6 +114,31 @@ class TestPreprocessAndExtract:
         ])
         assert code == 2
         assert "missing.bin" in capsys.readouterr().err
+
+    def test_preprocess_applies_the_manifest_crop(self, tmp_path):
+        imgs, _, _ = synth_textured_images(1, 64, seed=2)
+        raw = tmp_path / "raw"
+        raw.mkdir()
+        (raw / "a.pgm").write_bytes(save_pgm(imgs[0]))
+        rect = CropRect(8, 4, 32, 48)
+        (raw / "manifest.csv").write_bytes(
+            write_manifest([ManifestEntry(path="a.pgm", crop=rect, age=70.0, sex="F")])
+        )
+        proc = tmp_path / "proc"
+        assert run(["preprocess", "--manifest", str(raw / "manifest.csv"),
+                    "--out-dir", str(proc), "--size", "16"]) == 0
+        expect = resize(crop(imgs[0], rect), 16, 16)
+        assert np.array_equal(load_pgm((proc / "a.pgm").read_bytes()).pixels, expect.pixels)
+        (entry,) = read_manifest((proc / "manifest.csv").read_bytes())
+        assert (entry.path, entry.crop, entry.age, entry.sex) == ("a.pgm", None, 70.0, "F")
+
+    def test_extract_empty_manifest_exits_2(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_bytes(write_manifest([]))
+        out = tmp_path / "f.csv"
+        assert run(["extract", "--manifest", str(manifest), "--out", str(out)]) == 2
+        assert "lists no images" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_extract_wrong_image_size_exits_2(self, tmp_path):
         raw, manifest = write_image_tree(tmp_path, n_per_class=1, size=64)
@@ -318,6 +345,37 @@ class TestUsageErrors:
 
     def test_unknown_flag(self, capsys):
         assert run(["synth", "--bogus", "1", "--out", "x.csv"]) == 1
+
+    def test_help_exits_0(self, capsys):
+        assert run(["--help"]) == 0
+        assert "usage: radclust" in capsys.readouterr().out
+
+    def test_module_entry_point_exits_with_the_command_code(self, tmp_path, monkeypatch):
+        # what `python -m radclust.cli` runs, in this interpreter; the cached
+        # module is set aside so runpy executes the file afresh
+        out = tmp_path / "f.csv"
+        monkeypatch.delitem(sys.modules, "radclust.cli")
+        monkeypatch.setattr(sys, "argv", ["radclust", "synth", "--per-blob", "3", "--blobs", "2",
+                                          "--dim", "2", "--out", str(out)])
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("radclust.cli", run_name="__main__")
+        assert exc.value.code == 0
+        assert read_features(out.read_bytes()).n == 6
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep", "--birch-threshold", "-1"], "birch_threshold must be positive, got -1.0"),
+        (["sweep", "--algos", "bogus"], "unknown algorithm 'bogus'"),
+        (["sweep", "--algos", ","], "empty algorithm list"),
+        (["sweep", "--k", "5..3"], "empty k range '5..3'"),
+        (["cluster", "--algo", "kmeans", "--k", "2", "--tol", "-1"],
+         "tol must be positive, got -1.0"),
+    ], ids=["sweep-knob", "sweep-algo", "sweep-no-algo", "sweep-k-range", "cluster-knob"])
+    def test_arguments_checked_before_the_features_file(self, tmp_path, capsys, argv, message):
+        missing = tmp_path / "missing.csv"
+        assert run([*argv, "--features", str(missing), "--out", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err
+        assert message in err
+        assert "cannot read" not in err
 
     def test_bad_k_syntax(self, tmp_path):
         features = tmp_path / "f.csv"

@@ -11,7 +11,6 @@ from radclust.cnn import (
     WeightSet,
     conv2d,
     dense,
-    dropout,
     flatten,
     forward,
     init_weights,
@@ -89,10 +88,6 @@ class TestPointwiseLayers:
         x = rng.randn(4, 4, 2)
         assert np.array_equal(relu(relu(x)), relu(x))
 
-    def test_dropout_is_identity_without_scaling(self):
-        x = np.random.RandomState(4).randn(3, 3, 1)
-        assert dropout(x, rate=0.5) is x
-
     def test_maxpool_basic(self):
         out = maxpool2d(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
         assert out.shape == (1, 1, 1)
@@ -142,25 +137,24 @@ class TestInitWeights:
     def test_same_seed_bit_identical(self):
         a = init_weights(CnnSpec(), 42)
         b = init_weights(CnnSpec(), 42)
-        for (wa, ba), (wb, bb) in zip(a.tensors(), b.tensors()):
+        for (wa, ba), (wb, bb) in zip(a.layers, b.layers):
             assert wa.tobytes() == wb.tobytes()
             assert ba.tobytes() == bb.tobytes()
         assert a.provenance == "seed:42"
 
     def test_first_conv_std_near_he_target(self):
-        w = init_weights(CnnSpec(), 7).conv_kernels[0]
+        w = init_weights(CnnSpec(), 7).layers[0][0]
         target = np.sqrt(2.0 / 9.0)
         assert 0.8 * target <= w.std() <= 1.2 * target
 
     def test_biases_exactly_zero(self):
         ws = init_weights(CnnSpec(), 9)
-        for b in list(ws.conv_biases) + list(ws.dense_biases):
+        for _, b in ws.layers:
             assert np.all(b == 0.0)
 
     def test_weights_are_float32(self):
         ws = init_weights(CnnSpec(), 1)
-        assert all(k.dtype == np.float32 for k in ws.conv_kernels)
-        assert all(w.dtype == np.float32 for w in ws.dense_weights)
+        assert all(w.dtype == np.float32 for w, _ in ws.layers)
 
 
 class TestForward:
@@ -205,10 +199,10 @@ class TestForward:
         ws = init_weights(CnnSpec(), 8)
         x = np.asarray(RngStream_like_input())
         manual = x
-        for k, b in zip(ws.conv_kernels, ws.conv_biases):
+        for k, b in ws.layers[:4]:
             manual = mp(rl(c2d(manual, k, b)))
-        manual = dn(rl(dn(fl(manual), ws.dense_weights[0], ws.dense_biases[0])),
-                    ws.dense_weights[1], ws.dense_biases[1])
+        (w1, b1), (w2, b2) = ws.layers[4:]
+        manual = dn(rl(dn(fl(manual), w1, b1)), w2, b2)
         assert np.array_equal(forward(x, ws).values, manual)
 
     def test_nonzero_biases_match_relu_before_pool_order(self):
@@ -219,12 +213,13 @@ class TestForward:
             _, acts = forward(x, ws, return_activations=True)
             expect = []
             manual = x
-            for k, b in zip(ws.conv_kernels, ws.conv_biases):
+            for k, b in ws.layers[:4]:
                 manual = maxpool2d(relu(conv2d(manual, k, b)))
                 expect.append(manual)
+            (w1, b1), (w2, b2) = ws.layers[4:]
             expect.append(flatten(manual))
-            expect.append(relu(dense(expect[-1], ws.dense_weights[0], ws.dense_biases[0])))
-            expect.append(dense(expect[-1], ws.dense_weights[1], ws.dense_biases[1]))
+            expect.append(relu(dense(expect[-1], w1, b1)))
+            expect.append(dense(expect[-1], w2, b2))
             assert len(acts) == len(expect) == 7
             for got, want in zip(acts, expect):
                 assert got.shape == want.shape
@@ -238,6 +233,10 @@ class TestForward:
     def test_feature_vector_validation(self):
         with pytest.raises(ShapeError):
             FeatureVector(values=np.zeros(8))
+        values = np.zeros(16)
+        values[3] = np.nan
+        with pytest.raises(ShapeError, match="^feature vector must be finite$"):
+            FeatureVector(values=values)
 
 
 def _sha(data):
@@ -292,12 +291,8 @@ def _nonzero_bias_case():
     """Seed-10 weights with random non-zero biases; a uniform and a zero-padded input."""
     rng = np.random.RandomState(14)
     base = init_weights(CnnSpec(), 10)
-    ws = WeightSet(
-        conv_kernels=base.conv_kernels,
-        conv_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.conv_biases],
-        dense_weights=base.dense_weights,
-        dense_biases=[rng.randn(*b.shape).astype(np.float32) for b in base.dense_biases],
-    )
+    # one draw per bias in layer order: the conv biases, then the dense ones
+    ws = WeightSet([(w, rng.randn(*b.shape).astype(np.float32)) for w, b in base.layers])
     padded = np.zeros((128, 128, 1))
     padded[24:104, 32:96] = rng.rand(80, 64, 1)
     return ws, {"uniform": np.asarray(RngStream_like_input()), "padded": padded}
@@ -314,7 +309,7 @@ class TestWeightsIO:
         ws = init_weights(CnnSpec(), 42)
         data = save_weights(ws)
         back = load_weights(data)
-        for (wa, ba), (wb, bb) in zip(ws.tensors(), back.tensors()):
+        for (wa, ba), (wb, bb) in zip(ws.layers, back.layers):
             assert wa.tobytes() == wb.tobytes()
             assert ba.tobytes() == bb.tobytes()
         assert back.provenance == "external"
@@ -362,7 +357,7 @@ class TestWeightsIO:
     def test_non_finite_value_names_layer_and_offset(self):
         ws = init_weights(CnnSpec(), 1)
         data = save_weights(ws)
-        start = len(data) - 4 - sum(4 * (w.size + b.size) for w, b in ws.tensors())
+        start = len(data) - 4 - sum(4 * (w.size + b.size) for w, b in ws.layers)
         # the first conv kernel float, then the last dense bias float
         for value, at, layer in ((np.nan, start, 0), (-np.inf, len(data) - 8, 5)):
             bad = bytearray(data)
@@ -374,10 +369,12 @@ class TestWeightsIO:
 
     def test_weightset_built_in_code_keeps_shape_error_for_non_finite(self):
         ws = init_weights(CnnSpec(), 1)
-        kernels = [k.copy() for k in ws.conv_kernels]
-        kernels[0][0, 0, 0, 0] = np.nan
-        with pytest.raises(ShapeError, match="finite"):
-            WeightSet(kernels, ws.conv_biases, ws.dense_weights, ws.dense_biases)
+        layers = list(ws.layers)
+        kernel = layers[0][0].copy()
+        kernel[0, 0, 0, 0] = np.nan
+        layers[0] = (kernel, layers[0][1])
+        with pytest.raises(ShapeError, match="^conv1 kernel must be finite$"):
+            WeightSet(layers)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("layer, name", [
@@ -385,14 +382,30 @@ class TestWeightsIO:
     ])
     def test_weightset_non_finite_bias_names_its_tensor(self, layer, name, value):
         ws = init_weights(CnnSpec(), 1)
-        biases = [b.copy() for b in ws.conv_biases + ws.dense_biases]
-        biases[layer][-1] = value
+        layers = list(ws.layers)
+        bias = layers[layer][1].copy()
+        bias[-1] = value
+        layers[layer] = (layers[layer][0], bias)
         with pytest.raises(ShapeError, match=f"^{name} bias must be finite$"):
-            WeightSet(ws.conv_kernels, biases[:4], ws.dense_weights, biases[4:])
+            WeightSet(layers)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda layers: layers[:5], r"^expected 6 \(weight, bias\) pairs, got 5$"),
+        (lambda layers: [(layers[0][0][:32], layers[0][1])] + layers[1:],
+         r"^weight tensor shape \(32, 1, 3, 3\) does not match \(64, 1, 3, 3\)$"),
+        (lambda layers: layers[:5] + [(layers[5][0], layers[5][1][:8])],
+         r"^bias shape \(8,\) does not match \(16,\)$"),
+    ], ids=["count", "weight-shape", "bias-shape"])
+    def test_weightset_shape_errors(self, edit, message):
+        ws = init_weights(CnnSpec(), 1)
+        with pytest.raises(ShapeError, match=message):
+            WeightSet(edit(list(ws.layers)))
 
     def test_weightset_non_finite_weights_name_their_tensor(self):
         ws = init_weights(CnnSpec(), 1)
-        dense = [w.copy() for w in ws.dense_weights]
-        dense[1][0, 0] = np.inf
+        layers = list(ws.layers)
+        weights = layers[5][0].copy()
+        weights[0, 0] = np.inf
+        layers[5] = (weights, layers[5][1])
         with pytest.raises(ShapeError, match="^dense2 weights must be finite$"):
-            WeightSet(ws.conv_kernels, ws.conv_biases, dense, ws.dense_biases)
+            WeightSet(layers)

@@ -65,6 +65,8 @@ def test_valid_values_accepted():
     ({"knobs": {"seed": 3}}, "knob 'seed' is set per cell by the sweep"),
     ({"ks": [2.7]}, "every k must be an integer, got 2.7"),
     ({"ks": [2, "3"]}, "every k must be an integer, got '3'"),
+    ({"algorithms": []}, "algorithm list must not be empty"),
+    ({"algorithms": ["kmeans", "kmeanz"]}, r"unknown algorithms \['kmeanz'\]; valid: kmeans, "),
 ])
 def test_sweep_config_rejects_bad_knobs_and_ks(kwargs, message):
     with pytest.raises(ConfigError, match=message):

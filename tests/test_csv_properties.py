@@ -69,6 +69,8 @@ def mutate(data, changes):
 @example("features", [(18, INSERT, b"\r")])  # a bare CR in an unquoted field
 @example("manifest", [(49, INSERT, OVERLONG)])  # a field over the csv size limit
 @example("manifest", [(48, INSERT, b"-")])  # a negative crop offset
+@example("manifest", [(41, DELETE, b"a.pgm")])  # an empty path
+@example("features", [(12, TRUNCATE, b"")])  # the header and no data rows
 def test_mutated_file_parses_or_fails_positioned(kind, changes):
     read, valid = VALID[kind]
     data = mutate(valid, changes)

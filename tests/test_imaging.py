@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from radclust.errors import BoundsError, ParseError
+from radclust.errors import BoundsError, ParseError, ShapeError
 from radclust.imaging import (
     CropRect,
     ImageGray,
+    PixelTensor,
     crop,
     load_pgm,
     normalize,
@@ -99,6 +100,15 @@ class TestLoadPgm:
             load_pgm(b"P5 2 " + token + b" 255 " + bytes(40))
         assert exc.value.offset == 5
 
+    @pytest.mark.parametrize("header, message, offset", [
+        (b"P5\n0 3\n255\n", "PGM width must be >= 1, got 0", 3),
+        (b"P5\n5 0\n255\n", "PGM height must be >= 1, got 0", 5),
+    ], ids=["width", "height"])
+    def test_zero_dimension_reports_offset(self, header, message, offset):
+        with pytest.raises(ParseError, match=message) as exc:
+            load_pgm(header)
+        assert exc.value.offset == offset
+
     def test_round_trip_is_bit_exact(self):
         img = ramp(5, 7)
         data = save_pgm(img)
@@ -120,6 +130,8 @@ class TestCrop:
     def test_out_of_bounds(self):
         with pytest.raises(BoundsError, match="5"):
             crop(ramp(4, 4), CropRect(3, 3, 2, 2))
+        with pytest.raises(BoundsError, match="bottom edge 5 exceeds image height 4"):
+            crop(ramp(4, 6), CropRect(0, 3, 2, 2))
 
     def test_offset_semantics(self):
         out = crop(ramp(4, 4), CropRect(1, 2, 2, 2))
@@ -148,6 +160,11 @@ class TestResize:
             out = resize(img, tw, th)
             assert np.all(out.pixels == 77)
 
+    @pytest.mark.parametrize("out_w, out_h", [(0, 4), (4, 0)])
+    def test_empty_target_rejected(self, out_w, out_h):
+        with pytest.raises(ShapeError, match="resize target must be >= 1"):
+            resize(ramp(4, 4), out_w, out_h)
+
     def test_range_preserved(self):
         rng = np.random.RandomState(0)
         img = make_image(rng.randint(0, 256, size=(9, 13)))
@@ -170,10 +187,29 @@ class TestNormalize:
         assert t.values[0, 0, 0] == 1.0
         assert t.values[0, 1, 0] == 0.0
         assert t.values[1, 0, 0] == pytest.approx(0.2)
-        assert t.channels == 1
 
     def test_values_in_unit_interval(self):
         rng = np.random.RandomState(1)
         img = make_image(rng.randint(0, 256, size=(8, 8)))
         t = normalize(img)
         assert t.values.min() >= 0.0 and t.values.max() <= 1.0
+
+
+class TestContainers:
+    @pytest.mark.parametrize("width, height, pixels, message", [
+        (0, 2, np.zeros((2, 0)), "image dimensions must be >= 1, got 0x2"),
+        (3, 2, np.zeros((3, 2)), r"pixel array shape \(3, 2\) does not match 2x3"),
+    ], ids=["empty", "transposed"])
+    def test_image_gray_checks_its_shape(self, width, height, pixels, message):
+        with pytest.raises(ShapeError, match=message):
+            ImageGray(width=width, height=height, pixels=pixels)
+
+    @pytest.mark.parametrize("values, message", [
+        (np.zeros((2, 2)), r"pixel tensor must be \(h, w, 1\), got \(2, 2\)"),
+        (np.zeros((2, 2, 3)), r"pixel tensor must be \(h, w, 1\), got \(2, 2, 3\)"),
+        (np.full((2, 2, 1), 1.5), r"pixel tensor values must lie in \[0, 1\]"),
+        (np.full((2, 2, 1), -0.25), r"pixel tensor values must lie in \[0, 1\]"),
+    ], ids=["2-d", "3-channel", "above-1", "below-0"])
+    def test_pixel_tensor_checks_shape_and_range(self, values, message):
+        with pytest.raises(ShapeError, match=message):
+            PixelTensor(values)

@@ -101,8 +101,9 @@ class TestSilhouette:
         ([0, 1, None, 1], "label None at row 2 is not a whole number"),
         ([[0, 1], [1, 0]], r"expected 4 labels, got shape \(2, 2\)"),
         ([[0], [1, 2], [0], [1]], "expected 4 labels, got a ragged nested sequence"),
+        ([0, 1, np.int64(9), 1], "label 9 at row 2 out of range for 4 rows"),
     ], ids=["huge", "huge-negative", "uint64", "uint64-in-list", "whole-float", "fraction",
-            "nan", "string", "none", "nested", "ragged"])
+            "nan", "string", "none", "nested", "ragged", "numpy-scalar"])
     def test_bad_label_names_row_and_exact_value(self, labels, message):
         with pytest.raises(ShapeError, match=message):
             silhouette(np.zeros((4, 2)), labels)
@@ -186,6 +187,10 @@ class TestSse:
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError, match="label 2 at row 2 out of range for 2 centroids"):
             sse(np.zeros((3, 2)), [0, 1, 2], np.zeros((2, 2)))
+
+    def test_centroid_width_must_match_rows(self):
+        with pytest.raises(ShapeError, match=r"centroid matrix shape \(2, 3\) does not match d=2"):
+            sse(np.zeros((3, 2)), [0, 1, 0], np.zeros((2, 3)))
 
     def test_negative_label_names_first_bad_row(self):
         with pytest.raises(ShapeError, match="label -1 at row 1 out of range"):

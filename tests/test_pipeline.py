@@ -13,7 +13,10 @@ import pytest
 import radclust
 import radclust.pipeline as pl
 from radclust import ClusterConfig, ClusterResult, birch, kmeans
-from radclust.errors import ConfigError, ParseError, RadclustError, UsageError
+from radclust.errors import (
+    ConfigError, DataError, ParseError, RadclustError, ShapeError, UsageError,
+)
+from radclust.features import FeatureMatrix
 from radclust.numerics import mix_seed
 from radclust.pipeline import (
     ALGORITHM_SLUGS,
@@ -102,6 +105,12 @@ class TestManifest:
         with pytest.raises(ParseError, match="header"):
             read_manifest(b"file,x\nimg.pgm,1\n")
 
+    def test_empty_path_reports_line(self):
+        data = b"path,crop_x,crop_y,crop_w,crop_h,age,sex\nimg.pgm,,,,,,\n ,,,,,70,M\n"
+        with pytest.raises(ParseError, match="manifest line 3: empty path") as exc:
+            read_manifest(data)
+        assert exc.value.line == 3
+
     def test_round_trip(self):
         entries = [
             ManifestEntry(path="a.pgm", crop=None, age=None, sex="unknown"),
@@ -112,11 +121,19 @@ class TestManifest:
         assert back[1].crop.w == 3 and back[1].age == 70.0 and back[1].sex == "M"
 
 
+class TestFeatureMatrix:
+    def test_id_count_must_match_rows(self):
+        with pytest.raises(ShapeError, match="got 2 ids for 3 rows"):
+            FeatureMatrix(rows=np.zeros((3, 2)), ids=["a", "b"])
+
+    def test_duplicate_id_named(self):
+        with pytest.raises(DataError, match="duplicate feature id 'b'"):
+            FeatureMatrix(rows=np.zeros((4, 2)), ids=["a", "b", "c", "b"])
+
+
 class TestFeaturesIO:
     def test_round_trip_is_exact(self):
         rng = np.random.RandomState(0)
-        from radclust.features import FeatureMatrix
-
         fm = FeatureMatrix(rows=rng.randn(5, 3) * 1e3, ids=[f"s{i}" for i in range(5)])
         back = read_features(write_features(fm))
         assert back.ids == fm.ids
@@ -206,6 +223,21 @@ class TestSynth:
     def test_too_many_blobs(self):
         with pytest.raises(ConfigError):
             synth_blobs(5, 5, 2, 1.0, 0.1, seed=0)
+
+    @pytest.mark.parametrize("args, message", [
+        ((0, 2, 2, 1.0, 0.1), "must all be >= 1"),
+        ((5, 2, 0, 1.0, 0.1), "must all be >= 1"),
+        ((5, 2, 2, 0.0, 0.1), "must be positive"),
+        ((5, 2, 2, 1.0, -0.1), "must be positive"),
+    ], ids=["no-points", "no-dims", "zero-separation", "negative-noise"])
+    def test_bad_blob_arguments_rejected(self, args, message):
+        with pytest.raises(ConfigError, match=message):
+            synth_blobs(*args, seed=0)
+
+    @pytest.mark.parametrize("n_per_class, size", [(0, 8), (2, 0)])
+    def test_bad_textured_image_arguments_rejected(self, n_per_class, size):
+        with pytest.raises(ConfigError, match="n_per_class and size must be >= 1"):
+            synth_textured_images(n_per_class, size, seed=0)
 
     def test_textured_images(self):
         imgs, ids, labels = synth_textured_images(3, 32, seed=9)
@@ -501,3 +533,8 @@ class TestAlgorithmsArg:
     def test_typo_lists_valid_names(self):
         with pytest.raises(UsageError, match="kmeans"):
             algorithms_from_arg("kmeanz")
+
+    @pytest.mark.parametrize("value", ["", ",", " , "])
+    def test_empty_list_rejected(self, value):
+        with pytest.raises(UsageError, match="empty algorithm list"):
+            algorithms_from_arg(value)

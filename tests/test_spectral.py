@@ -98,6 +98,11 @@ class TestSpectral:
     def test_median_offdiagonal_without_pairs_is_zero(self, n):
         assert SPECTRAL_MODULE.median_offdiagonal(np.zeros((n, n))) == 0.0
 
+    def test_identical_rows_fall_back_to_unit_sigma(self):
+        # the median pairwise distance is 0, which cannot scale the RBF kernel
+        state = SPECTRAL_MODULE.prepare(np.full((5, 3), 2.5), ClusterConfig(k=2))
+        assert state.sigma == 1.0
+
     def test_spectral_cap_enforced(self, monkeypatch):
         monkeypatch.setattr(SPECTRAL_MODULE, "_DENSE_CAP", 10)
         rng = np.random.RandomState(9)

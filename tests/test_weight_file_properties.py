@@ -14,7 +14,7 @@ from radclust.errors import ParseError  # noqa: E402
 
 WEIGHTS = init_weights(CnnSpec(), 3)
 BLOB = save_weights(WEIGHTS)
-PAYLOAD_START = len(BLOB) - 4 - sum(4 * (w.size + b.size) for w, b in WEIGHTS.tensors())
+PAYLOAD_START = len(BLOB) - 4 - sum(4 * (w.size + b.size) for w, b in WEIGHTS.layers)
 PAYLOAD_FLOATS = (len(BLOB) - 4 - PAYLOAD_START) // 4
 
 # xor masks that reach the exponent byte's NaN/inf patterns as well as plain noise
@@ -49,6 +49,7 @@ def test_truncated_file(length):
                                     st.integers(min_value=0, max_value=len(BLOB) - 1)),
                           masks),
                 min_size=1, max_size=4))
+@example([(5, 0x01)])  # the shape table declares 7 layers
 def test_flipped_bytes(flips):
     data = bytearray(BLOB)
     for at, mask in flips:
