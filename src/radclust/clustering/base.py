@@ -9,6 +9,7 @@ from ..errors import ConfigError
 
 INIT_MODES = ("first_k", "kmeans++")
 # What a field annotated int or float accepts; one that defaults to None may be None.
+# bool is an Integral, but True is no count or tolerance, so no number field takes one.
 _NUMBER_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
@@ -41,9 +42,11 @@ class ClusterConfig:
     def validate(self):
         """Check what does not depend on the data; a ConfigError names the field."""
         for f in fields(self):
-            kind, noun = _NUMBER_TYPES.get(f.type, (object, ""))
             value = getattr(self, f.name)
-            if not isinstance(value, kind) and not (value is None and f.default is None):
+            if f.type not in _NUMBER_TYPES or (value is None and f.default is None):
+                continue
+            kind, noun = _NUMBER_TYPES[f.type]
+            if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")

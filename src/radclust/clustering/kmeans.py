@@ -42,9 +42,12 @@ def _repair_empty(rows, labels, d2, k):
 
 
 def _means(rows, labels, k):
-    # bincount adds each column's rows in row order, as np.add.at would
-    centers = np.stack([np.bincount(labels, weights=column, minlength=k) for column in rows.T],
-                       axis=1)
+    # Bin labels[i] * d + j takes rows[i, j]. bincount adds in index order over
+    # the row-major ravel, so each (cluster, column) bin sums its rows in row
+    # order, as np.add.at or a per-column bincount would.
+    d = rows.shape[1]
+    bins = (labels[:, None] * d + np.arange(d)).ravel()
+    centers = np.bincount(bins, weights=rows.ravel(), minlength=k * d).reshape(k, d)
     centers /= np.maximum(np.bincount(labels, minlength=k), 1)[:, None]
     return centers
 
@@ -134,12 +137,11 @@ def _polish(rows, labels, k):
     n = rows.shape[0]
     counts = np.bincount(labels, minlength=k).astype(np.float64)
     centers = _means(rows, labels, k)
-    # Each row of a last-axis sum adds in the order a 1-D sum of that row
-    # does, and (x - c) ** 2 == (c - x) ** 2 exactly, so dist[i, c] has the
-    # bits of ((rows[i] - centers[c]) ** 2).sum().
-    dist = np.empty((n, k))
-    for c in range(k):
-        dist[:, c] = ((centers[c] - rows) ** 2).sum(axis=1)
+    # Every entry is a sum along the contiguous last axis of its squares, so
+    # it adds its d terms in the order a 1-D sum of that row does, here and
+    # in the column updates below; and (x - c) ** 2 == (c - x) ** 2 exactly,
+    # so dist[i, c] has the bits of ((rows[i] - centers[c]) ** 2).sum().
+    dist = ((centers[None] - rows[:, None]) ** 2).sum(axis=2)
     moves = 0
     for passes in range(1, _MAX_POLISH_PASSES + 1):
         moved = False

@@ -26,11 +26,17 @@ _DENSE_CAP = 2000
 
 
 def median_offdiagonal(sq):
-    """Median of the square roots of a squared-distance matrix's strict upper triangle."""
+    """Median of the square roots of a squared-distance matrix's strict upper triangle.
+
+    A boolean mask copies the triangle out in row-major order, the order of
+    ``np.triu_indices(n, k=1)``; the roots and the median's partition then
+    work in place on that one copy.
+    """
     n = sq.shape[0]
     if n < 2:
         return 0.0
-    return float(np.median(np.sqrt(sq[np.triu_indices(n, k=1)])))
+    upper = sq[~np.tri(n, dtype=bool)]
+    return float(np.median(np.sqrt(upper, out=upper), overwrite_input=True))
 
 
 @dataclass(eq=False)

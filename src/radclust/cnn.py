@@ -18,8 +18,10 @@ dropout after each pool is the identity at inference, so no stage runs for
 it. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
 
-Each block pools before its ReLU: ReLU is monotone, so it commutes with max
-bit for bit, and running it after the pool touches a quarter of the values.
+Each convolution is one GEMM over an im2col matrix, made by one copy of the
+padded input's 3x3 sliding windows. Each block pools before its ReLU: ReLU is
+monotone, so it commutes with max bit for bit, and running it after the pool
+touches a quarter of the values.
 """
 
 import math
@@ -121,11 +123,11 @@ class FeatureVector:
 def conv2d(x, kernels, biases):
     """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
 
-    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px), and
-    the im2col matrix is built as (cin, kh, kw, h, w) from kh*kw shifted-slice
-    copies, each with contiguous rows. One GEMM, ``kernels (cout, cin*kh*kw) @
-    cols (cin*kh*kw, h*w)``, then gives every output; the bias is added in
-    place. The columns keep the kernel's (cin, kh, kw) order. The result is an
+    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px). Its
+    (kh, kw) sliding windows, viewed as (cin, kh, kw, h, w), are copied once
+    into the C-contiguous im2col matrix (cin*kh*kw, h*w), whose rows keep the
+    kernel's (cin, kh, kw) order. One GEMM, ``kernels (cout, cin*kh*kw) @
+    cols``, then gives every output; the bias is added in place. The result is an
     (h, w, cout) view of a channel-first (cout, h, w) array, not a C-contiguous
     array.
     """
@@ -139,11 +141,9 @@ def conv2d(x, kernels, biases):
     py, px = kh // 2, kw // 2
     padded = np.zeros((cin, h + 2 * py, w + 2 * px))
     padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
-    cols = np.empty((cin, kh, kw, h, w))
-    for dy in range(kh):
-        for dx in range(kw):
-            cols[:, dy, dx] = padded[:, dy:dy + h, dx:dx + w]
-    out = kernels.reshape(cout, -1) @ cols.reshape(cin * kh * kw, h * w)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, h * w)
+    out = kernels.reshape(cout, -1) @ cols
     out += biases[:, None]
     return out.reshape(cout, h, w).transpose(1, 2, 0)
 

@@ -6,6 +6,7 @@ down to the byte. Other formats enter the pipeline via external conversion.
 All operations are pure functions over immutable inputs.
 """
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ import numpy as np
 from .errors import BoundsError, ParseError, ShapeError
 
 _WHITESPACE = b" \t\n\r\x0b\x0c"
+_HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\n\r\x0b\x0c#]+)")
 
 
 @dataclass(eq=False)
@@ -66,23 +68,19 @@ class PixelTensor:
 
 
 def _read_token(data, pos):
-    """Next header token after whitespace and '#' comments; returns (token, start, end)."""
-    n = len(data)
-    while pos < n:
-        c = data[pos]
-        if c in _WHITESPACE:
-            pos += 1
-        elif c == ord("#"):
-            while pos < n and data[pos] not in b"\r\n":
-                pos += 1
-        else:
-            break
-    if pos >= n:
-        raise ParseError(f"unexpected end of PGM header at byte {n}", offset=n)
-    start = pos
-    while pos < n and data[pos] not in _WHITESPACE and data[pos] != ord("#"):
-        pos += 1
-    return data[start:pos], start, pos
+    """Next header token after whitespace and '#' comments; returns (token, start, end).
+
+    A comment runs from '#' up to CR, LF or the end of the data; a token is a
+    run of bytes that are neither whitespace nor '#'. One :data:`_HEADER_TOKEN`
+    match skips whitespace and comments from ``pos`` and captures the token.
+    Its lookahead ends a comment only at CR, LF or the end, so backtracking
+    never reads a comment's tail as a token. No match means only whitespace
+    and comments were left: a ParseError at ``len(data)``.
+    """
+    match = _HEADER_TOKEN.match(data, pos)
+    if match is None:
+        raise ParseError(f"unexpected end of PGM header at byte {len(data)}", offset=len(data))
+    return match[1], match.start(1), match.end(1)
 
 
 def _read_int_token(data, pos, what):

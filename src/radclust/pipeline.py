@@ -121,6 +121,22 @@ def _row_error(what, line, problem):
     return ParseError(f"{what} line {line}: {problem}", line=line)
 
 
+def _numbers(kind, fields, what, line, problem):
+    """``kind`` (int or float) of every field, or a ParseError at ``line`` saying ``problem``.
+
+    A field must be ASCII without underscores: int() and float() would also
+    read digit-group underscores and non-ASCII digits ("1_0" as 10, "١٢" and
+    "１２" as 12).
+    """
+    text = "".join(fields)
+    if text.isascii() and "_" not in text:
+        try:
+            return list(map(kind, fields))
+        except ValueError:
+            pass
+    raise _row_error(what, line, problem)
+
+
 def _write_csv(header, rows):
     """UTF-8 CSV bytes with LF line endings; a field is quoted only when it must be.
 
@@ -151,19 +167,15 @@ def read_manifest(data):
             raise _row_error("manifest", lineno, "crop needs all of crop_x,crop_y,crop_w,crop_h")
         crop = None
         if all(crop_fields):
+            values = _numbers(int, crop_fields, "manifest", lineno, "non-numeric crop field")
             try:
-                crop = CropRect(*[int(f) for f in crop_fields])
-            except ValueError:
-                raise _row_error("manifest", lineno, "non-numeric crop field") from None
+                crop = CropRect(*values)
             except BoundsError as exc:
                 raise _row_error("manifest", lineno, exc) from None
         age_value = None
         if age:
-            try:
-                age_value = float(age)
-            except ValueError:
-                problem = f"field age is not numeric ({age!r})"
-                raise _row_error("manifest", lineno, problem) from None
+            problem = f"field age is not numeric ({age!r})"
+            [age_value] = _numbers(float, [age], "manifest", lineno, problem)
             if not 0.0 <= age_value <= 130.0:
                 raise _row_error("manifest", lineno, f"age {age_value} outside [0, 130]")
         if sex not in SEX_TOKENS:
@@ -206,10 +218,7 @@ def read_features(data):
         if row_id in seen:
             raise ParseError(f"duplicate feature id {row_id!r}", line=lineno)
         seen.add(row_id)
-        try:
-            vec = [float(v) for v in row[1:]]
-        except ValueError:
-            raise _row_error("feature", lineno, "non-numeric value") from None
+        vec = _numbers(float, row[1:], "feature", lineno, "non-numeric value")
         if not all(map(math.isfinite, vec)):
             raise _row_error("feature", lineno, "non-finite value")
         ids.append(row_id)
@@ -321,7 +330,7 @@ class SweepConfig:
         if isinstance(self.ks, range):
             self.ks = self.ks if self.ks.step > 0 else self.ks[::-1]
         else:
-            bad = [k for k in self.ks if not isinstance(k, numbers.Integral)]
+            bad = [k for k in self.ks if not isinstance(k, numbers.Integral) or isinstance(k, bool)]
             if bad:
                 raise ConfigError(f"every k must be an integer, got {bad[0]!r}")
             self.ks = sorted(set(int(k) for k in self.ks))

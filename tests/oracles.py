@@ -275,6 +275,27 @@ def jacobi_eigen(m, max_sweeps=100):
     return w[order], v[:, order]
 
 
+def scan_pgm_token(data, pos):
+    """Byte-at-a-time PGM header lexer: (token, start, end), or None if only
+    whitespace and '#' comments (each up to CR or LF) are left from ``pos``."""
+    whitespace = b" \t\n\r\x0b\x0c"
+    n = len(data)
+    while pos < n:
+        if data[pos] in whitespace:
+            pos += 1
+        elif data[pos] == ord("#"):
+            while pos < n and data[pos] not in b"\r\n":
+                pos += 1
+        else:
+            break
+    if pos >= n:
+        return None
+    start = pos
+    while pos < n and data[pos] not in whitespace and data[pos] != ord("#"):
+        pos += 1
+    return data[start:pos], start, pos
+
+
 def naive_conv2d_same(x, kernels, biases):
     """Six-nested-loop same-padding cross-correlation, stride 1."""
     x = np.asarray(x, dtype=float)

@@ -49,6 +49,18 @@ def test_wrong_type_rejected(name, value):
         kmeans(ROWS, cfg)
 
 
+@pytest.mark.parametrize("name", ["k", "seed", "max_iters", "restarts", "batch_size", "tol",
+                                  "rbf_sigma", "birch_threshold"])
+@pytest.mark.parametrize("value", [True, False])
+def test_bool_rejected_in_number_fields(name, value):
+    # bool is an Integral, so True would otherwise pass as 1
+    cfg = ClusterConfig(**{"k": 2, name: value})
+    with pytest.raises(ConfigError, match=f"{name} must be .*, got {value}"):
+        cfg.validate()
+    with pytest.raises(ConfigError, match=f"{name} must be"):
+        kmeans(ROWS, cfg)
+
+
 def test_valid_values_accepted():
     ClusterConfig(k=2, batch_size=None, rbf_sigma=None, birch_threshold=None).validate_for(2)
     ClusterConfig(k=np.int64(2), max_iters=np.int32(5), tol=np.float32(0.1), rbf_sigma=1).validate()
@@ -67,6 +79,8 @@ def test_valid_values_accepted():
     ({"ks": [2, "3"]}, "every k must be an integer, got '3'"),
     ({"algorithms": []}, "algorithm list must not be empty"),
     ({"algorithms": ["kmeans", "kmeanz"]}, r"unknown algorithms \['kmeanz'\]; valid: kmeans, "),
+    ({"ks": [True, 3]}, "every k must be an integer, got True"),
+    ({"knobs": {"max_iters": True}}, "max_iters must be an integer, got True"),
 ])
 def test_sweep_config_rejects_bad_knobs_and_ks(kwargs, message):
     with pytest.raises(ConfigError, match=message):

@@ -71,6 +71,10 @@ def mutate(data, changes):
 @example("manifest", [(48, INSERT, b"-")])  # a negative crop offset
 @example("manifest", [(41, DELETE, b"a.pgm")])  # an empty path
 @example("features", [(12, TRUNCATE, b"")])  # the header and no data rows
+@example("features", [(0, TRUNCATE, b"")])  # an empty file
+@example("manifest", [(41, INSERT, b",")])  # a row with 8 fields
+@example("labels", [(0, OVERWRITE, b"x")])  # a wrong header
+@example("labels", [(14, INSERT, b",")])  # a row with 3 fields
 def test_mutated_file_parses_or_fails_positioned(kind, changes):
     read, valid = VALID[kind]
     data = mutate(valid, changes)

@@ -89,6 +89,18 @@ class TestLoadPgm:
         img = load_pgm(data)
         assert np.array_equal(img.pixels, [[7, 9]])
 
+    @pytest.mark.parametrize("header", [b"P5 2 1 # 255", b"P5 2 1 #255", b"P5 2 1\n#\n# 255"],
+                             ids=["spaced", "unspaced", "after-a-comment-line"])
+    def test_comment_to_the_end_of_the_data_holds_no_token(self, header):
+        # the digits inside the comment must not be read as maxval
+        with pytest.raises(ParseError, match=f"end of PGM header at byte {len(header)}") as exc:
+            load_pgm(header)
+        assert exc.value.offset == len(header)
+
+    def test_comment_straight_after_a_token(self):
+        img = load_pgm(b"P5#m\n2#w\n1#h\r255\n" + bytes([7, 9]))
+        assert np.array_equal(img.pixels, [[7, 9]])
+
     def test_non_numeric_header_field(self):
         with pytest.raises(ParseError, match="width"):
             load_pgm(b"P5 x 2 255 " + bytes(4))

@@ -6,8 +6,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+from oracles import scan_pgm_token  # noqa: E402
 from radclust.errors import ParseError  # noqa: E402
-from radclust.imaging import ImageGray, load_pgm, save_pgm  # noqa: E402
+from radclust.imaging import ImageGray, _read_token, load_pgm, save_pgm  # noqa: E402
 
 VALID = {
     "8-bit": save_pgm(ImageGray(width=5, height=3,
@@ -46,6 +47,9 @@ def mutate(data, changes):
 @example("8-bit", [(3, INSERT, b"+")])  # a signed width
 @example("16-bit", [(0, TRUNCATE, b"")])  # empty file
 @example("16-bit", [(24, OVERWRITE, b"9" * 25)])  # maxval far above 65535
+@example("8-bit", [(7, TRUNCATE, b""), (7, INSERT, b"# 255")])  # a comment to the end of the data
+@example("8-bit", [(4, INSERT, b"#c\n")])  # '#' straight after the width token
+@example("8-bit", [(10, OVERWRITE, b"#")])  # no whitespace after maxval
 def test_mutated_file_loads_or_fails_positioned(kind, changes):
     data = mutate(VALID[kind], changes)
     try:
@@ -55,3 +59,23 @@ def test_mutated_file_loads_or_fails_positioned(kind, changes):
         assert 0 <= exc.offset <= len(data)
     else:
         assert isinstance(img, ImageGray)
+
+
+HEADER_BYTES = list(b" \t\n\r\x0b\x0c#P509\x00\xff")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.binary(max_size=40), st.lists(st.sampled_from(HEADER_BYTES), max_size=40)
+                 .map(bytes)),
+       st.integers(min_value=0, max_value=41))
+@example(b"P5 2 1 # 255", 6)  # a comment that runs to the end of the data
+@example(b"5#c\n 3", 0)  # '#' straight after a token
+@example(b"#\r#\n\x0b9", 0)  # comments ended by CR and by LF, then a vertical tab
+def test_header_lexer_matches_the_byte_loop(data, pos):
+    expect = scan_pgm_token(data, pos)
+    if expect is None:
+        with pytest.raises(ParseError, match="unexpected end of PGM header") as exc:
+            _read_token(data, pos)
+        assert exc.value.offset == len(data)
+    else:
+        assert _read_token(data, pos) == expect

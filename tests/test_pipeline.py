@@ -192,6 +192,40 @@ class TestFeaturesIO:
         assert exc.value.line == 3
 
 
+# int() and float() read each of these as 10 or 12; a numeric CSV field must be ASCII decimal
+NOT_ASCII_DECIMAL = pytest.mark.parametrize(
+    "value", ["1_0", "\u0661\u0662", "\uff11\uff12"],
+    ids=["underscore", "arabic-indic", "full-width"],
+)
+
+
+class TestNumberSyntax:
+    @NOT_ASCII_DECIMAL
+    @pytest.mark.parametrize("column", ["f0", "f1"])
+    def test_feature_value(self, value, column):
+        def data(v):
+            fields = {"f0": "1.5", "f1": "2.5", column: v}
+            return f"id,f0,f1\na,1.0,2.0\nb,{fields['f0']},{fields['f1']}\n"
+        assert read_features(data("12")).rows[1].tolist().count(12.0) == 1
+        with pytest.raises(ParseError, match="feature line 3: non-numeric value") as exc:
+            read_features(data(value))
+        assert exc.value.line == 3
+
+    @NOT_ASCII_DECIMAL
+    @pytest.mark.parametrize("column", ["crop_x", "crop_y", "crop_w", "crop_h", "age"])
+    def test_manifest_field(self, value, column):
+        def data(v):
+            fields = {"crop_x": "1", "crop_y": "2", "crop_w": "30", "crop_h": "40", "age": "64",
+                      column: v}
+            return (f"path,crop_x,crop_y,crop_w,crop_h,age,sex\na.pgm,,,,,,\n"
+                    f"b.pgm,{','.join(fields.values())},F\n")
+        assert read_manifest(data("12"))[1].path == "b.pgm"
+        message = "field age is not numeric" if column == "age" else "non-numeric crop field"
+        with pytest.raises(ParseError, match=f"manifest line 3: {message}") as exc:
+            read_manifest(data(value))
+        assert exc.value.line == 3
+
+
 class TestSynth:
     def test_blob_centers_on_axes(self):
         fm, labels = synth_blobs(50, 2, 2, 10.0, 0.1, seed=1)

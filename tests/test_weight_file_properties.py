@@ -50,6 +50,7 @@ def test_truncated_file(length):
                           masks),
                 min_size=1, max_size=4))
 @example([(5, 0x01)])  # the shape table declares 7 layers
+@example([(9, 0x01)])  # layer 0 declares 5 dims
 def test_flipped_bytes(flips):
     data = bytearray(BLOB)
     for at, mask in flips:
