@@ -11,7 +11,10 @@ Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
 numpy's LAPACK Cholesky directly.
 """
 
+import functools
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -28,6 +31,12 @@ _EPS = 2.0 ** -52  # float64 machine epsilon
 # the flagged pairs whose coordinate differences are built at once.
 _RECHECK_ELEMENTS = 1 << 18
 _RECHECK_PAIRS = 1 << 13
+# Raw draws made per block (256 KiB of uint64): a block's passes reuse its
+# buffers in cache.
+_BLOCK = 1 << 15
+_ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
+_S31 = np.uint64(31)
+_S11 = np.uint64(11)
 
 
 def _mix64(z):
@@ -49,14 +58,102 @@ def mix_seed(*parts):
     return acc
 
 
+def _cpus():
+    """CPUs this process may run on: the most spans a bulk draw is cut into."""
+    affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+@functools.cache
+def _steps():
+    """(i + 1) * gamma for i < _BLOCK: the counter offset of a block's draw i.
+
+    Made on the first bulk draw, so a process that makes none never holds it.
+    """
+    steps = np.arange(1, _BLOCK + 1, dtype=np.uint64)
+    steps *= np.uint64(_GAMMA)
+    steps.flags.writeable = False  # one array, shared by every stream and thread
+    return steps
+
+
+def _draws(counter, steps, out, a, b):
+    """Mix ``counter + steps`` (mod 2**64) into ``out``.
+
+    ``a`` and ``b`` are uint64 scratch the size of ``out``. No pass writes
+    over its own input: numpy takes a slower path for that on one element.
+    """
+    np.add(steps, np.uint64(counter), out=a)
+    for shift, mult in _ROUNDS:
+        np.right_shift(a, shift, out=b)
+        np.bitwise_xor(a, b, out=out)
+        np.multiply(out, mult, out=a)
+    np.right_shift(a, _S31, out=b)
+    np.bitwise_xor(a, b, out=out)
+
+
+def _u64_block(out, counter, scratch):
+    """Draws 1..n after ``counter``, as they come."""
+    n = len(out)
+    _draws(counter, _steps()[:n], out, scratch[:n], scratch[n : 2 * n])
+
+
+def _uniform_block(out, counter, scratch):
+    """Draws 1..n after ``counter`` as uniforms: the top 53 bits times 2**-53."""
+    n = len(out)
+    z, a = scratch[:n], scratch[n : 2 * n]
+    _draws(counter, _steps()[:n], z, a, out.view(np.uint64))
+    np.right_shift(z, _S11, out=a)
+    np.multiply(a, _U53, out=out)
+
+
+def _gaussian_block(out, counter, scratch):
+    """Box-Muller values from draw pairs (1, 2), (3, 4), ... after ``counter``.
+
+    The first draw of a pair gives u1 in (0, 1], the second u2 in [0, 1);
+    the value is sqrt(-2 log u1) cos(2 pi u2). Each float step rounds the
+    same operands as that formula evaluated over the whole range at once,
+    so the bits do not depend on where a block starts.
+    """
+    n = len(out)
+    z, a, b = scratch[: 2 * n], scratch[2 * n : 4 * n], scratch[4 * n : 6 * n]
+    _draws(counter, _steps()[: 2 * n], z, a, b)
+    np.right_shift(z, _S11, out=a)
+    f, g, h = z.view(np.float64)[:n], z.view(np.float64)[n:], b.view(np.float64)[:n]
+    # u1 = (top 53 bits + 1) * 2**-53: at most 2**53 before scaling, so exact
+    np.add(a[0::2], np.uint64(1), out=b[:n])
+    np.multiply(b[:n], _U53, out=f)
+    np.log(f, out=g)
+    np.multiply(g, -2.0, out=f)
+    np.sqrt(f, out=g)
+    np.multiply(a[1::2], _U53, out=f)
+    np.multiply(f, 2.0 * math.pi, out=h)
+    np.cos(h, out=f)
+    np.multiply(g, f, out=out)
+
+
+def _span(out, state, per, kernel, lo, hi, errors):
+    """Fill ``out[lo:hi]`` block by block in one scratch buffer; append a failure to ``errors``."""
+    try:
+        block = _BLOCK // per
+        scratch = np.empty(3 * per * min(block, hi - lo), np.uint64)
+        for start in range(lo, hi, block):
+            stop = min(start + block, hi)
+            kernel(out[start:stop], (state + per * start * _GAMMA) & _MASK64, scratch)
+    except BaseException as exc:  # re-raised by the caller, on its own thread
+        errors.append(exc)
+
+
 class RngStream:
     """Deterministic 64-bit random stream (single-owner, mutable).
 
     The state is a plain counter advanced by a fixed odd increment, and each
     output is a finalizing mix of the counter, so the k-th draw depends only
-    on (seed, k). Bulk generation (:meth:`uniforms`, :meth:`gaussians`) is
-    therefore bit-identical to repeated scalar draws of the same kind, down
-    to the final state.
+    on (seed, k). Bulk generation (:meth:`u64s`, :meth:`uniforms`,
+    :meth:`gaussians`) is therefore bit-identical to repeated scalar draws
+    of the same kind, down to the final state. It runs in blocks of 2**15
+    raw draws; a longer range is cut into spans that fill their own slices
+    of the output on up to one thread per CPU the process may run on, and
+    the bits are the same at any thread count.
 
     Uniform draws lie in [0, 1). Gaussian draws use the Box-Muller transform
     (cosine branch, two uniforms per value) and are always finite. A stream
@@ -75,13 +172,7 @@ class RngStream:
 
     def u64s(self, count):
         """Next ``count`` raw draws as a uint64 array (vectorized)."""
-        state = np.uint64(self._state)
-        z = state + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-        z = z ^ (z >> np.uint64(31))
-        self._state = (self._state + count * _GAMMA) & _MASK64
-        return z
+        return self._fill(count, np.uint64, 1, _u64_block)
 
     def next_uniform(self):
         """Uniform double in [0, 1) built from the top 53 bits of a draw."""
@@ -89,7 +180,7 @@ class RngStream:
 
     def uniforms(self, count):
         """Array of ``count`` uniforms in [0, 1)."""
-        return np.asarray(self.u64s(count) >> np.uint64(11), dtype=np.float64) * _U53
+        return self._fill(count, np.float64, 1, _uniform_block)
 
     def gaussians(self, count):
         """Array of ``count`` standard normal draws.
@@ -97,10 +188,43 @@ class RngStream:
         Consumes exactly two raw draws per value; the first uniform is mapped
         into (0, 1] so the logarithm stays finite.
         """
-        u = self.u64s(2 * count)
-        u1 = (np.asarray(u[0::2] >> np.uint64(11), dtype=np.float64) + 1.0) * _U53
-        u2 = np.asarray(u[1::2] >> np.uint64(11), dtype=np.float64) * _U53
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
+        return self._fill(count, np.float64, 2, _gaussian_block)
+
+    def _fill(self, count, dtype, per, kernel):
+        """``count`` values of ``per`` draws each, made by ``kernel`` block by block.
+
+        ``kernel(out, counter, scratch)`` fills ``out`` from the draws after
+        ``counter``, with three uint64 words of ``scratch`` per draw. Up to
+        one block runs here. A longer range is cut into contiguous spans of
+        whole blocks, one per CPU this process may run on; each span fills
+        its own slice of the output on its own thread, the first on this
+        one. The state moves only once every span has finished, and a span's
+        exception is raised here, so no partly filled array is returned.
+        """
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        out = np.empty(count, dtype)
+        block = _BLOCK // per
+        if count <= block:
+            kernel(out, self._state, np.empty(3 * per * count, np.uint64))
+        else:
+            blocks = -(-count // block)
+            spans = min(_cpus(), blocks)
+            edges = [min(count, block * (blocks * i // spans)) for i in range(spans + 1)]
+            errors = []
+            threads = [
+                threading.Thread(target=_span, args=(out, self._state, per, kernel, lo, hi, errors))
+                for lo, hi in zip(edges[1:-1], edges[2:])
+            ]
+            for thread in threads:
+                thread.start()
+            _span(out, self._state, per, kernel, edges[0], edges[1], errors)
+            for thread in threads:
+                thread.join()
+            if errors:
+                raise errors[0]
+        self._state = (self._state + per * count * _GAMMA) & _MASK64
+        return out
 
     def next_below(self, bound):
         """Uniform integer in [0, bound), rejection-sampled (no modulo bias).

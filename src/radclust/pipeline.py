@@ -295,9 +295,14 @@ def synth_textured_images(n_per_class, size, seed):
     gradient = np.linspace(-40.0, 40.0, size)[:, None]
     for cls, (base, noise_scale) in enumerate([(90.0, 6.0), (160.0, 35.0)]):
         for j in range(n_per_class):
-            noise = stream.gaussians(size * size).reshape(size, size) * noise_scale
-            canvas = base + noise + (gradient if cls == 0 else 0.0)
-            pixels = np.clip(np.floor(canvas + 0.5), 0.0, 255.0).astype(np.uint8)
+            canvas = stream.gaussians(size * size).reshape(size, size)
+            canvas *= noise_scale
+            canvas += base
+            if cls == 0:
+                canvas += gradient
+            canvas += 0.5
+            np.floor(canvas, out=canvas)
+            pixels = np.clip(canvas, 0.0, 255.0, out=canvas).astype(np.uint8)
             images.append(ImageGray(width=size, height=size, pixels=pixels))
             ids.append(f"img{cls}_{j:03d}")
             labels.append(cls)

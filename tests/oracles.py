@@ -3,10 +3,11 @@
 Every oracle here is deliberately slow and literal (plain loops, textbook
 formulas) and shares no code with the package under test beyond its
 exception types and, for the shuffle and sample draws, the scalar
-``next_below`` draws of the stream it is handed. The mini-batch and polish
-references are the exceptions: they reuse k-means' seeding, assignment and
-mean helpers, so that only the center update or the move sweep differs from
-the package's.
+``next_below`` draws of the stream it is handed. The one-shot draw oracles
+read and advance that stream's counter but compute every value themselves.
+The mini-batch and polish references are the exceptions: they reuse
+k-means' seeding, assignment and mean helpers, so that only the center
+update or the move sweep differs from the package's.
 """
 
 import math
@@ -32,6 +33,46 @@ def splitmix64_reference(seed, count):
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         out.append(z ^ (z >> 31))
     return out
+
+
+def one_shot_u64s(stream, count):
+    """``count`` raw draws of ``stream`` in one vectorized pass over the whole range.
+
+    Advances the stream's state as ``RngStream.u64s`` must. The SplitMix
+    constants are the ones transcribed in :func:`splitmix64_reference`.
+    """
+    mask, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    z = np.uint64(stream._state) + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(gamma)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    z = z ^ (z >> np.uint64(31))
+    stream._state = (stream._state + count * gamma) & mask
+    return z
+
+
+def one_shot_uniforms(stream, count):
+    """``count`` uniforms in [0, 1): the top 53 bits of each one-shot draw times 2**-53."""
+    return np.asarray(one_shot_u64s(stream, count) >> np.uint64(11), dtype=np.float64) * 2.0**-53
+
+
+def one_shot_gaussians(stream, count):
+    """``count`` Box-Muller values (cosine branch) from ``2 * count`` one-shot draws.
+
+    Draw 2i gives u1 in (0, 1], draw 2i + 1 gives u2 in [0, 1), and value i
+    is sqrt(-2 log u1) cos(2 pi u2).
+    """
+    u = one_shot_u64s(stream, 2 * count)
+    u1 = (np.asarray(u[0::2] >> np.uint64(11), dtype=np.float64) + 1.0) * 2.0**-53
+    u2 = np.asarray(u[1::2] >> np.uint64(11), dtype=np.float64) * 2.0**-53
+    return np.sqrt(-2.0 * np.log(u1)) * np.cos((2.0 * math.pi) * u2)
+
+
+# Each bulk draw of RngStream by name: its one-shot oracle and raw draws per value.
+ONE_SHOT_DRAWS = {
+    "u64s": (one_shot_u64s, 1),
+    "uniforms": (one_shot_uniforms, 1),
+    "gaussians": (one_shot_gaussians, 2),
+}
 
 
 def fisher_yates_shuffle(stream, items):

@@ -1,10 +1,13 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from radclust import numerics
 from radclust.errors import NonConvergenceError, ShapeError
 from radclust.numerics import (
     RngStream,
@@ -14,6 +17,7 @@ from radclust.numerics import (
 )
 
 from oracles import (
+    ONE_SHOT_DRAWS,
     charpoly_eigs_by_bisection,
     fisher_yates_shuffle,
     jacobi_eigen,
@@ -60,6 +64,65 @@ class TestRngStream:
         a, b = RngStream(11), RngStream(11)
         assert np.array_equal(a.gaussians(50), np.concatenate([b.gaussians(1) for _ in range(50)]))
         assert a._state == b._state
+
+    @pytest.mark.parametrize("kind", sorted(ONE_SHOT_DRAWS))
+    def test_negative_count_rejected_before_any_draw(self, kind):
+        stream = RngStream(5)
+        with pytest.raises(ValueError, match="count must be >= 0, got -3"):
+            getattr(stream, kind)(-3)
+        assert stream._state == RngStream(5)._state
+        empty = getattr(stream, kind)(0)
+        assert empty.shape == (0,) and empty.dtype == getattr(RngStream(5), kind)(1).dtype
+        assert stream._state == RngStream(5)._state
+
+    @pytest.mark.parametrize("kind", sorted(ONE_SHOT_DRAWS))
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind, workers):
+        oracle_draws, per = ONE_SHOT_DRAWS[kind]
+        block = numerics._BLOCK // per
+        span = numerics._span
+        threads = []
+
+        def recording_span(*args):
+            threads.append(threading.current_thread())
+            span(*args)
+
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        monkeypatch.setattr(numerics, "_span", recording_span)
+        count = 3 * block + 7  # four blocks, the last one short
+        stream, oracle = RngStream(2**64 - 2), RngStream(2**64 - 2)
+        got = getattr(stream, kind)(count)
+        assert got.tobytes() == oracle_draws(oracle, count).tobytes()
+        assert stream._state == oracle._state
+        assert len(set(threads)) == len(threads) == workers
+
+    def test_eight_spans_under_a_short_switch_interval(self, monkeypatch):
+        count = 8 * (numerics._BLOCK // 2) + 3  # nine Gaussian blocks in eight spans
+        monkeypatch.setattr(numerics, "_cpus", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = RngStream(37).gaussians(count)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got.tobytes() == ONE_SHOT_DRAWS["gaussians"][0](RngStream(37), count).tobytes()
+
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_span_exception_reaches_the_caller(self, monkeypatch, failing):
+        block = numerics._BLOCK // 2
+        kernel = numerics._gaussian_block
+
+        def fail_on_one_thread(*args):
+            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
+                raise RuntimeError(f"{failing} span failed")
+            kernel(*args)
+
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.setattr(numerics, "_gaussian_block", fail_on_one_thread)
+        stream = RngStream(31)
+        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
+            stream.gaussians(2 * block)
+        assert stream._state == RngStream(31)._state
 
     def test_uniform_range_and_mean(self):
         u = RngStream(3).uniforms(100_000)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import os
 import subprocess
@@ -283,6 +284,12 @@ class TestSynth:
         # the speckled class has much rougher local texture than the smooth one
         roughness = [np.diff(i.pixels.astype(float), axis=1).std() for i in imgs]
         assert min(roughness[3:]) > 3.0 * max(roughness[:3])
+
+    def test_textured_image_bytes_are_pinned(self):
+        # four 512x512 images: each one more than one block of Gaussian draws
+        imgs, _, _ = synth_textured_images(2, 512, seed=1)
+        digest = hashlib.sha256(b"".join(i.pixels.tobytes() for i in imgs)).hexdigest()
+        assert digest == "1898469de7daf2c27dc296bcf51d9e68b5990b13b22a73ef533ec4b5109e6a24"
 
 
 class TestSweep:
