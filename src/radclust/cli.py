@@ -21,24 +21,29 @@ import numpy as np
 
 
 class _Parser(argparse.ArgumentParser):
+    """Reads every ``type=int`` and ``type=float`` flag through the number grammar."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for kind in (int, float):
+            self.register("type", kind, lambda text, k=kind: pipeline.parse_numbers(k, [text])[0])
+
     def error(self, message):
         raise UsageError(message)
 
 
 def _parse_k_range(text):
-    """'a..b' inclusive or a single integer, as a range (nothing is listed yet)."""
-    text = text.strip()
+    """'a..b' inclusive or a single integer, as a range (nothing is listed yet).
+
+    Each bound is an int in the number grammar of :func:`pipeline.parse_numbers`.
+    """
     try:
-        if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            lo, hi = int(lo_text), int(hi_text)
-            if lo > hi:
-                raise UsageError(f"empty k range {text!r}")
-            return range(lo, hi + 1)
-        k = int(text)
-        return range(k, k + 1)
+        bounds = pipeline.parse_numbers(int, text.split("..", 1))
     except ValueError:
         raise UsageError(f"--k expects an integer or a..b range, got {text!r}") from None
+    if bounds[0] > bounds[-1]:
+        raise UsageError(f"empty k range {text!r}")
+    return range(bounds[0], bounds[-1] + 1)
 
 
 def _on_file(verb, path, call):

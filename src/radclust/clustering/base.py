@@ -1,5 +1,6 @@
 """Configuration and result records shared by all clustering variants."""
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 
@@ -48,6 +49,8 @@ class ClusterConfig:
             kind, noun = _NUMBER_TYPES[f.type]
             if not isinstance(value, kind) or isinstance(value, bool):
                 raise ConfigError(f"{f.name} must be {noun}, got {value!r}")
+            if f.type is float and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value!r}")
         if self.max_iters < 1:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:

@@ -12,11 +12,16 @@ Formats (UTF-8, LF line endings, a field quoted only when it holds a comma,
 a double quote, a CR or an LF):
 
 - manifest CSV: header ``path,crop_x,crop_y,crop_w,crop_h,age,sex``; the
-  crop, age, and sex fields may be empty.
+  crop, age, and sex fields may be empty; age is written at full precision.
 - feature CSV: header ``id,f0,...,f{d-1}``; full-precision decimal floats.
 - labels CSV: header ``id,cluster``.
 - report CSV: header ``algorithm,k,silhouette,runtime_ms,converged`` with
   silhouette at 4 decimal places.
+
+Every number read from outside, in these files and on the command line,
+follows one grammar (:func:`parse_numbers`): an int is ``-?[0-9]+``, and a
+float is an int with an optional ``.[0-9]+`` fraction and an optional
+``[eE][-+]?[0-9]+`` exponent. No padding, no ``+`` sign, no ``nan``/``inf``.
 """
 
 import csv
@@ -25,6 +30,7 @@ import io
 import itertools
 import math
 import numbers
+import re
 import time
 import types
 from dataclasses import dataclass, field, fields
@@ -42,6 +48,9 @@ MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
 LABELS_HEADER = ["id", "cluster"]
 SEX_TOKENS = {"M": "M", "F": "F", "unknown": "unknown", "": "unknown"}
 _MAX_LABEL = int(np.iinfo(np.intp).max)
+_NUMBER_SYNTAX = {int: "-?[0-9]+", float: r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"}
+# One or more numbers of a kind joined by commas, so that a whole row is checked in one match.
+_NUMBER_ROWS = {kind: re.compile(f"{one}(?:,{one})*") for kind, one in _NUMBER_SYNTAX.items()}
 # ClusterConfig fields a sweep may set; it sets k and seed itself, per cell.
 _KNOBS = [f.name for f in fields(ClusterConfig) if f.name not in ("k", "seed")]
 
@@ -121,20 +130,24 @@ def _row_error(what, line, problem):
     return ParseError(f"{what} line {line}: {problem}", line=line)
 
 
-def _numbers(kind, fields, what, line, problem):
-    """``kind`` (int or float) of every field, or a ParseError at ``line`` saying ``problem``.
+def parse_numbers(kind, texts):
+    """``kind`` (int or float) of every text; ValueError unless each one is in the grammar.
 
-    A field must be ASCII without underscores: int() and float() would also
-    read digit-group underscores and non-ASCII digits ("1_0" as 10, "١٢" and
-    "１２" as 12).
+    This is the one place a number is read from outside text; see the module
+    docstring for the grammar. A text holding a comma matches the joined row
+    but fails ``kind()``, so it raises ValueError too.
     """
-    text = "".join(fields)
-    if text.isascii() and "_" not in text:
-        try:
-            return list(map(kind, fields))
-        except ValueError:
-            pass
-    raise _row_error(what, line, problem)
+    if _NUMBER_ROWS[kind].fullmatch(",".join(texts)) is None:
+        raise ValueError(f"not {kind.__name__} syntax: {texts!r}")
+    return list(map(kind, texts))
+
+
+def _numbers(kind, fields, what, line, problem):
+    """:func:`parse_numbers` of ``fields``, or a ParseError at ``line`` saying ``problem``."""
+    try:
+        return parse_numbers(kind, fields)
+    except ValueError:
+        raise _row_error(what, line, problem) from None
 
 
 def _write_csv(header, rows):
@@ -159,8 +172,8 @@ def read_manifest(data):
         if len(row) != len(MANIFEST_HEADER):
             raise ParseError(f"manifest line {lineno} has {len(row)} fields, "
                              f"expected {len(MANIFEST_HEADER)}", line=lineno)
-        path, cx, cy, cw, ch, age, sex = (f.strip() for f in row)
-        if not path:
+        path, cx, cy, cw, ch, age, sex = row
+        if not path.strip():
             raise _row_error("manifest", lineno, "empty path")
         crop_fields = [cx, cy, cw, ch]
         if any(crop_fields) and not all(crop_fields):
@@ -190,7 +203,7 @@ def write_manifest(entries):
     rows = []
     for e in entries:
         crop = ["", "", "", ""] if e.crop is None else [e.crop.x, e.crop.y, e.crop.w, e.crop.h]
-        age = "" if e.age is None else format(e.age, "g")
+        age = "" if e.age is None else repr(float(e.age))
         rows.append([e.path, *crop, age, "" if e.sex == "unknown" else e.sex])
     return _write_csv(MANIFEST_HEADER, rows)
 
@@ -236,9 +249,9 @@ def write_labels(ids, labels):
 def read_labels(data):
     """Parse a labels CSV into (ids, label array).
 
-    A cluster id must be ASCII digits (a leading minus is read only so that
-    a negative id is reported as out of range) and fit the platform's index
-    type; anything else is a ParseError carrying its line number.
+    A cluster id must be an int in the number grammar and lie in
+    [0, the platform's largest index]; anything else is a ParseError
+    carrying its line number.
     """
     header, rows = _read_csv(data, "labels")
     if header != LABELS_HEADER:
@@ -247,10 +260,7 @@ def read_labels(data):
     for lineno, row in rows:
         if len(row) != 2:
             raise ParseError(f"labels line {lineno} must have 2 fields", line=lineno)
-        digits = row[1].removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise _row_error("labels", lineno, "cluster is not an integer")
-        label = int(row[1])
+        [label] = _numbers(int, row[1:], "labels", lineno, "cluster is not an integer")
         if not 0 <= label <= _MAX_LABEL:
             raise _row_error("labels", lineno, f"cluster {label} outside [0, {_MAX_LABEL}]")
         labels.append(label)

@@ -316,6 +316,18 @@ def jacobi_eigen(m, max_sweeps=100):
     return w[order], v[:, order]
 
 
+def builtin_number(kind, text):
+    """``kind`` (int or float) of ``text`` as the readers took it before the number grammar.
+
+    ASCII without underscores, then Python's own ``int()`` or ``float()``,
+    which also take padding, a ``+`` sign, ``nan`` and ``inf``; ValueError
+    for anything else.
+    """
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"not ASCII decimal: {text!r}")
+    return kind(text)
+
+
 def scan_pgm_token(data, pos):
     """Byte-at-a-time PGM header lexer: (token, start, end), or None if only
     whitespace and '#' comments (each up to CR or LF) are left from ``pos``."""

@@ -1,4 +1,4 @@
-"""Run the test suite in-process and fail on any statement under src/radclust that never ran.
+"""Run the test suite and fail on any statement under src/radclust that never ran.
 
 Usage, from the repository root::
 
@@ -9,19 +9,34 @@ dependency, so lines are recorded with ``sys.settrace``: the tracer follows
 only frames whose code lives under ``src/radclust`` and returns None for the
 rest, which keeps the traced run close to the untraced one. A statement is
 every line that some compiled code object of a package file maps an
-instruction to (``co_lines()``). Code run in a subprocess is not traced, so
-only in-process tests count. Exits with pytest's code if the tests fail,
-else 1 if any statement never ran (each one printed as ``path:line``), else 0.
+instruction to (``co_lines()``).
+
+Child interpreters count too. Before the suite starts, the runner puts a
+directory holding a generated ``sitecustomize.py`` first on ``PYTHONPATH``
+and names an output directory in ``RADCLUST_COVERAGE_OUT``. A Python
+process that a test starts with that environment loads this file at
+start-up, installs the same tracer and writes the lines it ran to the
+output directory when it exits; the runner merges those files with its own
+lines. Exits with pytest's code if the tests fail, else 1 if any statement
+never ran (each one printed as ``path:line``), else 0.
 """
 
+import atexit
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
-import pytest
-
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "radclust"
+OUT_VAR = "RADCLUST_COVERAGE_OUT"
+SITECUSTOMIZE = """\
+import importlib.util
+spec = importlib.util.spec_from_file_location("_statement_coverage", {path!r})
+module = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(module)
+module.trace_child()
+"""
 
 
 def statements(path):
@@ -34,7 +49,8 @@ def statements(path):
     return lines
 
 
-def main(argv):
+def start_tracing():
+    """Trace this thread and every thread started later; returns the set of (file, line) run."""
     root = str(PACKAGE) + os.sep
     executed, inside = set(), {}
 
@@ -56,11 +72,55 @@ def main(argv):
 
     threading.settrace(tracer)
     sys.settrace(tracer)
-    try:
-        status = pytest.main(argv)
-    finally:
-        sys.settrace(None)
-        threading.settrace(None)
+    return executed
+
+
+def stop_tracing():
+    sys.settrace(None)
+    threading.settrace(None)
+
+
+def trace_child():
+    """Trace this interpreter; at exit, write its lines to a new file in ``OUT_VAR``'s directory."""
+    out = os.environ.get(OUT_VAR)
+    if out is None:
+        return
+    executed = start_tracing()
+
+    def dump():
+        stop_tracing()
+        fd, _ = tempfile.mkstemp(suffix=".lines", dir=out)
+        with os.fdopen(fd, "w") as f:
+            f.writelines(f"{line}\t{name}\n" for name, line in executed)
+
+    atexit.register(dump)
+
+
+def child_lines(out):
+    """The (file, line) pairs that every child wrote to the directory ``out``."""
+    for path in Path(out).glob("*.lines"):
+        for record in path.read_text().splitlines():
+            line, name = record.split("\t", 1)
+            yield name, int(line)
+
+
+def main(argv):
+    import pytest
+
+    with tempfile.TemporaryDirectory() as tmp:
+        site, out = Path(tmp, "site"), Path(tmp, "out")
+        site.mkdir()
+        out.mkdir()
+        (site / "sitecustomize.py").write_text(SITECUSTOMIZE.format(path=str(Path(__file__).resolve())))
+        path = os.pathsep.join(filter(None, [str(site), os.environ.get("PYTHONPATH")]))
+        os.environ["PYTHONPATH"] = path
+        os.environ[OUT_VAR] = str(out)
+        executed = start_tracing()
+        try:
+            status = pytest.main(argv)
+        finally:
+            stop_tracing()
+        executed.update(child_lines(out))
 
     ran = {}
     for name, line in executed:

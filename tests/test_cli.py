@@ -369,13 +369,33 @@ class TestUsageErrors:
         (["sweep", "--k", "5..3"], "empty k range '5..3'"),
         (["cluster", "--algo", "kmeans", "--k", "2", "--tol", "-1"],
          "tol must be positive, got -1.0"),
-    ], ids=["sweep-knob", "sweep-algo", "sweep-no-algo", "sweep-k-range", "cluster-knob"])
+        (["sweep", "--max-iters", "1_0"], "argument --max-iters: invalid int value: '1_0'"),
+        (["sweep", "--k", "\u0662..\u0663"], "--k expects an integer or a..b range"),
+        (["sweep", "--k", " 2.. 3"], "--k expects an integer or a..b range, got ' 2.. 3'"),
+        (["sweep", "--seed", "+3"], "argument --seed: invalid int value: '+3'"),
+        (["sweep", "--tol", " 1"], "argument --tol: invalid float value: ' 1'"),
+        (["sweep", "--birch-threshold", "inf"], "invalid float value: 'inf'"),
+        (["sweep", "--sigma", "1e999"], "rbf_sigma must be finite, got inf"),
+        (["cluster", "--algo", "kmeans", "--k", "2", "--batch-size", "1e2"],
+         "argument --batch-size: invalid int value: '1e2'"),
+    ], ids=["sweep-knob", "sweep-algo", "sweep-no-algo", "sweep-k-range", "cluster-knob",
+            "underscore", "arabic-indic-k", "padded-k", "plus", "padded-float", "inf",
+            "sigma-overflow", "int-exponent"])
     def test_arguments_checked_before_the_features_file(self, tmp_path, capsys, argv, message):
         missing = tmp_path / "missing.csv"
         assert run([*argv, "--features", str(missing), "--out", str(tmp_path / "o.csv")]) == 1
         err = capsys.readouterr().err
         assert message in err
         assert "cannot read" not in err
+
+    def test_subcommand_flags_share_the_grammar(self, tmp_path, capsys):
+        out = tmp_path / "f.csv"
+        assert run(["synth", "--noise", "+0.1", "--out", str(out)]) == 1
+        assert "argument --noise: invalid float value: '+0.1'" in capsys.readouterr().err
+        assert not out.exists()
+        assert run(["synth", "--per-blob", "3", "--dim", "2", "--noise", "1e-1",
+                    "--separation", "2.5E1", "--out", str(out)]) == 0
+        assert read_features(out.read_bytes()).n == 6
 
     def test_bad_k_syntax(self, tmp_path):
         features = tmp_path / "f.csv"

@@ -18,6 +18,9 @@ OUT_OF_RANGE = [
     ("batch_size", 0),
     ("rbf_sigma", -1.0),
     ("birch_threshold", float("nan")),
+    ("tol", float("inf")),
+    ("rbf_sigma", float("inf")),
+    ("birch_threshold", float("inf")),
 ]
 
 

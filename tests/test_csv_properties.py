@@ -125,12 +125,28 @@ def test_any_id_round_trips(ids):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.text(min_size=1, max_size=6).filter(lambda p: p == p.strip() and p),
-                min_size=1, max_size=4))
-@example(["scan,1.pgm", 'dir "x"/a.pgm', "two\nlines.pgm"])
+@given(st.lists(st.text(min_size=1, max_size=6).filter(str.strip), min_size=1, max_size=4))
+@example(["scan,1.pgm", 'dir "x"/a.pgm', "two\nlines.pgm", " padded.pgm\t"])
 def test_any_manifest_path_round_trips(paths):
     entries = [ManifestEntry(path=p) for p in paths]
     assert [e.path for e in read_manifest(write_manifest(entries))] == paths
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=6))
+@example([1e16, 1e-05, -0.0, 5e-324, 2.2250738585072014e-308, 1.5e-310, 1.7976931348623157e308])
+def test_every_written_feature_value_reads_back_to_the_same_bits(values):
+    fm = FeatureMatrix(rows=np.array(values)[:, None], ids=[f"r{i}" for i in range(len(values))])
+    assert read_features(write_features(fm)).rows.tobytes() == fm.rows.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=130.0), min_size=1, max_size=4))
+@example([64.123456789, 70.0, 130.0, 5e-324])
+def test_any_age_round_trips(ages):
+    entries = [ManifestEntry(path=f"{i}.pgm", age=age) for i, age in enumerate(ages)]
+    back = read_manifest(write_manifest(entries))
+    assert [repr(e.age) for e in back] == [repr(age) for age in ages]
 
 
 def test_fields_are_quoted_only_when_needed():

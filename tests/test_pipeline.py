@@ -121,6 +121,21 @@ class TestManifest:
         assert back[0].path == "a.pgm" and back[0].crop is None
         assert back[1].crop.w == 3 and back[1].age == 70.0 and back[1].sex == "M"
 
+    def test_age_written_at_full_precision(self):
+        data = write_manifest([ManifestEntry(path="a.pgm", age=70.0),
+                               ManifestEntry(path="b.pgm", age=64.123456789)])
+        assert data.split(b"\n")[1:3] == [b"a.pgm,,,,,70.0,", b"b.pgm,,,,,64.123456789,"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("a.pgm,,,,, ,", "field age is not numeric"),
+        ("a.pgm,,,,,, M", "unknown sex token ' M'"),
+        ("a.pgm, ,,,,,", "crop needs all of"),
+    ], ids=["blank-age", "padded-sex", "blank-crop"])
+    def test_fields_are_not_stripped(self, row, message):
+        with pytest.raises(ParseError, match=f"manifest line 3: {message}") as exc:
+            read_manifest(f"path,crop_x,crop_y,crop_w,crop_h,age,sex\nb.pgm,,,,,,\n{row}\n")
+        assert exc.value.line == 3
+
 
 class TestFeatureMatrix:
     def test_id_count_must_match_rows(self):
@@ -159,9 +174,10 @@ class TestFeaturesIO:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ParseError, match="finite"):
-            read_features("id,f0\na,nan\n")
+            read_features("id,f0\na,1e999\n")
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    # decimals in the number grammar that overflow to +-inf; "nan" and "inf" are not numbers
+    @pytest.mark.parametrize("value", ["1e999", "-1e999"], ids=["inf", "-inf"])
     def test_non_finite_line_reported_before_a_later_duplicate(self, value):
         data = f"id,f0,f1\na,1.0,2.0\nb,3.0,{value}\na,4.0,5.0\n"
         with pytest.raises(ParseError, match="feature line 3: non-finite value") as exc:
@@ -184,24 +200,28 @@ class TestFeaturesIO:
             read_labels(f"id,cluster\na,0\nb,{value}\n")
         assert exc.value.line == 3
 
-    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "3 ", "+2", "", "-"],
+    @pytest.mark.parametrize("value", ["1_0", "\u0663", " 3", "3 ", "+2", "", "-", "1.0", "1e1"],
                              ids=["underscore", "arabic-indic", "leading-space",
-                                  "trailing-space", "plus", "empty", "minus-only"])
+                                  "trailing-space", "plus", "empty", "minus-only", "decimal",
+                                  "exponent"])
     def test_label_not_ascii_digits_rejected(self, value):
         with pytest.raises(ParseError, match="cluster is not an integer") as exc:
             read_labels(f"id,cluster\na,0\nb,{value}\n")
         assert exc.value.line == 3
 
 
-# int() and float() read each of these as 10 or 12; a numeric CSV field must be ASCII decimal
-NOT_ASCII_DECIMAL = pytest.mark.parametrize(
-    "value", ["1_0", "\u0661\u0662", "\uff11\uff12"],
-    ids=["underscore", "arabic-indic", "full-width"],
+# Outside the number grammar, for ints and floats alike: int() reads the first seven as 10
+# or 12, and float() reads all but 0x10.
+NOT_IN_GRAMMAR = pytest.mark.parametrize(
+    "value", ["1_0", "\u0661\u0662", "\uff11\uff12", " 12", "12 ", "\x0c12", "+12",
+              "12.", ".5", "0x10", "nan", "inf", "-inf"],
+    ids=["underscore", "arabic-indic", "full-width", "leading-space", "trailing-space",
+         "form-feed", "plus", "trailing-point", "leading-point", "hex", "nan", "inf", "-inf"],
 )
 
 
 class TestNumberSyntax:
-    @NOT_ASCII_DECIMAL
+    @NOT_IN_GRAMMAR
     @pytest.mark.parametrize("column", ["f0", "f1"])
     def test_feature_value(self, value, column):
         def data(v):
@@ -212,7 +232,7 @@ class TestNumberSyntax:
             read_features(data(value))
         assert exc.value.line == 3
 
-    @NOT_ASCII_DECIMAL
+    @NOT_IN_GRAMMAR
     @pytest.mark.parametrize("column", ["crop_x", "crop_y", "crop_w", "crop_h", "age"])
     def test_manifest_field(self, value, column):
         def data(v):
