@@ -7,6 +7,7 @@ Diagnostics go to stderr; data goes to files or stdout.
 
 import argparse
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import pipeline
@@ -16,6 +17,7 @@ from .errors import DataError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import crop, load_pgm, normalize, resize, save_pgm
 from .metrics import silhouette
+from .numerics import ordered_map
 
 import numpy as np
 
@@ -171,14 +173,19 @@ def _cmd_preprocess(args):
     in_dir = _manifest_dir(args)
     out_dir = Path(args.out_dir)
     _on_file("create", out_dir, lambda: out_dir.mkdir(parents=True, exist_ok=True))
-    out_entries = []
-    for entry, name in zip(entries, names):
+
+    def process(entry):
         img = load_pgm(_read_file(in_dir / entry.path))
         if entry.crop is not None:
             img = crop(img, entry.crop)
-        img = resize(img, args.size, args.size)
-        _write_file(out_dir / name, save_pgm(img))
-        out_entries.append(pipeline.ManifestEntry(path=name, age=entry.age, sex=entry.sex))
+        return save_pgm(resize(img, args.size, args.size))
+
+    # the files are written here, in manifest order, as each image comes back
+    with closing(ordered_map(process, entries)) as images:
+        for name, data in zip(names, images):
+            _write_file(out_dir / name, data)
+    out_entries = [pipeline.ManifestEntry(path=name, age=entry.age, sex=entry.sex)
+                   for entry, name in zip(entries, names)]
     _write_file(out_dir / "manifest.csv", pipeline.write_manifest(out_entries))
     return 0
 
@@ -195,12 +202,11 @@ def _cmd_extract(args):
         weights = init_weights(CnnSpec(), args.seed)
     if args.save_weights:
         _write_file(args.save_weights, save_weights(weights))
-    vectors = []
-    for entry in entries:
-        img = load_pgm(_read_file(in_dir / entry.path))
-        tensor = normalize(img)
-        vectors.append(forward(tensor, weights).values)
-    fm = FeatureMatrix(rows=np.array(vectors), ids=ids)
+
+    def embed(entry):
+        return forward(normalize(load_pgm(_read_file(in_dir / entry.path))), weights).values
+
+    fm = FeatureMatrix(rows=np.array(list(ordered_map(embed, entries))), ids=ids)
     _write_file(args.out, pipeline.write_features(fm))
     return 0
 

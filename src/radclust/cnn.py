@@ -18,10 +18,12 @@ dropout after each pool is the identity at inference, so no stage runs for
 it. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
 
-Each convolution is one GEMM over an im2col matrix, made by one copy of the
-padded input's 3x3 sliding windows. Each block pools before its ReLU: ReLU is
-monotone, so it commutes with max bit for bit, and running it after the pool
-touches a quarter of the values.
+Each convolution copies the padded input's 3x3 sliding windows into an
+im2col matrix one band of output rows at a time, and runs one GEMM per band
+into a single output array; on the network's shapes that gives the bits of
+one GEMM over the whole matrix. Each block pools before its ReLU: ReLU is monotone, so it commutes
+with max bit for bit, and running it after the pool touches a quarter of the
+values.
 """
 
 import math
@@ -60,6 +62,9 @@ def _layer_table():
 
 LAYERS = _layer_table()
 _CONV = len(CONV_FILTERS)
+# im2col entries copied, and multiplied, per GEMM band (1 MiB of float64):
+# conv2's whole matrix would be 18.9 MB, once per image in flight.
+_BAND = 1 << 17
 
 
 class CnnSpec:
@@ -124,12 +129,21 @@ def conv2d(x, kernels, biases):
     """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
 
     The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px). Its
-    (kh, kw) sliding windows, viewed as (cin, kh, kw, h, w), are copied once
-    into the C-contiguous im2col matrix (cin*kh*kw, h*w), whose rows keep the
-    kernel's (cin, kh, kw) order. One GEMM, ``kernels (cout, cin*kh*kw) @
-    cols``, then gives every output; the bias is added in place. The result is an
-    (h, w, cout) view of a channel-first (cout, h, w) array, not a C-contiguous
-    array.
+    (kh, kw) sliding windows, viewed as (cin, kh, kw, h, w), are cut into the
+    fewest bands of whole output rows, of near-equal height, whose im2col
+    matrices (cin*kh*kw, rows*w) hold at most :data:`_BAND` entries each (one
+    row at the least). Each band is copied into one reused buffer, its rows in
+    the kernel's (cin, kh, kw) order, and one GEMM, ``kernels (cout,
+    cin*kh*kw) @ cols``, writes its columns of a single (cout, h*w) output;
+    the bias is then added in place. The result is an (h, w, cout) view of a
+    channel-first (cout, h, w) array, not a C-contiguous array.
+
+    A band's GEMM gives the bits of the same columns of one GEMM over the
+    whole matrix when the BLAS runs both on the same kernels. It does on the
+    network's shapes, whose rows are multiples of 16 values and whose bands
+    stay large, so the features are those of one GEMM. Elsewhere a narrow or
+    small band can take another kernel (OpenBLAS has one for small
+    matrices) and move the last bits.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -142,8 +156,18 @@ def conv2d(x, kernels, biases):
     padded = np.zeros((cin, h + 2 * py, w + 2 * px))
     padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
     windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, h * w)
-    out = kernels.reshape(cout, -1) @ cols
+    windows = windows.transpose(0, 3, 4, 1, 2)
+    taps = cin * kh * kw
+    most = max(1, _BAND // max(1, taps * w))  # rows a band may hold
+    bands = -(-h // most)
+    edges = [h * i // bands for i in range(bands + 1)]
+    flat = kernels.reshape(cout, taps)
+    buffer = np.empty(taps * -(-h // bands) * w)
+    out = np.empty((cout, h * w))
+    for top, bottom in zip(edges, edges[1:]):
+        cols = buffer[: taps * (bottom - top) * w].reshape(cin, kh, kw, bottom - top, w)
+        cols[...] = windows[:, :, :, top:bottom]
+        np.matmul(flat, cols.reshape(taps, -1), out=out[:, top * w:bottom * w])
     out += biases[:, None]
     return out.reshape(cout, h, w).transpose(1, 2, 0)
 
@@ -156,18 +180,20 @@ def relu(t):
 def maxpool2d(t):
     """Non-overlapping 2x2 max pooling, stride 2, per channel, of an (h, w, c) tensor.
 
-    Two elementwise maxima over stride-2 slices: column pairs first, then
-    row pairs of that result. Any memory layout of ``t`` (a transposed view
-    from :func:`conv2d` included) is read in place, and the output keeps
-    that layout. Max is exact, so the value does not depend on the order
-    the four inputs of a window are combined.
+    The maximum of a window's four stride-2 views, taken into one
+    quarter-size output: two of them into a new array, then the other two
+    into it in place. Any memory layout of ``t`` (a transposed view from
+    :func:`conv2d` included) is read in place, and the output keeps that
+    layout. Max is exact, so the value does not depend on the order the
+    four inputs of a window are combined.
     """
     t = np.asarray(t, dtype=np.float64)
     h, w, c = t.shape
     if h % 2 or w % 2:
         raise ShapeError(f"max pooling needs even spatial dims, got {h}x{w}")
-    cols = np.maximum(t[:, 0::2], t[:, 1::2])
-    return np.maximum(cols[0::2], cols[1::2])
+    out = np.maximum(t[0::2, 0::2], t[0::2, 1::2])
+    np.maximum(out, t[1::2, 0::2], out=out)
+    return np.maximum(out, t[1::2, 1::2], out=out)
 
 
 def dense(v, w, b):

@@ -5,16 +5,20 @@ initialization, spectral embeddings, distances) rests on the primitives
 here: a counter-based 64-bit random stream that produces the same sequence
 on every platform, a dense symmetric eigensolver (LAPACK through numpy)
 whose eigenvector signs are fixed by a deterministic rule, and one
-squared-distance kernel. Matrices go in and come out as plain float64
-numpy arrays; there is no wrapper type. All floating arithmetic is 64-bit.
+squared-distance kernel. :func:`ordered_map` runs independent items, such
+as the images of the CLI's preprocess and extract, on one thread per CPU
+and gives their results back in input order. Matrices go in and come out as
+plain float64 numpy arrays; there is no wrapper type. All floating arithmetic is 64-bit.
 Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
 numpy's LAPACK Cholesky directly.
 """
 
+import ctypes
 import functools
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 
@@ -59,9 +63,93 @@ def mix_seed(*parts):
 
 
 def _cpus():
-    """CPUs this process may run on: the most spans a bulk draw is cut into."""
+    """CPUs this process may run on: the most spans a bulk draw, or workers a map, uses."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS numpy loaded, or None.
+
+    The library is the one numpy's wheel ships in ``numpy.libs``; its symbols
+    carry the scipy-openblas prefix, the 64-bit-integer suffix, or neither.
+    """
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*blas*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+def ordered_map(fn, items):
+    """Yield ``fn(item)`` for each of ``items``, in input order.
+
+    The calls run on up to one worker thread per CPU this process may run
+    on, while OpenBLAS runs each GEMM on one thread, so the workers do not
+    contend for the CPUs; the thread count read before the map is restored
+    when it ends. Items start in input order, and once one has failed no
+    later item starts. The first failure in input order is raised where its
+    result would have been yielded, after every worker has stopped, so the
+    caller has seen exactly the results a serial loop would have given it
+    before that failure. With one CPU, one item, or no OpenBLAS whose
+    threads can be set, the calls run here, one after another. Closing the
+    generator early stops the workers the same way.
+    """
+    items = list(items)
+    workers = min(_cpus(), len(items))
+    blas = _openblas()
+    if workers < 2 or blas is None:
+        yield from map(fn, items)
+        return
+    get, put = blas
+    done, cond = {}, threading.Condition()
+    todo, stop = iter(range(len(items))), False
+
+    def work():
+        nonlocal stop
+        while True:
+            with cond:
+                i = None if stop else next(todo, None)
+            if i is None:
+                return
+            try:
+                result = fn(items[i]), None
+            except BaseException as exc:  # re-raised by the caller, on its own thread
+                result = None, exc
+            with cond:
+                done[i] = result
+                stop = stop or result[1] is not None
+                cond.notify()
+
+    threads = [threading.Thread(target=work) for _ in range(workers)]
+    before = get()
+    put(1)
+    try:
+        for thread in threads:
+            thread.start()
+        for i in range(len(items)):
+            with cond:
+                cond.wait_for(lambda: i in done)
+                value, exc = done.pop(i)
+            if exc is not None:
+                raise exc
+            yield value
+    finally:
+        with cond:
+            stop = True
+        for thread in threads:
+            if thread.ident is not None:
+                thread.join()
+        put(before)
 
 
 @functools.cache

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .clustering import ClusterConfig, birch, gmm, hierarchy, kmeans, spectral
-from .errors import BoundsError, ConfigError, ParseError, RadclustError, UsageError
+from .errors import BoundsError, ConfigError, DataError, ParseError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
 from .metrics import silhouette_batch
@@ -199,9 +199,23 @@ def read_manifest(data):
 
 
 def write_manifest(entries):
-    """Serialize entries back to manifest CSV bytes."""
+    """Serialize entries back to manifest CSV bytes.
+
+    An entry :func:`read_manifest` would refuse raises a DataError naming its
+    index and path: a blank path, an age outside [0, 130] (NaN included), or
+    a sex other than M, F or unknown.
+    """
     rows = []
-    for e in entries:
+    for i, e in enumerate(entries):
+        problem = None
+        if not e.path.strip():
+            problem = "empty path"
+        elif e.age is not None and not 0.0 <= e.age <= 130.0:
+            problem = f"age {float(e.age)} outside [0, 130]"
+        elif e.sex not in ("M", "F", "unknown"):
+            problem = f"sex {e.sex!r} is not M, F or unknown"
+        if problem:
+            raise DataError(f"manifest entry {i} ({e.path!r}): {problem}")
         crop = ["", "", "", ""] if e.crop is None else [e.crop.x, e.crop.y, e.crop.w, e.crop.h]
         age = "" if e.age is None else repr(float(e.age))
         rows.append([e.path, *crop, age, "" if e.sex == "unknown" else e.sex])

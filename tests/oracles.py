@@ -7,7 +7,9 @@ exception types and, for the shuffle and sample draws, the scalar
 read and advance that stream's counter but compute every value themselves.
 The mini-batch and polish references are the exceptions: they reuse
 k-means' seeding, assignment and mean helpers, so that only the center
-update or the move sweep differs from the package's.
+update or the move sweep differs from the package's. The one-GEMM
+convolution is the other: it is the package's convolution as it was before
+it ran in bands.
 """
 
 import math
@@ -370,6 +372,27 @@ def naive_conv2d_same(x, kernels, biases):
                                 acc += kernels[c, ci, dy, dx] * x[sy, sx, ci]
                 out[y, xx, c] = acc
     return out
+
+
+def one_gemm_conv2d(x, kernels, biases):
+    """Same-padding conv as one GEMM over the whole im2col matrix, made by one copy.
+
+    The banded ``cnn.conv2d`` must match this byte for byte, layout included,
+    wherever its bands run on the same BLAS kernels as the whole matrix.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    kernels = np.asarray(kernels, dtype=np.float64)
+    biases = np.asarray(biases, dtype=np.float64)
+    h, w, cin = x.shape
+    cout, _, kh, kw = kernels.shape
+    py, px = kh // 2, kw // 2
+    padded = np.zeros((cin, h + 2 * py, w + 2 * px))
+    padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    cols = windows.transpose(0, 3, 4, 1, 2).reshape(cin * kh * kw, h * w)
+    out = kernels.reshape(cout, -1) @ cols
+    out += biases[:, None]
+    return out.reshape(cout, h, w).transpose(1, 2, 0)
 
 
 def naive_maxpool2x2(x):

@@ -9,14 +9,18 @@ import numpy as np
 import pytest
 
 import radclust
+from radclust import numerics
 from radclust.cli import cli_main
+from radclust.cnn import forward, load_weights
 from radclust.errors import NonConvergenceError
-from radclust.imaging import CropRect, crop, load_pgm, resize, save_pgm
+from radclust.features import FeatureMatrix
+from radclust.imaging import CropRect, crop, load_pgm, normalize, resize, save_pgm
 from radclust.pipeline import (
     read_features,
     read_labels,
     read_manifest,
     synth_textured_images,
+    write_features,
     write_manifest,
     ManifestEntry,
 )
@@ -104,6 +108,51 @@ class TestPreprocessAndExtract:
             features.append(out.read_bytes())
         assert read_features(features[0]).n == 4
         assert features[0] == features[1]
+
+    def test_outputs_identical_at_one_two_and_three_workers(self, tmp_path, monkeypatch):
+        raw, _ = write_image_tree(tmp_path, n_per_class=3, size=96)
+        entries = [ManifestEntry(path=p.name, crop=CropRect(i, 2 * i, 80, 72) if i % 2 else None)
+                   for i, p in enumerate(sorted(raw.glob("*.pgm")))]
+        (raw / "manifest.csv").write_bytes(write_manifest(entries))
+        outputs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+            proc, features = tmp_path / f"proc{workers}", tmp_path / f"features{workers}.csv"
+            assert run(["preprocess", "--manifest", str(raw / "manifest.csv"),
+                        "--out-dir", str(proc), "--size", "128"]) == 0
+            assert run(["extract", "--manifest", str(proc / "manifest.csv"), "--seed", "4",
+                        "--out", str(features)]) == 0
+            files = {p.name: p.read_bytes() for p in proc.iterdir()}
+            outputs.append((files, features.read_bytes()))
+        assert len(outputs[0][0]) == 7
+        assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_preprocess_failure_leaves_the_serial_loops_files(self, tmp_path, monkeypatch,
+                                                              workers):
+        raw, manifest = write_image_tree(tmp_path, n_per_class=3, size=64)
+        names = [e.path for e in read_manifest(manifest.read_bytes())]
+        (raw / names[3]).write_bytes(b"P5 not a pgm")
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        proc = tmp_path / "proc"
+        assert run(["preprocess", "--manifest", str(manifest), "--out-dir", str(proc)]) == 2
+        assert sorted(p.name for p in proc.iterdir()) == sorted(names[:3])
+
+    def test_extract_equals_a_caller_thread_loop_and_restores_blas(self, tmp_path, monkeypatch):
+        _, manifest = write_image_tree(tmp_path, n_per_class=2, size=128)
+        weights, out = tmp_path / "w.bin", tmp_path / "f.csv"
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        blas = numerics._openblas()
+        before = blas and blas[0]()
+        assert run(["extract", "--manifest", str(manifest), "--seed", "6",
+                    "--save-weights", str(weights), "--out", str(out)]) == 0
+        assert (blas and blas[0]()) == before
+        # the map pins BLAS to one thread; a plain loop here runs at the process's own count
+        ws, entries = load_weights(weights.read_bytes()), read_manifest(manifest.read_bytes())
+        rows = [forward(normalize(load_pgm((manifest.parent / e.path).read_bytes())), ws).values
+                for e in entries]
+        ids = [Path(e.path).stem for e in entries]
+        assert out.read_bytes() == write_features(FeatureMatrix(rows=np.array(rows), ids=ids))
 
     def test_extract_missing_weights_exits_2(self, tmp_path, capsys):
         raw, manifest = write_image_tree(tmp_path, n_per_class=1, size=128)

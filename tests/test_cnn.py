@@ -22,7 +22,8 @@ from radclust.cnn import (
 from radclust.errors import ParseError, ShapeError
 from radclust.imaging import PixelTensor
 
-from oracles import naive_conv2d_same, naive_dense, naive_maxpool2x2
+import radclust.cnn as cnn
+from oracles import naive_conv2d_same, naive_dense, naive_maxpool2x2, one_gemm_conv2d
 
 
 class TestConv2d:
@@ -64,6 +65,14 @@ class TestConv2d:
         assert out.shape == (7, 5, 2)
         assert np.abs(out - naive_conv2d_same(x, k, b)).max() <= 1e-12
 
+    @pytest.mark.parametrize("band_rows", [1, 2])
+    def test_matches_naive_loops_in_narrow_bands(self, monkeypatch, band_rows):
+        # narrow rows and tiny bands may take other BLAS kernels: close, not equal bits
+        rng = np.random.RandomState(15)
+        x, k, b = rng.randn(7, 5, 3), rng.randn(4, 3, 3, 5), rng.randn(4)
+        monkeypatch.setattr(cnn, "_BAND", band_rows * 3 * 3 * 5 * 5)
+        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
+
     def test_channel_mismatch_names_both_counts(self):
         with pytest.raises(ShapeError, match="2.*3|3.*2"):
             conv2d(np.zeros((4, 4, 3)), np.zeros((1, 2, 3, 3)), np.zeros(1))
@@ -77,6 +86,42 @@ class TestConv2d:
         lhs = conv2d(2.5 * x + y, k, b)
         rhs = 2.5 * conv2d(x, k, b) + conv2d(y, k, b)
         assert np.abs(lhs - rhs).max() <= 1e-9
+
+
+def _assert_same_bytes(x, k, b):
+    got, want = conv2d(x, k, b), one_gemm_conv2d(x, k, b)
+    assert (got.shape, got.strides) == (want.shape, want.strides)
+    assert got.tobytes() == want.tobytes()
+
+
+KERNELS = [(1, 1), (3, 3), (3, 5)]
+
+
+class TestBandedConv2d:
+    """The banded conv2d against the one-GEMM oracle, byte for byte.
+
+    Every width here is a multiple of 16 and every channel count one of the
+    network's, as in :func:`forward`; the ``conv2d`` docstring says where
+    else a band can move the last bits.
+    """
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("shape", [(128, 128, 1, 64), (64, 64, 64, 64),
+                                       (32, 32, 64, 128), (16, 16, 128, 128)])
+    def test_block_shapes(self, shape, kernel):
+        h, w, cin, cout = shape
+        rng = np.random.RandomState(16)
+        _assert_same_bytes(rng.randn(h, w, cin), rng.randn(cout, cin, *kernel), rng.randn(cout))
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("band_rows", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(7, 64, 64, 64), (13, 32, 64, 128), (9, 16, 128, 128),
+                                       (11, 128, 16, 64)])
+    def test_odd_heights_in_narrow_bands(self, monkeypatch, shape, band_rows, kernel):
+        h, w, cin, cout = shape
+        monkeypatch.setattr(cnn, "_BAND", band_rows * cin * kernel[0] * kernel[1] * w)
+        rng = np.random.RandomState(17)
+        _assert_same_bytes(rng.randn(h, w, cin), rng.randn(cout, cin, *kernel), rng.randn(cout))
 
 
 class TestPointwiseLayers:

@@ -2,7 +2,8 @@
 
 Any mutation of a manifest, feature or labels file either parses or ends in
 a ParseError that carries a line number or a byte offset, and every id or
-path the writers accept reads back unchanged.
+path the writers accept reads back unchanged, as does every manifest entry
+``write_manifest`` accepts.
 """
 
 import csv
@@ -13,7 +14,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from radclust.errors import ParseError  # noqa: E402
+from radclust.errors import DataError, ParseError  # noqa: E402
 from radclust.features import FeatureMatrix  # noqa: E402
 from radclust.imaging import CropRect  # noqa: E402
 from radclust.pipeline import (  # noqa: E402
@@ -147,6 +148,29 @@ def test_any_age_round_trips(ages):
     entries = [ManifestEntry(path=f"{i}.pgm", age=age) for i, age in enumerate(ages)]
     back = read_manifest(write_manifest(entries))
     assert [repr(e.age) for e in back] == [repr(age) for age in ages]
+
+
+manifest_entries = st.builds(
+    ManifestEntry,
+    path=st.text(max_size=6),
+    crop=st.none() | st.builds(CropRect, *[st.integers(lo, 10**9) for lo in (0, 0, 1, 1)]),
+    age=st.none() | st.floats(min_value=-1.0, max_value=131.0) | st.floats(),
+    sex=st.sampled_from(["M", "F", "unknown"]) | st.text(max_size=2),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(manifest_entries, max_size=4))
+@example([ManifestEntry(path=" a.pgm\t", age=-0.0), ManifestEntry(path="b", age=130.0)])
+def test_every_manifest_the_writer_accepts_reads_back_equal(entries):
+    try:
+        data = write_manifest(entries)
+    except DataError as exc:
+        assert str(exc).startswith("manifest entry ")
+        return
+    back = read_manifest(data)
+    assert [(e.path, e.crop and vars(e.crop), repr(e.age), e.sex) for e in back] == [
+        (e.path, e.crop and vars(e.crop), repr(e.age), e.sex) for e in entries]
 
 
 def test_fields_are_quoted_only_when_needed():

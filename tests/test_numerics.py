@@ -2,6 +2,7 @@ import math
 import re
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -211,6 +212,124 @@ class TestRngStream:
         assert mix_seed(1, 2, 3) == mix_seed(1, 2, 3)
         assert mix_seed(1, 2, 3) != mix_seed(1, 3, 2)
         assert mix_seed(0) != mix_seed(1)
+
+
+class TestOrderedMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_input_order(self, monkeypatch, workers):
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        threads = set()
+
+        def slow_square(x):
+            threads.add(threading.current_thread())
+            time.sleep(0.001 * (x % 3))  # later items often finish first
+            return x * x
+
+        assert list(numerics.ordered_map(slow_square, range(12))) == [x * x for x in range(12)]
+        if workers == 1 or numerics._openblas() is None:
+            assert threads == {threading.main_thread()}
+        else:
+            assert len(threads) == workers and threading.main_thread() not in threads
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failure_in_input_order_is_raised_and_no_later_item_starts(
+            self, monkeypatch, workers):
+        started = []
+
+        def fn(x):
+            started.append(x)
+            if x == 5:
+                time.sleep(0.05)
+                raise ValueError("item 5 failed")
+            if x == 6:  # fails first in time, after item 5 in input order
+                raise KeyError("item 6 failed")
+            time.sleep(0.01)
+            return x
+
+        with pytest.raises(ValueError, match="item 5 failed"):
+            [fn(x) for x in range(20)]
+        serial, started[:] = list(started), []
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        before, seen = threading.active_count(), []
+        with pytest.raises(ValueError, match="item 5 failed"):
+            for value in numerics.ordered_map(fn, range(20)):
+                seen.append(value)
+        assert seen == list(range(5))
+        assert threading.active_count() == before  # raised after the workers stopped
+        # at most the items already running beside item 5 start after it
+        assert set(started) <= set(range(5 + workers))
+        if workers == 1:
+            assert started == serial
+
+    @pytest.mark.parametrize("end", ["success", "failure", "closed early"])
+    def test_blas_runs_on_one_thread_during_the_map_and_is_restored(self, monkeypatch, end):
+        if numerics._openblas() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
+        get, put = numerics._openblas()
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        counts, original = [], get()
+
+        def fn(x):
+            counts.append(get())
+            if end == "failure" and x == 3:
+                raise RuntimeError("item 3 failed")
+            return x
+
+        put(3)
+        try:
+            results = numerics.ordered_map(fn, range(8))
+            if end == "closed early":
+                assert next(results) == 0
+                results.close()
+            else:
+                try:
+                    assert list(results) == list(range(8))
+                except RuntimeError:
+                    assert end == "failure"
+            after = get()
+        finally:
+            put(original)
+        assert counts and set(counts) == {1}
+        assert after == 3
+
+    def test_runs_inline_without_an_openblas(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 3)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        threads = []
+
+        def fn(x):
+            threads.append(threading.current_thread())
+            return -x
+
+        assert list(numerics.ordered_map(fn, range(5))) == [0, -1, -2, -3, -4]
+        assert threads == [threading.main_thread()] * 5
+
+    def test_openblas_lookup_finds_none_in_a_directory_without_one(self, monkeypatch, tmp_path):
+        import _ctypes
+
+        libs = tmp_path / "numpy.libs"
+        libs.mkdir()
+        (libs / "libbroken_blas.so").write_bytes(b"not a shared object")
+        (libs / "libnot_openblas.so").symlink_to(_ctypes.__file__)  # loads; has no such symbols
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert numerics._openblas.__wrapped__() is None
+
+    def test_many_workers_under_a_short_switch_interval(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 8)
+        calls = []
+
+        def fn(x):
+            calls.append(x)
+            return x * 3
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(numerics.ordered_map(fn, range(400)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == [x * 3 for x in range(400)]
+        assert sorted(calls) == list(range(400))  # every item ran exactly once
 
 
 class TestSymEigen:

@@ -121,6 +121,18 @@ class TestManifest:
         assert back[0].path == "a.pgm" and back[0].crop is None
         assert back[1].crop.w == 3 and back[1].age == 70.0 and back[1].sex == "M"
 
+    @pytest.mark.parametrize("entry, problem", [
+        (ManifestEntry(path="b.pgm", age=float("nan")), "age nan outside [0, 130]"),
+        (ManifestEntry(path="b.pgm", age=150.0), "age 150.0 outside [0, 130]"),
+        (ManifestEntry(path="b.pgm", age=-1.0), "age -1.0 outside [0, 130]"),
+        (ManifestEntry(path="b.pgm", sex="X"), "sex 'X' is not M, F or unknown"),
+        (ManifestEntry(path="  "), "empty path"),
+    ], ids=["nan-age", "old-age", "negative-age", "sex-X", "blank-path"])
+    def test_writer_refuses_what_the_reader_refuses(self, entry, problem):
+        with pytest.raises(DataError) as exc:
+            write_manifest([ManifestEntry(path="a.pgm"), entry])
+        assert str(exc.value) == f"manifest entry 1 ({entry.path!r}): {problem}"
+
     def test_age_written_at_full_precision(self):
         data = write_manifest([ManifestEntry(path="a.pgm", age=70.0),
                                ManifestEntry(path="b.pgm", age=64.123456789)])
