@@ -54,7 +54,11 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
     n = rows.shape[0]
     cfg.validate_for(n)
 
-    dist = 0.5 * squared_distances(rows) if linkage == "ward" else pairwise_distances(rows)
+    if linkage == "ward":
+        dist = squared_distances(rows)
+        dist *= 0.5
+    else:
+        dist = pairwise_distances(rows)
     np.fill_diagonal(dist, np.inf)
 
     sizes = np.ones(n, dtype=np.int64)

@@ -35,6 +35,9 @@ _EPS = 2.0 ** -52  # float64 machine epsilon
 # the flagged pairs whose coordinate differences are built at once.
 _RECHECK_ELEMENTS = 1 << 18
 _RECHECK_PAIRS = 1 << 13
+# Entries of the self form's norm sums built at once (4 MiB), so that its one
+# n x n buffer is the only matrix-sized allocation.
+_NORM_ELEMENTS = 1 << 19
 # Raw draws made per block (256 KiB of uint64): a block's passes reuse its
 # buffers in cache.
 _BLOCK = 1 << 15
@@ -451,10 +454,12 @@ def squared_distances(rows, other=None):
     Takes float64 (n, d) and (m, d) rows already checked by
     :func:`~radclust.features.as_rows`, with ``einsum`` norms on both sides.
     The self form (``other`` omitted) adds the norms first, then subtracts
-    2 G, so it is exactly symmetric; the cross form works in place in the
-    one ``rows @ other.T`` buffer. Entries are clamped at 0, and any within
-    the rounding bound (d + 2) * eps * (|x_i|**2 + max_j |y_j|**2) of 0 is
-    recomputed from coordinate differences: identical rows are exactly 0 apart.
+    2 G, so it is exactly symmetric. Both forms work in place in the one
+    ``rows @ other.T`` buffer; the self form builds its norm sums a row block
+    of at most ``_NORM_ELEMENTS`` entries at a time. Entries are clamped at
+    0, and any within the rounding bound (d + 2) * eps * (|x_i|**2 +
+    max_j |y_j|**2) of 0 is recomputed from coordinate differences:
+    identical rows are exactly 0 apart.
 
     ``_CfTree._nearest`` keeps the difference form: one point against a few
     dozen centroids per call, where this kernel's overhead made an n=4000
@@ -469,7 +474,9 @@ def squared_distances(rows, other=None):
     d2 = rows @ other.T
     d2 *= -2.0
     if symmetric:  # adding the norms first keeps the result exactly symmetric
-        d2 += np.add.outer(norms, norms)
+        step = max(1, _NORM_ELEMENTS // len(norms))
+        for lo in range(0, len(norms), step):
+            d2[lo:lo + step] += norms[lo:lo + step, None] + norms
     else:
         d2 += norms[:, None]
         d2 += other_norms

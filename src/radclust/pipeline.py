@@ -24,9 +24,9 @@ float is an int with an optional ``.[0-9]+`` fraction and an optional
 ``[eE][-+]?[0-9]+`` exponent. No padding, no ``+`` sign, no ``nan``/``inf``.
 """
 
+import array
 import csv
 import functools
-import io
 import itertools
 import math
 import numbers
@@ -51,6 +51,7 @@ _MAX_LABEL = int(np.iinfo(np.intp).max)
 _NUMBER_SYNTAX = {int: "-?[0-9]+", float: r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"}
 # One or more numbers of a kind joined by commas, so that a whole row is checked in one match.
 _NUMBER_ROWS = {kind: re.compile(f"{one}(?:,{one})*") for kind, one in _NUMBER_SYNTAX.items()}
+_LINES = re.compile(r"[^\n]*\n|[^\n]+")
 # ClusterConfig fields a sweep may set; it sets k and seed itself, per cell.
 _KNOBS = [f.name for f in fields(ClusterConfig) if f.name not in ("k", "seed")]
 
@@ -100,11 +101,15 @@ class ManifestEntry:
 
 
 def _read_csv(data, what):
-    """The header row (None if empty) and (line, fields) of each non-blank row after it.
+    """The header row (None if empty) and an iterator of (line, fields) of the rows after it.
 
-    ``line`` is the 1-based line a row starts on. Bytes that are not UTF-8 raise a
-    ParseError with their offset; a row the csv module rejects (a bare CR or stray
-    quote, an unclosed quote, a field over its size limit), one with its line.
+    ``line`` is the 1-based line a row starts on; blank rows are skipped.
+    Bytes that are not UTF-8 raise a ParseError with their offset, checked
+    over the whole file first. Rows are then parsed only as the iterator
+    reaches them, so one row's fields are alive at a time, and a row the csv
+    module rejects (a bare CR or stray quote, an unclosed quote, a field over
+    its size limit) raises a ParseError with its line once every row before
+    it has been seen.
     """
     if isinstance(data, (bytes, bytearray)):
         try:
@@ -112,18 +117,23 @@ def _read_csv(data, what):
         except UnicodeDecodeError as exc:
             raise ParseError(f"{what} file is not UTF-8: invalid byte at offset {exc.start}",
                              offset=exc.start) from None
-    reader = csv.reader(io.StringIO(data), strict=True)
-    rows, end = [], 0
+    # lines as a text file opened with newline="\n" gives them: each through its LF, then the rest
+    rows = _csv_rows(csv.reader(map(re.Match.group, _LINES.finditer(data)), strict=True), what)
+    _, header = next(rows, (1, None))
+    return header, rows
+
+
+def _csv_rows(reader, what):
+    """(line, fields) of the first row, blank or not, then of each non-blank row after it."""
+    end = 0
     try:
-        header, end = next(reader, None), reader.line_num
         for row in reader:
-            if row and row != [""]:
-                rows.append((end + 1, row))
+            if not end or row and row != [""]:
+                yield end + 1, row
             end = reader.line_num
     except csv.Error as exc:
         # without the csv module's advice to open the file in universal-newline mode
         raise _row_error(what, end + 1, str(exc).partition(" - ")[0]) from None
-    return header, rows
 
 
 def _row_error(what, line, problem):
@@ -229,14 +239,20 @@ def write_features(fm):
 
 
 def read_features(data):
-    """Parse a feature CSV into a FeatureMatrix; errors carry line numbers."""
+    """Parse a feature CSV into a FeatureMatrix; errors carry line numbers.
+
+    Rows are read one at a time, and each row's values go straight into one
+    buffer of doubles, so the parse holds the text, the ids and that buffer
+    but never every row's field strings at once. A file with several faults
+    reports the first in file order.
+    """
     header, rows = _read_csv(data, "feature")
     if header is None:
         raise ParseError("empty feature file", line=1)
     d = len(header) - 1
     if d < 1 or header != ["id", *(f"f{i}" for i in range(d))]:
         raise ParseError("feature header must be id,f0,...,f{d-1}", line=1)
-    ids, values, seen = [], [], set()
+    ids, values, seen = [], array.array("d"), set()
     for lineno, row in rows:
         if len(row) != d + 1:
             raise ParseError(f"feature line {lineno} has {len(row) - 1} values, expected {d}",
@@ -249,10 +265,10 @@ def read_features(data):
         if not all(map(math.isfinite, vec)):
             raise _row_error("feature", lineno, "non-finite value")
         ids.append(row_id)
-        values.append(vec)
+        values.extend(vec)
     if not ids:
         raise ParseError("feature file has no data rows", line=2)
-    return FeatureMatrix(rows=np.array(values, dtype=np.float64), ids=ids)
+    return FeatureMatrix(rows=np.frombuffer(values, dtype=np.float64).reshape(-1, d), ids=ids)
 
 
 def write_labels(ids, labels):

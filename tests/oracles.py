@@ -8,19 +8,24 @@ read and advance that stream's counter but compute every value themselves.
 The mini-batch and polish references are the exceptions: they reuse
 k-means' seeding, assignment and mean helpers, so that only the center
 update or the move sweep differs from the package's. The one-GEMM
-convolution is the other: it is the package's convolution as it was before
-it ran in bands.
+convolution is another: it is the package's convolution as it was before
+it ran in bands. The eager CSV readers are the last: they are the package's
+readers as they were before rows were read one at a time, and they share its
+number grammar and error messages.
 """
 
+import csv
+import io
 import math
 
 import numpy as np
 
 from radclust.clustering.base import ClusterResult
 from radclust.clustering.kmeans import _assign, _kmeans_pp, _means, _repair_empty
-from radclust.errors import NonConvergenceError
-from radclust.features import as_rows
+from radclust.errors import NonConvergenceError, ParseError
+from radclust.features import FeatureMatrix, as_rows
 from radclust.numerics import RngStream
+from radclust.pipeline import _numbers, _row_error
 
 
 def splitmix64_reference(seed, count):
@@ -328,6 +333,58 @@ def builtin_number(kind, text):
     if not text.isascii() or "_" in text:
         raise ValueError(f"not ASCII decimal: {text!r}")
     return kind(text)
+
+
+def eager_read_csv(data, what):
+    """The header row and a list of (line, fields) of every non-blank row, all parsed at once.
+
+    Any csv-structure fault in the file is raised before the caller sees a
+    row, so it wins over a bad value on an earlier line.
+    """
+    if isinstance(data, (bytes, bytearray)):
+        try:
+            data = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{what} file is not UTF-8: invalid byte at offset {exc.start}",
+                             offset=exc.start) from None
+    reader = csv.reader(io.StringIO(data), strict=True)
+    rows, end = [], 0
+    try:
+        header, end = next(reader, None), reader.line_num
+        for row in reader:
+            if row and row != [""]:
+                rows.append((end + 1, row))
+            end = reader.line_num
+    except csv.Error as exc:
+        raise _row_error(what, end + 1, str(exc).partition(" - ")[0]) from None
+    return header, rows
+
+
+def eager_read_features(data):
+    """A feature CSV read by :func:`eager_read_csv`, every row's floats listed before the matrix."""
+    header, rows = eager_read_csv(data, "feature")
+    if header is None:
+        raise ParseError("empty feature file", line=1)
+    d = len(header) - 1
+    if d < 1 or header != ["id", *(f"f{i}" for i in range(d))]:
+        raise ParseError("feature header must be id,f0,...,f{d-1}", line=1)
+    ids, values, seen = [], [], set()
+    for lineno, row in rows:
+        if len(row) != d + 1:
+            raise ParseError(f"feature line {lineno} has {len(row) - 1} values, expected {d}",
+                             line=lineno)
+        row_id = row[0]
+        if row_id in seen:
+            raise ParseError(f"duplicate feature id {row_id!r}", line=lineno)
+        seen.add(row_id)
+        vec = _numbers(float, row[1:], "feature", lineno, "non-numeric value")
+        if not all(map(math.isfinite, vec)):
+            raise _row_error("feature", lineno, "non-finite value")
+        ids.append(row_id)
+        values.append(vec)
+    if not ids:
+        raise ParseError("feature file has no data rows", line=2)
+    return FeatureMatrix(rows=np.array(values, dtype=np.float64), ids=ids)
 
 
 def scan_pgm_token(data, pos):

@@ -25,6 +25,22 @@ from radclust.pipeline import (
     ManifestEntry,
 )
 
+# One CLI command, run on one CPU where the platform can pin a process, after
+# printing OpenBLAS's thread count (blank without a settable OpenBLAS). The pin
+# comes after numpy's import: OpenBLAS reads OPENBLAS_NUM_THREADS there and
+# caps it at the CPUs the process may use. On one CPU the image commands run
+# inline and leave that count as it is.
+ONE_CPU_CLI = """
+import os
+import numpy
+if hasattr(os, "sched_setaffinity"):
+    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+from radclust import cli, numerics
+blas = numerics._openblas()
+print(blas[0]() if blas else "", flush=True)
+cli.main()
+"""
+
 
 def run(argv):
     return cli_main(argv)
@@ -94,7 +110,7 @@ class TestPreprocessAndExtract:
 
     def test_features_identical_across_blas_thread_counts(self, tmp_path):
         # OpenBLAS reads its thread count at import, so each setting gets its
-        # own interpreter running the extract command
+        # own interpreter running the extract command on one CPU
         _, manifest = write_image_tree(tmp_path, n_per_class=2, size=128)
         src = str(Path(radclust.__file__).resolve().parents[1])
         features = []
@@ -102,9 +118,12 @@ class TestPreprocessAndExtract:
             out = tmp_path / f"features_{threads}.csv"
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            subprocess.run([sys.executable, "-m", "radclust.cli", "extract",
-                            "--manifest", str(manifest), "--seed", "5", "--out", str(out)],
-                           env=env, capture_output=True, timeout=300, check=True)
+            proc = subprocess.run([sys.executable, "-c", ONE_CPU_CLI, "extract",
+                                   "--manifest", str(manifest), "--seed", "5", "--out", str(out)],
+                                  env=env, capture_output=True, timeout=300, check=True)
+            if numerics._openblas() is not None and numerics._cpus() >= 2:
+                # the child's GEMMs really ran on this many OpenBLAS threads
+                assert proc.stdout.splitlines()[0] == threads.encode()
             features.append(out.read_bytes())
         assert read_features(features[0]).n == 4
         assert features[0] == features[1]

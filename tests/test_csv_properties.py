@@ -1,12 +1,14 @@
 """Property tests for the CSV formats.
 
 Any mutation of a manifest, feature or labels file either parses or ends in
-a ParseError that carries a line number or a byte offset, and every id or
-path the writers accept reads back unchanged, as does every manifest entry
-``write_manifest`` accepts.
+a ParseError that carries a line number or a byte offset, and reads as the
+eager readers in ``oracles`` read it, up to which of several faults is
+named. Every id or path the writers accept reads back unchanged, as does
+every manifest entry ``write_manifest`` accepts.
 """
 
 import csv
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
+import radclust.pipeline as pl  # noqa: E402
+from oracles import eager_read_csv, eager_read_features  # noqa: E402
 from radclust.errors import DataError, ParseError  # noqa: E402
 from radclust.features import FeatureMatrix  # noqa: E402
 from radclust.imaging import CropRect  # noqa: E402
@@ -88,6 +92,49 @@ def test_mutated_file_parses_or_fails_positioned(kind, changes):
             assert isinstance(exc.offset, int) and 0 <= exc.offset < len(data)
 
 
+def outcome(read, data):
+    """What ``read`` makes of ``data``: ("ok", comparable value) or ("error", ParseError)."""
+    try:
+        value = read(data)
+    except ParseError as exc:
+        return "error", exc
+    if isinstance(value, tuple):  # labels: ids and the label array
+        return "ok", (value[0], value[1].dtype.str, value[1].tobytes())
+    if isinstance(value, list):  # manifest entries
+        return "ok", [(e.path, e.crop and vars(e.crop), repr(e.age), e.sex) for e in value]
+    return "ok", (value.ids, value.rows.shape, value.rows.tobytes())
+
+
+def eager(kind):
+    """The reader of ``kind`` as it was before rows were read one at a time."""
+    if kind == "features":
+        return eager_read_features
+    read = VALID[kind][0]
+
+    def read_eagerly(data):
+        with mock.patch.object(pl, "_read_csv", eager_read_csv):
+            return read(data)
+    return read_eagerly
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(sorted(VALID)), edits)
+@example("features", [(25, INSERT, b"x"), (31, INSERT, b'"')])  # bad value, then open quote
+@example("labels", [(13, INSERT, b"x"), (21, INSERT, b"\r")])  # bad cluster, then bare CR
+@example("manifest", [(0, OVERWRITE, b"x"), (60, INSERT, OVERLONG)])  # header, then long field
+@example("labels", [(0, INSERT, b'"')])  # a quote left open from the header on
+def test_mutated_file_reads_as_the_eager_reader_reads_it(kind, changes):
+    data = mutate(VALID[kind][1], changes)
+    got, want = outcome(VALID[kind][0], data), outcome(eager(kind), data)
+    if want[0] == "ok" or got[0] == "ok":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    if (str(got), got.line, got.offset) != (str(want), want.line, want.offset):
+        # several faults: the lazy reader names one on an earlier line
+        assert got.offset is None and want.offset is None and got.line < want.line
+
+
 @pytest.mark.parametrize("kind, data, line, offset, message", [
     ("labels", b"id,cluster\na\xffb,0\n", None, 12, "not UTF-8"),
     ("features", b"id,f0\na,1.0\nb\rc,2.0\n", 3, None, "new-line character"),
@@ -99,6 +146,8 @@ def test_mutated_file_parses_or_fails_positioned(kind, changes):
      2, None, "crop extent must be >= 1"),
     ("labels", b'id,cluster\n"x"y,1\n', 2, None, "',' expected after '\"'"),
     ("labels", b'id,cluster\n"x,1\na,2\n', 2, None, "unexpected end of data"),
+    ("features", b'"id,f0\na,1.0\n', 1, None, "unexpected end of data"),
+    ("labels", b'id,"clu"ster\na,0\n', 1, None, "',' expected after '\"'"),
 ])
 def test_escapes_become_positioned_parse_errors(kind, data, line, offset, message):
     with pytest.raises(ParseError, match=message) as exc:

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from radclust import ClusterConfig, agglomerative
+from radclust import ClusterConfig, agglomerative, numerics
+from radclust.clustering import hierarchy
 from radclust.errors import ConfigError
 
 from oracles import direct_average_linkage, greedy_ward_merges
@@ -113,3 +116,18 @@ class TestDendrogramAndLabels:
         a = agglomerative(rows, ClusterConfig(k=4, seed=0), linkage="average")
         b = agglomerative(rows - 77.0, ClusterConfig(k=4, seed=0), linkage="average")
         assert np.array_equal(a.labels, b.labels)
+
+
+@pytest.mark.parametrize("linkage", ["ward", "average"])
+def test_prepare_peak_memory_is_one_distance_matrix(monkeypatch, linkage):
+    # a smaller norm-sum block, so that n=700 is cut into several as n=2000 is
+    monkeypatch.setattr(numerics, "_NORM_ELEMENTS", 1 << 16)
+    n = 700
+    rows = np.random.RandomState(8).randn(n, 16)
+    tracemalloc.start()
+    try:
+        hierarchy.prepare(rows, ClusterConfig(k=2), linkage=linkage)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.3 * n * n * 8

@@ -14,6 +14,7 @@ from radclust.numerics import (
     RngStream,
     mix_seed,
     pairwise_distances,
+    squared_distances,
     sym_eigen,
 )
 
@@ -532,7 +533,8 @@ class TestPairwiseDistances:
             pairwise_distances(np.zeros(shape))
 
     def test_peak_memory_is_gram_plus_output(self):
-        n = 1000
+        # one n x n buffer, plus a norm-sum block of 2^19 entries: 0.13 of a matrix at n=2000
+        n = 2000
         # all-equal rows put every pair through the exact-zero recheck
         for x in (np.random.RandomState(13).randn(n, 16), np.ones((n, 16))):
             tracemalloc.start()
@@ -541,5 +543,16 @@ class TestPairwiseDistances:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 2.5 * n * n * 8
+            assert peak <= 1.3 * n * n * 8
         assert not d.any()
+
+    @pytest.mark.parametrize("elements", [1, 7 * 300, 299 * 300])
+    def test_norm_sum_blocks_give_the_bits_of_one_block(self, monkeypatch, elements):
+        rng = np.random.RandomState(17)
+        x = rng.randn(300, 5) * 1e3 + 1e3
+        x[::7] = x[3]  # duplicated rows go through the recheck
+        whole = squared_distances(x)
+        monkeypatch.setattr(numerics, "_NORM_ELEMENTS", elements)
+        blocked = squared_distances(x)
+        assert blocked.tobytes() == whole.tobytes()
+        assert np.array_equal(blocked, blocked.T)

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -38,6 +39,8 @@ from radclust.pipeline import (
     write_labels,
     write_manifest,
 )
+
+from oracles import eager_read_features
 
 DATA = Path(__file__).parent / "data"
 
@@ -199,6 +202,28 @@ class TestFeaturesIO:
     def test_bad_header(self):
         with pytest.raises(ParseError, match="header"):
             read_features("name,f0\na,1.0\n")
+
+    def test_first_fault_in_file_order_is_reported(self):
+        # a non-numeric value on line 3 and a quote left open on line 5
+        data = b'id,f0\na,1.0\nb,x\nc,2.0\n"d,3.0\ne,4.0\n'
+        with pytest.raises(ParseError, match="feature line 3: non-numeric value") as exc:
+            read_features(data)
+        assert exc.value.line == 3
+        # the eager reader parsed the whole file first, so the quote won
+        with pytest.raises(ParseError, match="feature line 5: unexpected end of data"):
+            eager_read_features(data)
+
+    def test_read_peak_memory_is_under_two_and_a_half_file_sizes(self):
+        fm, _ = synth_blobs(1000, 4, 16, 6.0, 1.0, seed=1)
+        data = write_features(fm)
+        tracemalloc.start()
+        try:
+            back = read_features(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert back.rows.tobytes() == fm.rows.tobytes() and back.ids == fm.ids
+        assert peak <= 2.5 * len(data)
 
     def test_labels_round_trip(self):
         data = write_labels(["a", "b", "c"], [0, 1, 0])
