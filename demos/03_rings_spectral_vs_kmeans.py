@@ -37,7 +37,7 @@ rows, truth = make_rings(gap=gap)
 # The kernel width matters: a quarter of the ring gap keeps cross-ring
 # similarity negligible while the rings stay connected along their arcs.
 spec = spectral(rows, ClusterConfig(k=2, seed=5, rbf_sigma=0.25 * gap))
-km = kmeans(rows, ClusterConfig(k=2, seed=5, init="kmeans++", restarts=10))
+km = kmeans(rows, ClusterConfig(k=2, seed=5), restarts=10)
 
 print(f"spectral purity: {100 * purity(spec.labels, truth):.1f}%")
 print(f"k-means purity:  {100 * purity(km.labels, truth):.1f}%")

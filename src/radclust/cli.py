@@ -219,7 +219,6 @@ def _cmd_cluster(args):
     if ks[-1] != ks[0]:
         raise UsageError("cluster takes a single --k value, not a range")
     cfg = ClusterConfig(k=ks[0], seed=args.seed, **_knobs_from_args(args))
-    cfg.validate()
     fm = pipeline.read_features(_read_file(args.features))
     runner = {slug: r for slug, _, r in pipeline.ALGORITHMS}[slugs[0]]
     result = runner(fm.rows, cfg)

@@ -8,40 +8,34 @@ import numpy as np
 
 from ..errors import ConfigError
 
-INIT_MODES = ("first_k", "kmeans++")
 # What a field annotated int or float accepts; one that defaults to None may be None.
 # bool is an Integral, but True is no count or tolerance, so no number field takes one.
 _NUMBER_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClusterConfig:
-    """Knobs for one clustering run.
+    """Knobs for one clustering run: k, the seed and the five a sweep may set.
 
-    ``tol`` is interpreted by each algorithm's own stopping rule: relative
-    SSE change for k-means, maximum center movement for mini-batch k-means,
-    and absolute mean log-likelihood improvement for Gaussian mixtures.
-    Values no caller varies are constants in their algorithm's module.
+    Building one, ``dataclasses.replace`` included, checks every field and
+    raises a ConfigError naming the first bad one; only k against the sample
+    count waits for :meth:`validate_for`. ``tol`` is interpreted by each
+    algorithm's own stopping rule: relative SSE change for k-means, maximum
+    center movement for mini-batch k-means, and absolute mean log-likelihood
+    improvement for Gaussian mixtures. Options of one algorithm, such as
+    k-means' ``restarts``, are arguments of its fit function; values no
+    caller varies are constants in its module.
     """
 
     k: int
     seed: int = 0
     max_iters: int = 100
     tol: float = 1e-4
-    init: str = "first_k"
-    restarts: int = 1
     batch_size: int = None
     rbf_sigma: float = None
     birch_threshold: float = None
 
-    def validate_for(self, n):
-        """Check every field, and k against the sample count ``n``."""
-        self.validate()
-        if not 1 <= self.k <= n:
-            raise ConfigError(f"k must satisfy 1 <= k <= n={n}, got {self.k}")
-
-    def validate(self):
-        """Check what does not depend on the data; a ConfigError names the field."""
+    def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type not in _NUMBER_TYPES or (value is None and f.default is None):
@@ -55,16 +49,17 @@ class ClusterConfig:
             raise ConfigError(f"max_iters must be >= 1, got {self.max_iters}")
         if not self.tol > 0:
             raise ConfigError(f"tol must be positive, got {self.tol}")
-        if self.init not in INIT_MODES:
-            raise ConfigError(f"init must be one of {INIT_MODES}, got {self.init!r}")
-        if self.restarts < 1:
-            raise ConfigError(f"restarts must be >= 1, got {self.restarts}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.rbf_sigma is not None and not self.rbf_sigma > 0:
             raise ConfigError(f"rbf_sigma must be positive, got {self.rbf_sigma}")
         if self.birch_threshold is not None and not self.birch_threshold > 0:
             raise ConfigError(f"birch_threshold must be positive, got {self.birch_threshold}")
+
+    def validate_for(self, n):
+        """Check k against the sample count ``n``."""
+        if not 1 <= self.k <= n:
+            raise ConfigError(f"k must satisfy 1 <= k <= n={n}, got {self.k}")
 
 
 @dataclass(eq=False)

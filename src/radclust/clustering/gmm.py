@@ -1,7 +1,8 @@
 """Gaussian mixture models fit by EM, with tied, diagonal, or full covariances.
 
-Means start from a seeded k-means run, weights start uniform, and every
-covariance starts from the global sample covariance restricted to the mode.
+Means start from one k-means run from the first k rows, which reads no
+seed; weights start uniform, and every covariance starts from the global
+sample covariance restricted to the mode.
 The covariance mode enters in two places only:
 
 - the E-step whitens every component with the inverse of a Cholesky factor

@@ -46,7 +46,7 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
     """Merge closest clusters under the chosen linkage until one remains.
 
     Ties on the closest pair break toward the lexicographically smallest
-    (i, j). ``cfg`` is only validated; no k or seed is read.
+    (i, j). ``cfg``'s k is only checked against n; no seed is read.
     """
     if linkage not in LINKAGES:
         raise ConfigError(f"linkage must be one of {LINKAGES}, got {linkage!r}")

@@ -1,20 +1,24 @@
 """Lloyd k-means and its mini-batch variant.
 
-Initialization defaults to the first k sample rows as centroids; a seeded
-kmeans++ mode exists for restart-based searches. Assignment ties and every
-other tie in this module break toward the lowest index so runs replay
-exactly.
+A single k-means run, and mini-batch by default, start from the first k
+sample rows as centroids. k-means restarts, and mini-batch with
+``init="kmeans++"``, start from seeded kmeans++ (Arthur & Vassilvitskii,
+SODA 2007). Assignment ties and every other tie in this module break toward
+the lowest index so runs replay exactly.
 """
 
 import math
+import numbers
 from dataclasses import replace
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..features import as_rows
 from ..numerics import RngStream, mix_seed, squared_distances
 from .base import ClusterConfig, ClusterResult
 
+INIT_MODES = ("first_k", "kmeans++")
 _MAX_POLISH_PASSES = 200
 # Rows screened per step of the polish; bounds the rescan after each move.
 _SCREEN_ROWS = 256
@@ -193,43 +197,42 @@ def _first_move(dist, labels, counts, lo):
     return lo + first, int(target[first])
 
 
-def kmeans(x, cfg: ClusterConfig) -> ClusterResult:
-    """Lloyd iterations from first-k or kmeans++ centers; best of ``restarts``.
+def kmeans(x, cfg: ClusterConfig, restarts=1) -> ClusterResult:
+    """Lloyd iterations; with ``restarts`` above 1, the best of that many.
 
     Stops when assignments stabilize, when the relative SSE improvement
     drops to ``cfg.tol``, or at ``cfg.max_iters``. Empty clusters are
-    repaired deterministically and never surface. With several restarts the
-    first uses ``cfg.init`` and the rest use kmeans++, each on an
-    independent child stream; every restart's fixed point is refined by
-    Hartigan single-point moves (:func:`_polish`: a vectorised screen of
-    each block of rows, then an exact replay of the first move, so the moves
-    are those of a row-by-row sweep) before the lowest final SSE wins (first
-    on ties). The winner's ``diagnostics["polish"]`` holds that restart's
-    ``passes``, ``moves`` and ``capped`` (the 200-pass limit stopped it).
-    A single-restart run keeps plain Lloyd mechanics and no diagnostics.
+    repaired deterministically and never surface. One restart (the default)
+    starts from the first k rows, reads no seed and records no diagnostics.
+    Several restarts each start from kmeans++ on an independent child stream
+    of ``cfg.seed``; every restart's fixed point is refined by Hartigan
+    single-point moves (:func:`_polish`: a vectorised screen of each block
+    of rows, then an exact replay of the first move, so the moves are those
+    of a row-by-row sweep) before the lowest final SSE wins (first on ties).
+    The winner's ``diagnostics["polish"]`` holds that restart's ``passes``,
+    ``moves`` and ``capped`` (the 200-pass limit stopped it). A ``restarts``
+    that is not an integer of at least 1 raises a ConfigError.
     """
+    if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
+        raise ConfigError(f"restarts must be an integer >= 1, got {restarts!r}")
     rows = as_rows(x)
     cfg.validate_for(rows.shape[0])
+    if restarts == 1:
+        return _lloyd(rows, rows[:cfg.k].copy(), cfg)
     stream = RngStream(cfg.seed)
     best = None
-    for r in range(cfg.restarts):
-        sub = stream.spawn()
-        if r == 0 and cfg.init == "first_k":
-            centers = rows[:cfg.k].copy()
-        else:
-            centers = _kmeans_pp(rows, cfg.k, sub)
-        result = _lloyd(rows, centers, cfg)
-        if cfg.restarts > 1:
-            labels, centers, polish = _polish(rows, result.labels, cfg.k)
-            if not np.array_equal(labels, result.labels):
-                result = ClusterResult(
-                    labels=labels,
-                    centroids=centers,
-                    objective_trace=result.objective_trace + [_sse(rows, labels, centers)],
-                    iterations=result.iterations + 1,
-                    converged=result.converged,
-                )
-            result.diagnostics["polish"] = polish
+    for _ in range(restarts):
+        result = _lloyd(rows, _kmeans_pp(rows, cfg.k, stream.spawn()), cfg)
+        labels, centers, polish = _polish(rows, result.labels, cfg.k)
+        if not np.array_equal(labels, result.labels):
+            result = ClusterResult(
+                labels=labels,
+                centroids=centers,
+                objective_trace=result.objective_trace + [_sse(rows, labels, centers)],
+                iterations=result.iterations + 1,
+                converged=result.converged,
+            )
+        result.diagnostics["polish"] = polish
         if best is None or result.objective_trace[-1] < best.objective_trace[-1]:
             best = result
     return best
@@ -240,16 +243,17 @@ def refine(points, cfg: ClusterConfig, k, salt) -> ClusterResult:
 
     Spectral clustering runs it on its row-normalized embedding, BIRCH on
     its leaf-entry centroids. It clusters ``points`` into ``k`` groups with
-    kmeans++ starts and 5 restarts, seeded by mixing ``cfg.seed`` with the
-    caller's ``salt``; the other fields of ``cfg`` carry over.
+    5 kmeans++ restarts, seeded by mixing ``cfg.seed`` with the caller's
+    ``salt``; the other fields of ``cfg`` carry over.
     """
-    inner_cfg = replace(cfg, k=k, seed=mix_seed(cfg.seed, salt), init="kmeans++", restarts=5)
-    return kmeans(points, inner_cfg)
+    return kmeans(points, replace(cfg, k=k, seed=mix_seed(cfg.seed, salt)), restarts=5)
 
 
-def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
+def minibatch_kmeans(x, cfg: ClusterConfig, init="first_k") -> ClusterResult:
     """Mini-batch k-means with cumulative per-center learning rates.
 
+    The centers start from the first k rows, or from seeded kmeans++ with
+    ``init="kmeans++"``; any other ``init`` raises a ConfigError.
     Each iteration draws ``batch_size`` points by partial Fisher-Yates from
     the seeded stream and assigns them to the centers as of the batch start.
     Under the rate 1/count (Sculley, WWW 2010) a center is the mean of every
@@ -259,13 +263,15 @@ def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     trace holds each batch's inertia against the batch-start centers, so it
     need not decrease.
     """
+    if init not in INIT_MODES:
+        raise ConfigError(f"init must be one of {INIT_MODES}, got {init!r}")
     rows = as_rows(x)
     n = rows.shape[0]
     cfg.validate_for(n)
     batch = min(cfg.batch_size or min(n, 100), n)
     stream = RngStream(cfg.seed)
     sub = stream.spawn()
-    if cfg.init == "first_k":
+    if init == "first_k":
         centers = rows[:cfg.k].copy()
     else:
         centers = _kmeans_pp(rows, cfg.k, sub)

@@ -48,15 +48,22 @@ def as_rows(x):
     The single validator for sample matrices: every clustering variant,
     the metrics, :func:`radclust.numerics.pairwise_distances` and
     :class:`FeatureMatrix` itself go through it. Raises
-    :class:`~radclust.errors.ShapeError` unless the input is 2-D with
-    n >= 1 and d >= 1 and every value is finite; a non-finite value is
-    reported with its (row, col).
+    :class:`~radclust.errors.ShapeError` unless the input is a bool,
+    integer or real array (a ragged nesting, text or complex numbers are
+    refused, not converted), 2-D with n >= 1 and d >= 1, and every value is
+    finite; a non-finite value is reported with its (row, col).
 
     The result is C-contiguous (a copy only when the input is not), so
     BLAS computes ``rows @ rows.T`` the same way, and exactly symmetric,
     whatever the caller's memory layout.
     """
-    rows = np.ascontiguousarray(getattr(x, "rows", x), dtype=np.float64)
+    try:
+        raw = np.asarray(getattr(x, "rows", x))
+    except ValueError:  # ragged nesting
+        raise ShapeError("expected a 2-D sample matrix, got a ragged nested sequence") from None
+    if raw.dtype.kind not in "biuf":
+        raise ShapeError(f"expected a real-valued sample matrix, got dtype {raw.dtype}")
+    rows = np.ascontiguousarray(raw, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < 1:
         raise ShapeError(f"expected a 2-D (n>=1, d>=1) sample matrix, got shape {rows.shape}")
     finite = np.isfinite(rows)

@@ -188,15 +188,6 @@ def _u64_block(out, counter, scratch):
     _draws(counter, _steps()[:n], out, scratch[:n], scratch[n : 2 * n])
 
 
-def _uniform_block(out, counter, scratch):
-    """Draws 1..n after ``counter`` as uniforms: the top 53 bits times 2**-53."""
-    n = len(out)
-    z, a = scratch[:n], scratch[n : 2 * n]
-    _draws(counter, _steps()[:n], z, a, out.view(np.uint64))
-    np.right_shift(z, _S11, out=a)
-    np.multiply(a, _U53, out=out)
-
-
 def _gaussian_block(out, counter, scratch):
     """Box-Muller values from draw pairs (1, 2), (3, 4), ... after ``counter``.
 
@@ -239,12 +230,12 @@ class RngStream:
 
     The state is a plain counter advanced by a fixed odd increment, and each
     output is a finalizing mix of the counter, so the k-th draw depends only
-    on (seed, k). Bulk generation (:meth:`u64s`, :meth:`uniforms`,
-    :meth:`gaussians`) is therefore bit-identical to repeated scalar draws
-    of the same kind, down to the final state. It runs in blocks of 2**15
-    raw draws; a longer range is cut into spans that fill their own slices
-    of the output on up to one thread per CPU the process may run on, and
-    the bits are the same at any thread count.
+    on (seed, k). Bulk generation (:meth:`u64s`, :meth:`gaussians`) is
+    therefore bit-identical to repeated scalar draws of the same kind, down
+    to the final state. It runs in blocks of 2**15 raw draws; a longer range
+    is cut into spans that fill their own slices of the output on up to one
+    thread per CPU the process may run on, and the bits are the same at any
+    thread count.
 
     Uniform draws lie in [0, 1). Gaussian draws use the Box-Muller transform
     (cosine branch, two uniforms per value) and are always finite. A stream
@@ -268,10 +259,6 @@ class RngStream:
     def next_uniform(self):
         """Uniform double in [0, 1) built from the top 53 bits of a draw."""
         return (self.next_u64() >> 11) * _U53
-
-    def uniforms(self, count):
-        """Array of ``count`` uniforms in [0, 1)."""
-        return self._fill(count, np.float64, 1, _uniform_block)
 
     def gaussians(self, count):
         """Array of ``count`` standard normal draws.

@@ -387,7 +387,7 @@ class SweepConfig:
             if name not in _KNOBS:
                 reason = "is set per cell by the sweep" if name in ("k", "seed") else "is unknown"
                 raise ConfigError(f"knob {name!r} {reason}; valid knobs: {', '.join(_KNOBS)}")
-        ClusterConfig(k=self.ks[0], **self.knobs).validate()
+        ClusterConfig(k=self.ks[0], **self.knobs)  # a bad knob value raises here, once
 
 
 @dataclass(eq=False)

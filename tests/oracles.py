@@ -17,6 +17,7 @@ number grammar and error messages.
 import csv
 import io
 import math
+import numbers
 
 import numpy as np
 
@@ -57,11 +58,6 @@ def one_shot_u64s(stream, count):
     return z
 
 
-def one_shot_uniforms(stream, count):
-    """``count`` uniforms in [0, 1): the top 53 bits of each one-shot draw times 2**-53."""
-    return np.asarray(one_shot_u64s(stream, count) >> np.uint64(11), dtype=np.float64) * 2.0**-53
-
-
 def one_shot_gaussians(stream, count):
     """``count`` Box-Muller values (cosine branch) from ``2 * count`` one-shot draws.
 
@@ -77,7 +73,6 @@ def one_shot_gaussians(stream, count):
 # Each bulk draw of RngStream by name: its one-shot oracle and raw draws per value.
 ONE_SHOT_DRAWS = {
     "u64s": (one_shot_u64s, 1),
-    "uniforms": (one_shot_uniforms, 1),
     "gaussians": (one_shot_gaussians, 2),
 }
 
@@ -109,6 +104,50 @@ def partial_fisher_yates(stream, n, m):
     return [items[i] for i in range(m)]
 
 
+# ClusterConfig's fields as (name, annotated type, default); k has none.
+CLUSTER_CONFIG_FIELDS = [
+    ("k", int, "required"),
+    ("seed", int, 0),
+    ("max_iters", int, 100),
+    ("tol", float, 1e-4),
+    ("batch_size", int, None),
+    ("rbf_sigma", float, None),
+    ("birch_threshold", float, None),
+]
+
+
+def cluster_config_error(values):
+    """The message of the ConfigError a ClusterConfig of ``values`` must raise, or None.
+
+    ``values`` maps every field name to its value. This is the body of
+    ``ClusterConfig.validate()`` from before a config checked itself when
+    built, kept verbatim apart from reading ``values`` and
+    :data:`CLUSTER_CONFIG_FIELDS` and returning the message, and without
+    its ``init`` and ``restarts`` checks, which left with those fields.
+    """
+    number_types = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a real number")}
+    for name, kind_of, default in CLUSTER_CONFIG_FIELDS:
+        value = values[name]
+        if kind_of not in number_types or (value is None and default is None):
+            continue
+        kind, noun = number_types[kind_of]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            return f"{name} must be {noun}, got {value!r}"
+        if kind_of is float and not math.isfinite(value):
+            return f"{name} must be finite, got {value!r}"
+    if values["max_iters"] < 1:
+        return f"max_iters must be >= 1, got {values['max_iters']}"
+    if not values["tol"] > 0:
+        return f"tol must be positive, got {values['tol']}"
+    if values["batch_size"] is not None and values["batch_size"] < 1:
+        return f"batch_size must be >= 1, got {values['batch_size']}"
+    if values["rbf_sigma"] is not None and not values["rbf_sigma"] > 0:
+        return f"rbf_sigma must be positive, got {values['rbf_sigma']}"
+    if values["birch_threshold"] is not None and not values["birch_threshold"] > 0:
+        return f"birch_threshold must be positive, got {values['birch_threshold']}"
+    return None
+
+
 def add_at_means(rows, labels, k):
     """Per-cluster means with the rows added by ``np.add.at``, in row order.
 
@@ -120,7 +159,7 @@ def add_at_means(rows, labels, k):
     return centers
 
 
-def sequential_minibatch_kmeans(x, cfg):
+def sequential_minibatch_kmeans(x, cfg, init="first_k"):
     """Mini-batch k-means that moves one center per point, in batch order.
 
     The per-point update c += (x - c) / count that ``minibatch_kmeans`` ran
@@ -133,7 +172,7 @@ def sequential_minibatch_kmeans(x, cfg):
     batch = min(cfg.batch_size or min(n, 100), n)
     stream = RngStream(cfg.seed)
     sub = stream.spawn()
-    if cfg.init == "first_k":
+    if init == "first_k":
         centers = rows[:cfg.k].copy()
     else:
         centers = _kmeans_pp(rows, cfg.k, sub)

@@ -73,7 +73,7 @@ def test_criterion_2_kmeans_global_optimality():
     for seed in range(50):
         rng = np.random.RandomState(2000 + seed)
         rows = rng.rand(8, 2)
-        res = kmeans(rows, ClusterConfig(k=2, seed=seed, init="kmeans++", restarts=10))
+        res = kmeans(rows, ClusterConfig(k=2, seed=seed), restarts=10)
         assert abs(res.objective_trace[-1] - best_two_partition_sse(rows)) <= 1e-9
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -233,10 +233,9 @@ def test_criterion_7_cnn_correctness():
         (64, 64, 64), (32, 32, 64), (16, 16, 128), (8, 8, 128), 8192, 64, 16,
     ]
     weights = init_weights(spec, 1)
-    fv, acts = forward(
-        RngStream(5).uniforms(128 * 128).reshape(128, 128, 1), weights,
-        return_activations=True,
-    )
+    stream = RngStream(5)
+    image = np.array([stream.next_uniform() for _ in range(128 * 128)]).reshape(128, 128, 1)
+    fv, acts = forward(image, weights, return_activations=True)
     assert [a.shape for a in acts[:4]] == [(64, 64, 64), (32, 32, 64), (16, 16, 128), (8, 8, 128)]
     assert acts[4].shape == (8192,) and acts[5].shape == (64,) and fv.values.shape == (16,)
     assert np.array_equal(forward(np.zeros((128, 128, 1)), weights).values, np.zeros(16))

@@ -346,7 +346,8 @@ def _nonzero_bias_case():
 def RngStream_like_input():
     from radclust.numerics import RngStream
 
-    return RngStream(99).uniforms(128 * 128).reshape(128, 128, 1)
+    stream = RngStream(99)
+    return np.array([stream.next_uniform() for _ in range(128 * 128)]).reshape(128, 128, 1)
 
 
 class TestWeightsIO:

@@ -46,8 +46,7 @@ class TestKmeans:
         for seed in range(20):
             rng = np.random.RandomState(seed)
             rows = rng.rand(8, 2)
-            cfg = ClusterConfig(k=2, seed=seed, init="kmeans++", restarts=10)
-            res = kmeans(rows, cfg)
+            res = kmeans(rows, ClusterConfig(k=2, seed=seed), restarts=10)
             assert res.objective_trace[-1] == pytest.approx(
                 best_two_partition_sse(rows), abs=1e-9
             )
@@ -73,9 +72,9 @@ class TestKmeans:
     def test_deterministic_under_seed(self):
         rng = np.random.RandomState(5)
         rows = rng.randn(40, 3)
-        cfg = ClusterConfig(k=3, seed=9, init="kmeans++", restarts=3)
-        a = kmeans(rows, cfg)
-        b = kmeans(rows, cfg)
+        cfg = ClusterConfig(k=3, seed=9)
+        a = kmeans(rows, cfg, restarts=3)
+        b = kmeans(rows, cfg, restarts=3)
         assert np.array_equal(a.labels, b.labels)
         assert a.objective_trace == b.objective_trace
 
@@ -125,6 +124,30 @@ class TestKmeans:
         with pytest.raises(ShapeError, match=r"non-finite value .* at \(4, 1\)"):
             kmeans(rows, ClusterConfig(k=2, seed=0))
 
+    @pytest.mark.parametrize("restarts", [0, 2.0, "2", True, False])
+    def test_bad_restarts_rejected(self, restarts):
+        message = f"restarts must be an integer >= 1, got {restarts!r}"
+        with pytest.raises(ConfigError, match=message):
+            kmeans(SQUARE, ClusterConfig(k=2), restarts=restarts)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([["1", "2"], ["3", "4"]], "got dtype <U1"),
+        (np.array([[" 1.5", "+2"], ["1_0", "4"]]), "got dtype <U4"),
+        ([[1.0, 2.0], [3.0]], "got a ragged nested sequence"),
+        ([[1 + 0j, 2.0], [3.0, 4.0]], "got dtype complex128"),
+        (np.array([[1 + 0j, 2.0], [3.0, 4.0]]), "got dtype complex128"),
+    ], ids=["text-list", "text-array", "ragged", "complex-list", "complex-array"])
+    def test_only_real_numbers_are_samples(self, bad, message):
+        # numpy would read the text with float() and drop a zero imaginary part
+        with pytest.raises(ShapeError, match=message):
+            kmeans(bad, ClusterConfig(k=2))
+
+    def test_bool_int_and_float_arrays_are_samples(self):
+        want = kmeans(SQUARE, ClusterConfig(k=2)).labels
+        for dtype in (np.float32, np.int64, np.uint8):
+            assert np.array_equal(kmeans(SQUARE.astype(dtype), ClusterConfig(k=2)).labels, want)
+        assert kmeans(SQUARE > 0, ClusterConfig(k=2)).labels.shape == (4,)
+
 
 def test_means_match_add_at_oracle_bit_for_bit():
     # scales 1e-8..1e8, rows offset far from the origin, and empty clusters
@@ -139,6 +162,11 @@ def test_means_match_add_at_oracle_bit_for_bit():
 
 
 class TestMinibatchKmeans:
+    def test_unknown_init_rejected(self):
+        message = r"init must be one of \('first_k', 'kmeans\+\+'\), got 'random'"
+        with pytest.raises(ConfigError, match=message):
+            minibatch_kmeans(SQUARE, ClusterConfig(k=2), init="random")
+
     def test_full_batch_matches_lloyd_on_square(self):
         cfg = ClusterConfig(k=2, seed=0, batch_size=4)
         res = minibatch_kmeans(SQUARE, cfg)
@@ -192,9 +220,8 @@ class TestMinibatchKmeans:
         # trace is bookkeeping and must not move the fit.
         rng = np.random.RandomState(16)
         rows = np.vstack([rng.randn(20, 2) * 0.5 + c for c in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
-        cfg = ClusterConfig(k=3, seed=17, batch_size=12, max_iters=max_iters, tol=tol,
-                            init="kmeans++")
-        res = minibatch_kmeans(rows, cfg)
+        cfg = ClusterConfig(k=3, seed=17, batch_size=12, max_iters=max_iters, tol=tol)
+        res = minibatch_kmeans(rows, cfg, init="kmeans++")
         assert res.labels.tolist() == [2] * 20 + [0] * 20 + [1] * 20
         assert [float(v).hex() for v in res.centroids.ravel()] == centroids
         assert res.iterations == iterations
@@ -227,9 +254,9 @@ class TestMinibatchKmeans:
                                                         noise, seed, tol, init):
         fm, _ = synth_blobs(per_blob, blobs, 16, separation, noise, seed)
         for k in range(2, 7):
-            cfg = ClusterConfig(k=k, seed=seed * 10 + k, tol=tol, init=init)
-            res = minibatch_kmeans(fm.rows, cfg)
-            ref = sequential_minibatch_kmeans(fm.rows, cfg)
+            cfg = ClusterConfig(k=k, seed=seed * 10 + k, tol=tol)
+            res = minibatch_kmeans(fm.rows, cfg, init=init)
+            ref = sequential_minibatch_kmeans(fm.rows, cfg, init)
             assert np.array_equal(res.labels, ref.labels)
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
             gap = np.linalg.norm(res.centroids - ref.centroids, axis=1)
@@ -283,5 +310,5 @@ class TestPolish:
     def test_single_restart_records_no_polish(self):
         rows = np.random.RandomState(5).randn(30, 2)
         assert "polish" not in kmeans(rows, ClusterConfig(k=3, seed=1)).diagnostics
-        polished = kmeans(rows, ClusterConfig(k=3, seed=1, init="kmeans++", restarts=2))
+        polished = kmeans(rows, ClusterConfig(k=3, seed=1), restarts=2)
         assert polished.diagnostics["polish"]["passes"] >= 1

@@ -67,7 +67,7 @@ class TestSpectral:
         gap = 2.0
         cfg = ClusterConfig(k=2, seed=5, rbf_sigma=0.25 * gap)
         spec_res = spectral(rows, cfg)
-        km_res = kmeans(rows, ClusterConfig(k=2, seed=5, init="kmeans++", restarts=10))
+        km_res = kmeans(rows, ClusterConfig(k=2, seed=5), restarts=10)
         assert purity(spec_res.labels, truth) == 1.0
         assert purity(km_res.labels, truth) < 1.0
 
