@@ -216,7 +216,11 @@ class PreparedTree:
 
 
 def prepare(x, cfg: ClusterConfig) -> PreparedTree:
-    """Pick the threshold and build the CF tree; reads no k or seed of ``cfg``."""
+    """Pick the threshold and build the CF tree.
+
+    The tree depends on ``cfg`` only through ``birch_threshold``; the seed
+    is not read, and k is only checked against n, as every fit checks it.
+    """
     rows = as_rows(x)
     n = rows.shape[0]
     cfg.validate_for(n)

@@ -2,13 +2,25 @@
 
 Each class carries the CLI's ``exit_code`` for it: usage and configuration
 problems exit with 1, data and parse problems with 2, numeric failures
-with 3.
+with 3. Every class survives ``pickle`` and ``copy.deepcopy`` with its
+message and attributes.
 """
+
+
+def _rebuild(cls, args, attributes):
+    """A ``cls`` with ``args`` and ``attributes``, made without calling its ``__init__``."""
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(attributes)
+    return error
 
 
 class RadclustError(Exception):
     """Base class for every error raised by this package."""
     exit_code = 2
+
+    def __reduce__(self):
+        # Exception's own reduce calls cls(*args), which drops keyword-only attributes
+        return _rebuild, (type(self), self.args, self.__dict__)
 
 
 class UsageError(RadclustError):

@@ -7,16 +7,20 @@ on every platform, a dense symmetric eigensolver (LAPACK through numpy)
 whose eigenvector signs are fixed by a deterministic rule, and one
 squared-distance kernel. :func:`ordered_map` runs independent items, such
 as the images of the CLI's preprocess and extract, on one thread per CPU
-and gives their results back in input order. Matrices go in and come out as
+and gives their results back in input order; :func:`process_map` does the
+same on one forked worker process per CPU, for work that holds the GIL,
+such as the fits of a sweep. Matrices go in and come out as
 plain float64 numpy arrays; there is no wrapper type. All floating arithmetic is 64-bit.
 Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
 numpy's LAPACK Cholesky directly.
 """
 
+import contextlib
 import ctypes
 import functools
 import math
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -44,6 +48,10 @@ _BLOCK = 1 << 15
 _ROUNDS = ((np.uint64(30), np.uint64(_MIX1)), (np.uint64(27), np.uint64(_MIX2)))
 _S31 = np.uint64(31)
 _S11 = np.uint64(11)
+# CPython 3.12 and later warn when a process with more than one OS thread forks.
+_FORK_WARNS = sys.version_info >= (3, 12)
+# (fn, items) of the process map a forked worker serves; set only in workers.
+_job = None
 
 
 def _mix64(z):
@@ -93,6 +101,25 @@ def _openblas():
     return None
 
 
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with OpenBLAS at one thread, restoring the count read before it.
+
+    Without an OpenBLAS whose thread count can be set, the block runs as is.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
 def ordered_map(fn, items):
     """Yield ``fn(item)`` for each of ``items``, in input order.
 
@@ -109,11 +136,9 @@ def ordered_map(fn, items):
     """
     items = list(items)
     workers = min(_cpus(), len(items))
-    blas = _openblas()
-    if workers < 2 or blas is None:
+    if workers < 2 or _openblas() is None:
         yield from map(fn, items)
         return
-    get, put = blas
     done, cond = {}, threading.Condition()
     todo, stop = iter(range(len(items))), False
 
@@ -134,25 +159,84 @@ def ordered_map(fn, items):
                 cond.notify()
 
     threads = [threading.Thread(target=work) for _ in range(workers)]
-    before = get()
-    put(1)
-    try:
-        for thread in threads:
-            thread.start()
-        for i in range(len(items)):
+    with _one_blas_thread():
+        try:
+            for thread in threads:
+                thread.start()
+            for i in range(len(items)):
+                with cond:
+                    cond.wait_for(lambda: i in done)
+                    value, exc = done.pop(i)
+                if exc is not None:
+                    raise exc
+                yield value
+        finally:
             with cond:
-                cond.wait_for(lambda: i in done)
-                value, exc = done.pop(i)
-            if exc is not None:
-                raise exc
-            yield value
-    finally:
-        with cond:
-            stop = True
-        for thread in threads:
-            if thread.ident is not None:
-                thread.join()
-        put(before)
+                stop = True
+            for thread in threads:
+                if thread.ident is not None:
+                    thread.join()
+
+
+def _os_threads():
+    """OS threads of this process: Linux lists them under /proc; elsewhere, the Python threads."""
+    task = Path("/proc/self/task")
+    return len(os.listdir(task)) if task.is_dir() else threading.active_count()
+
+
+def _fork_is_quiet():
+    """Whether this process can fork without a warning.
+
+    ``os.fork`` must exist and, on CPython 3.12 or later, the process must
+    have one OS thread; OpenBLAS's pool threads count.
+    """
+    return hasattr(os, "fork") and (not _FORK_WARNS or _os_threads() == 1)
+
+
+def _adopt(fn, items):
+    """Worker start-up: keep the map's ``fn`` and ``items``, inherited through the fork."""
+    global _job
+    _job = fn, items
+
+
+def _call(i):
+    """In a worker: ``fn`` of item ``i`` of the map it serves."""
+    fn, items = _job
+    return fn(items[i])
+
+
+def process_map(fn, items):
+    """``[fn(item) for item in items]``, computed on one forked worker process per CPU.
+
+    Up to one worker per CPU this process may run on is forked when the map
+    starts, so ``fn`` and ``items`` are inherited and need not pickle: only an
+    item's index goes to a worker, and only ``fn``'s result, which must
+    pickle, comes back. Items start in input order, and the results come
+    back in input order. The calls run with OpenBLAS at one thread, in the
+    workers and inline alike, so a result's bits never depend on the worker
+    count; the thread count read before the map is restored when it ends.
+    The first exception in input order is raised once every worker has
+    exited; items not yet started are cancelled. A worker that dies raises
+    :class:`concurrent.futures.process.BrokenProcessPool`. The calls run
+    here, one after another, with one CPU or one item, without ``os.fork``,
+    or where a fork would warn (see :func:`_fork_is_quiet`).
+    """
+    items = list(items)
+    workers = min(_cpus(), len(items))
+    with _one_blas_thread():
+        if workers < 2 or not _fork_is_quiet():
+            return list(map(fn, items))
+        # imported here: the pair adds about a fifth to importing radclust, and only a fork needs it
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_adopt, initargs=(fn, items))
+        try:
+            futures = [pool.submit(_call, i) for i in range(len(items))]
+            return [future.result() for future in futures]
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 @functools.cache

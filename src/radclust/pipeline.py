@@ -6,7 +6,12 @@ distances, and renders the grid as a CSV report and an SVG line chart.
 Cells are seeded independently by a pure mix of (sweep seed, algorithm, k),
 so any execution order produces the same report. Variants with work that
 does not depend on k (spectral, agglomerative, BIRCH) prepare it once per
-sweep and cut every k from it.
+sweep and cut every k from it. The fits run on one forked worker process
+per CPU, with OpenBLAS at one thread, and only each cell's labels and
+flags come back; scoring stays in the calling process. With one CPU,
+without ``os.fork``, or where a fork would warn, they run inline, also at
+one BLAS thread, so the report does not depend on the worker count. The
+memory of the fits is spread over the workers.
 
 Formats (UTF-8, LF line endings, a field quoted only when it holds a comma,
 a double quote, a CR or an LF):
@@ -42,7 +47,7 @@ from .errors import BoundsError, ConfigError, DataError, ParseError, RadclustErr
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
 from .metrics import silhouette_batch
-from .numerics import RngStream, mix_seed
+from .numerics import RngStream, mix_seed, process_map
 
 MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
 LABELS_HEADER = ["id", "cluster"]
@@ -417,24 +422,28 @@ class SweepReport:
     rows: list
 
 
-def _fit_cells(rows, cfg, algo_index, runner):
-    """(k, runtime_ms, ClusterResult or RadclustError) for each k of one algorithm.
+def _fit_cells(rows, cfg, task):
+    """(k, runtime_ms, labels, converged, error) for each k of one task.
 
-    A runner with a ``prepare`` attribute is prepared once, for the largest
-    k, and cut for every k; the prepare time is added to the first k, and a
-    failed prepare is every cell's error. The prepared state lives only in
-    this call, so it is dropped before the next algorithm starts.
+    A task is (algorithm index, runner, ks). A runner with a ``prepare``
+    attribute is prepared once, for the largest of ``ks``, and cut for every
+    k; the prepare time is added to the first k, and a failed prepare is
+    every cell's error. A cell whose fit raises a RadclustError has labels
+    None and ``error`` set to the exception's type name and message. Only
+    these plain values leave the call, so it returns the same from a worker
+    process as inline, and the prepared state is dropped when it returns.
     """
+    algo_index, runner, ks = task
     prepare = getattr(runner, "prepare", None)
     state = failure = None
     cells = []
     start = time.perf_counter()
     if prepare is not None:
         try:
-            state = prepare(rows, ClusterConfig(k=cfg.ks[-1], **cfg.knobs))
+            state = prepare(rows, ClusterConfig(k=ks[-1], **cfg.knobs))
         except RadclustError as exc:
             failure = exc
-    for k in cfg.ks:
+    for k in ks:
         outcome = failure
         if failure is None:
             cell_cfg = ClusterConfig(
@@ -448,9 +457,17 @@ def _fit_cells(rows, cfg, algo_index, runner):
             except RadclustError as exc:
                 outcome = exc
         now = time.perf_counter()
-        cells.append((k, (now - start) * 1000.0, outcome))
+        runtime_ms = (now - start) * 1000.0
+        if isinstance(outcome, RadclustError):
+            cells.append((k, runtime_ms, None, False, _error_text(outcome)))
+        else:
+            cells.append((k, runtime_ms, outcome.labels, bool(outcome.converged), None))
         start = now
     return cells
+
+
+def _error_text(exc):
+    return f"{type(exc).__name__}: {exc}"
 
 
 def sweep(fm, cfg: SweepConfig) -> SweepReport:
@@ -459,8 +476,20 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     Each cell gets an independent seed mixed from (sweep seed, algorithm
     index, k). Spectral, agglomerative and BIRCH prepare their k-independent
     work (eigenpairs, dendrogram, CF tree) once and cut each k from it, so a
-    cell equals the single-cell call with the same config. The labelings of
-    all fitted cells are scored together by
+    cell equals the single-cell call with the same config.
+
+    The fits run through :func:`~radclust.numerics.process_map`, on one
+    forked worker process per CPU, with OpenBLAS at one thread. A prepared
+    variant is one task, so it still prepares once; every other variant is
+    one task per k. Tasks start longest first: the prepared variants, then
+    the rest from the largest k down. A worker sends back only each cell's
+    k, runtime, labels, converged flag and error text, and the rows come
+    back in table order, so the report is the same at any worker count. The
+    fits run inline, one after another, with one CPU, without ``os.fork``,
+    or where a fork would warn. An exception other than a RadclustError
+    propagates out of the sweep.
+
+    The labelings of all fitted cells are scored here, together, by
     :func:`~radclust.metrics.silhouette_batch`, so the distance row blocks
     are built once per sweep. A cell whose fit fails, or whose labels
     cannot be scored, records converged=false, a blank silhouette and the
@@ -468,31 +497,31 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     """
     if cfg.ks[-1] > fm.n:
         raise ConfigError(f"largest k {cfg.ks[-1]} exceeds sample count {fm.n}")
+    chosen = [(index, runner) for index, (slug, _, runner) in enumerate(ALGORITHMS)
+              if slug in cfg.algorithms]
+    tasks = [(index, runner, cfg.ks) for index, runner in chosen if hasattr(runner, "prepare")]
+    tasks += [(index, runner, cfg.ks[j:j + 1]) for j in reversed(range(len(cfg.ks)))
+              for index, runner in chosen if not hasattr(runner, "prepare")]
+    fit = functools.partial(_fit_cells, fm.rows, cfg)
+    cells = {}  # algorithm index -> its cells
+    for (index, _, _), fitted in zip(tasks, process_map(fit, tasks)):
+        cells.setdefault(index, []).extend(fitted)
     rows = []
-    fitted = []  # (row, labels) of every cell whose fit succeeded
-    for algo_index, (slug, display, runner) in enumerate(ALGORITHMS):
-        if slug not in cfg.algorithms:
-            continue
-        for k, runtime_ms, outcome in _fit_cells(fm.rows, cfg, algo_index, runner):
-            failed = isinstance(outcome, RadclustError)
-            row = SweepRow(
-                algorithm=display,
-                slug=slug,
-                k=k,
-                silhouette=None,
-                runtime_ms=runtime_ms,
-                converged=not failed and bool(outcome.converged),
-                error=f"{type(outcome).__name__}: {outcome}" if failed else None,
-            )
+    scored = []  # (row, labels) of every cell whose fit succeeded
+    for index in sorted(cells):
+        slug, display, _ = ALGORITHMS[index]
+        for k, runtime_ms, labels, converged, error in sorted(cells[index], key=lambda c: c[0]):
+            row = SweepRow(algorithm=display, slug=slug, k=k, silhouette=None,
+                           runtime_ms=runtime_ms, converged=converged, error=error)
             rows.append(row)
-            if not failed:
-                fitted.append((row, outcome.labels))
+            if error is None:
+                scored.append((row, labels))
 
-    scores = silhouette_batch(fm.rows, [labels for _, labels in fitted])
-    for (row, _), score in zip(fitted, scores):
+    scores = silhouette_batch(fm.rows, [labels for _, labels in scored])
+    for (row, _), score in zip(scored, scores):
         if isinstance(score, RadclustError):
             row.converged = False
-            row.error = f"{type(score).__name__}: {score}"
+            row.error = _error_text(score)
         else:
             row.silhouette = score.mean
     return SweepReport(rows=rows)

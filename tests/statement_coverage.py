@@ -17,11 +17,15 @@ and names an output directory in ``RADCLUST_COVERAGE_OUT``. A Python
 process that a test starts with that environment loads this file at
 start-up, installs the same tracer and writes the lines it ran to the
 output directory when it exits; the runner merges those files with its own
-lines. Exits with pytest's code if the tests fail, else 1 if any statement
-never ran (each one printed as ``path:line``), else 0.
+lines. A ``multiprocessing`` worker forked from a traced process (the
+sweep's fit workers) inherits its tracer; it starts with an empty set of
+lines and writes them to the same directory when its target returns. Exits
+with pytest's code if the tests fail, else 1 if any statement never ran
+(each one printed as ``path:line``), else 0.
 """
 
 import atexit
+import multiprocessing.util
 import os
 import sys
 import tempfile
@@ -72,7 +76,19 @@ def start_tracing():
 
     threading.settrace(tracer)
     sys.settrace(tracer)
+    multiprocessing.util.register_after_fork(start_tracing, lambda _: follow_worker(executed))
     return executed
+
+
+def follow_worker(executed):
+    """In a forked multiprocessing worker: record its own lines and write them when it ends.
+
+    The worker leaves through ``os._exit``, so atexit never runs there;
+    multiprocessing runs the finalizers of priority 0 and up once the
+    worker's target has returned.
+    """
+    executed.clear()
+    multiprocessing.util.Finalize(None, write_lines, args=(executed,), exitpriority=0)
 
 
 def stop_tracing():
@@ -80,20 +96,18 @@ def stop_tracing():
     threading.settrace(None)
 
 
+def write_lines(executed):
+    """Stop tracing and write ``executed`` to a new file in ``OUT_VAR``'s directory."""
+    stop_tracing()
+    fd, _ = tempfile.mkstemp(suffix=".lines", dir=os.environ[OUT_VAR])
+    with os.fdopen(fd, "w") as f:
+        f.writelines(f"{line}\t{name}\n" for name, line in executed)
+
+
 def trace_child():
     """Trace this interpreter; at exit, write its lines to a new file in ``OUT_VAR``'s directory."""
-    out = os.environ.get(OUT_VAR)
-    if out is None:
-        return
-    executed = start_tracing()
-
-    def dump():
-        stop_tracing()
-        fd, _ = tempfile.mkstemp(suffix=".lines", dir=out)
-        with os.fdopen(fd, "w") as f:
-            f.writelines(f"{line}\t{name}\n" for name, line in executed)
-
-    atexit.register(dump)
+    if OUT_VAR in os.environ:
+        atexit.register(write_lines, start_tracing())
 
 
 def child_lines(out):

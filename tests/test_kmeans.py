@@ -7,6 +7,7 @@ from radclust.errors import ConfigError, ShapeError
 from radclust.numerics import RngStream, mix_seed
 from radclust.pipeline import SweepConfig, synth_blobs
 
+from call_log import CallLog
 from oracles import (
     add_at_means,
     best_two_partition_sse,
@@ -264,18 +265,19 @@ class TestMinibatchKmeans:
 
 
 class TestPolish:
-    def test_every_call_of_a_blobs_sweep_matches_sequential_sweep(self, monkeypatch):
-        calls = []
+    def test_every_call_of_a_blobs_sweep_matches_sequential_sweep(self, monkeypatch, tmp_path):
+        log = CallLog(tmp_path)  # the calls happen in the sweep's worker processes
         polish = KMEANS._polish
 
         def recording(rows, labels, k):
             out = polish(rows, labels, k)
-            calls.append((rows.copy(), labels.copy(), k, out))
+            log.append((rows.copy(), labels.copy(), k, out))
             return out
 
         monkeypatch.setattr(KMEANS, "_polish", recording)
         fm, _ = synth_blobs(150, 2, 16, 10.0, 0.1, seed=1)
         report = pipeline.sweep(fm, SweepConfig(ks=[2, 3, 4, 5, 6], seed=0))
+        calls = log.records()
         assert all(row.error is None for row in report.rows)
         # five restarts per spectral and BIRCH cell
         assert len(calls) == 2 * 5 * 5

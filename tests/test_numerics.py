@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import os
 import re
 import sys
 import threading
@@ -330,6 +332,81 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert got == [x * 3 for x in range(400)]
         assert sorted(calls) == list(range(400))  # every item ran exactly once
+
+
+class TestProcessMap:
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_results_come_back_in_input_order(self, monkeypatch, workers):
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+
+        def slow_square(x):  # a closure: the workers inherit it through the fork, unpickled
+            time.sleep(0.001 * (x % 3))  # later items often finish first
+            return x * x, os.getpid()
+
+        results = numerics.process_map(slow_square, range(12))
+        assert [value for value, _ in results] == [x * x for x in range(12)]
+        pids = {pid for _, pid in results}
+        if workers == 1:
+            assert pids == {os.getpid()}
+        else:
+            assert os.getpid() not in pids and len(pids) <= workers
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_first_failure_in_input_order_is_raised(self, monkeypatch, workers):
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+
+        def fn(x):
+            if x == 5:
+                time.sleep(0.05)
+                raise ValueError("item 5 failed")
+            if x == 6:  # fails first in time, after item 5 in input order
+                raise KeyError("item 6 failed")
+            return x
+
+        with pytest.raises(ValueError, match="item 5 failed"):
+            numerics.process_map(fn, range(20))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_runs_on_one_thread_in_every_call_and_is_restored(self, monkeypatch, workers):
+        if numerics._openblas() is None:
+            pytest.skip("numpy's BLAS is not an OpenBLAS whose thread count can be set")
+        get, put = numerics._openblas()
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        original = get()
+        put(3)
+        try:
+            counts = numerics.process_map(lambda x: get(), range(4))
+            after = get()
+        finally:
+            put(original)
+        assert counts == [1] * 4
+        assert after == 3
+
+    def test_runs_without_an_openblas(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.setattr(numerics, "_openblas", lambda: None)
+        assert numerics.process_map(lambda x: -x, range(5)) == [0, -1, -2, -3, -4]
+
+    def test_runs_inline_where_a_fork_would_warn(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.setattr(numerics, "_FORK_WARNS", True)
+        release = threading.Event()
+        helper = threading.Thread(target=release.wait)
+        helper.start()
+        try:
+            assert numerics._os_threads() >= 2
+            pids = numerics.process_map(lambda x: os.getpid(), range(4))
+        finally:
+            release.set()
+            helper.join()
+        assert pids == [os.getpid()] * 4
+
+    def test_runs_inline_without_fork(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.delattr(os, "fork")
+        assert numerics.process_map(lambda x: os.getpid(), range(4)) == [os.getpid()] * 4
 
 
 class TestSymEigen:

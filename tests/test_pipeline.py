@@ -40,6 +40,7 @@ from radclust.pipeline import (
     write_manifest,
 )
 
+from call_log import CallLog
 from oracles import eager_read_features
 
 DATA = Path(__file__).parent / "data"
@@ -502,16 +503,17 @@ class TestPreparedSweep:
         assert len({r.diagnostics["threshold"] for r in results}) == 1
         assert len({r.diagnostics["leaf_entries"] for r in results}) == 1
 
-    def test_prepare_runs_once_per_algorithm(self, monkeypatch):
-        calls = []
+    def test_prepare_runs_once_per_algorithm(self, monkeypatch, tmp_path):
+        log = CallLog(tmp_path)  # the calls happen in the sweep's worker processes
         for slug, _, runner in pl.ALGORITHMS:
             if hasattr(runner, "prepare"):
                 def counted(rows, cfg, _slug=slug, _prepare=runner.prepare):
-                    calls.append(_slug)
+                    log.append(_slug)
                     return _prepare(rows, cfg)
                 monkeypatch.setattr(runner, "prepare", counted)
         fm, _ = synth_blobs(20, 2, 4, 8.0, 0.2, seed=2)
         report = pl.sweep(fm, SweepConfig(ks=[2, 3, 4, 5], seed=1))
+        calls = log.records()
         assert sorted(calls) == sorted(PREPARED_SLUGS)
         assert all(row.error is None for row in report.rows)
 
