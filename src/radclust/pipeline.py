@@ -481,13 +481,12 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     The fits run through :func:`~radclust.numerics.process_map`, on one
     forked worker process per CPU, with OpenBLAS at one thread. A prepared
     variant is one task, so it still prepares once; every other variant is
-    one task per k. Tasks start longest first: the prepared variants, then
-    the rest from the largest k down. A worker sends back only each cell's
-    k, runtime, labels, converged flag and error text, and the rows come
-    back in table order, so the report is the same at any worker count. The
-    fits run inline, one after another, with one CPU, without ``os.fork``,
-    or where a fork would warn. An exception other than a RadclustError
-    propagates out of the sweep.
+    one task per k. Tasks start in table order, and a worker sends back
+    only each cell's k, runtime, labels, converged flag and error text; the
+    results come back in task order, so the report is the same at any
+    worker count. The fits run inline, one after another, with one CPU,
+    without ``os.fork``, or where a fork would warn. An exception other
+    than a RadclustError propagates out of the sweep.
 
     The labelings of all fitted cells are scored here, together, by
     :func:`~radclust.metrics.silhouette_batch`, so the distance row blocks
@@ -497,20 +496,20 @@ def sweep(fm, cfg: SweepConfig) -> SweepReport:
     """
     if cfg.ks[-1] > fm.n:
         raise ConfigError(f"largest k {cfg.ks[-1]} exceeds sample count {fm.n}")
-    chosen = [(index, runner) for index, (slug, _, runner) in enumerate(ALGORITHMS)
-              if slug in cfg.algorithms]
-    tasks = [(index, runner, cfg.ks) for index, runner in chosen if hasattr(runner, "prepare")]
-    tasks += [(index, runner, cfg.ks[j:j + 1]) for j in reversed(range(len(cfg.ks)))
-              for index, runner in chosen if not hasattr(runner, "prepare")]
+    tasks = []  # (algorithm index, runner, ks), in table order
+    for index, (slug, _, runner) in enumerate(ALGORITHMS):
+        if slug not in cfg.algorithms:
+            continue
+        if hasattr(runner, "prepare"):
+            tasks.append((index, runner, cfg.ks))
+        else:
+            tasks += [(index, runner, [k]) for k in cfg.ks]
     fit = functools.partial(_fit_cells, fm.rows, cfg)
-    cells = {}  # algorithm index -> its cells
-    for (index, _, _), fitted in zip(tasks, process_map(fit, tasks)):
-        cells.setdefault(index, []).extend(fitted)
     rows = []
     scored = []  # (row, labels) of every cell whose fit succeeded
-    for index in sorted(cells):
+    for (index, _, _), cells in zip(tasks, process_map(fit, tasks)):
         slug, display, _ = ALGORITHMS[index]
-        for k, runtime_ms, labels, converged, error in sorted(cells[index], key=lambda c: c[0]):
+        for k, runtime_ms, labels, converged, error in cells:
             row = SweepRow(algorithm=display, slug=slug, k=k, silhouette=None,
                            runtime_ms=runtime_ms, converged=converged, error=error)
             rows.append(row)

@@ -48,26 +48,6 @@ def test_report_and_chart_bytes_do_not_depend_on_the_worker_count(monkeypatch, n
     assert hashlib.sha256(report_csv).hexdigest() == PINS[f"report/{name}"]
 
 
-def test_tasks_start_longest_first_and_rows_come_back_in_table_order(monkeypatch):
-    started = []
-
-    def serial_map(fn, tasks):
-        started.extend((pl.ALGORITHMS[index][0], list(ks)) for index, _, ks in tasks)
-        return [fn(task) for task in tasks]
-
-    monkeypatch.setattr(pl, "process_map", serial_map)
-    cfg = SweepConfig(algorithms=["gmm-full", "birch", "kmeans", "spectral"], ks=[2, 3, 5])
-    report = pl.sweep(small_blobs(), cfg)
-    assert started == [
-        ("spectral", [2, 3, 5]), ("birch", [2, 3, 5]),
-        ("kmeans", [5]), ("gmm-full", [5]), ("kmeans", [3]), ("gmm-full", [3]),
-        ("kmeans", [2]), ("gmm-full", [2]),
-    ]
-    assert [(row.slug, row.k) for row in report.rows] == [
-        (slug, k) for slug in ("kmeans", "spectral", "birch", "gmm-full") for k in (2, 3, 5)
-    ]
-
-
 def test_a_runner_config_error_is_the_same_row_error_inline_and_in_workers(monkeypatch):
     replace_runner(monkeypatch, "kmeans", kmeans_failing_at(4, ConfigError("no k=4 here")))
     cfg = SweepConfig(algorithms=["kmeans", "gmm-diag"], ks=[2, 3, 4, 5], seed=1)
@@ -94,11 +74,16 @@ def test_other_exceptions_propagate_out_of_the_sweep(monkeypatch, workers):
 
 
 def test_a_worker_that_dies_ends_the_sweep_in_an_error_not_a_hang(monkeypatch):
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    if not numerics._fork_is_quiet():
+        pytest.skip("a fork would warn here (CPython 3.12+ with BLAS threads): the sweep runs inline")
+    parent = os.getpid()
+
     def dies(rows, cfg):
+        assert os.getpid() != parent, "the dying runner ran in the test process"
         os._exit(3)
 
     replace_runner(monkeypatch, "gmm-tied", dies)
-    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
     raised = []
 
     def run():
@@ -112,4 +97,29 @@ def test_a_worker_that_dies_ends_the_sweep_in_an_error_not_a_hang(monkeypatch):
     caller.join(timeout=60)
     assert not caller.is_alive()
     assert len(raised) == 1
+    assert multiprocessing.active_children() == []
+
+
+def test_a_sweep_where_a_fork_would_warn_runs_inline_with_the_same_bytes(monkeypatch):
+    monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+    cfg = SweepConfig(algorithms=["kmeans", "spectral", "gmm-diag"], ks=[2, 3, 4])
+    expected = render_report_csv(pl.sweep(small_blobs(), cfg))
+    pids = []
+
+    def recording(rows, cfg):
+        pids.append(os.getpid())  # seen here only if the fit runs in this process
+        return kmeans(rows, cfg)
+
+    replace_runner(monkeypatch, "kmeans", recording)
+    monkeypatch.setattr(numerics, "_FORK_WARNS", True)  # as on CPython 3.12 and later
+    release = threading.Event()
+    helper = threading.Thread(target=release.wait)  # a second OS thread
+    helper.start()
+    try:
+        report = pl.sweep(small_blobs(), cfg)
+    finally:
+        release.set()
+        helper.join()
+    assert pids == [os.getpid()] * 3
+    assert render_report_csv(report) == expected
     assert multiprocessing.active_children() == []
