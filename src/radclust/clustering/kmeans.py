@@ -1,10 +1,9 @@
 """Lloyd k-means and its mini-batch variant.
 
-A single k-means run, and mini-batch by default, start from the first k
-sample rows as centroids. k-means restarts, and mini-batch with
-``init="kmeans++"``, start from seeded kmeans++ (Arthur & Vassilvitskii,
-SODA 2007). Assignment ties and every other tie in this module break toward
-the lowest index so runs replay exactly.
+A single k-means run and every mini-batch run start from the first k
+sample rows as centroids; k-means restarts start from seeded kmeans++
+(Arthur & Vassilvitskii, SODA 2007). Assignment ties and every other tie
+in this module break toward the lowest index so runs replay exactly.
 """
 
 import math
@@ -18,7 +17,6 @@ from ..features import as_rows
 from ..numerics import RngStream, mix_seed, squared_distances
 from .base import ClusterConfig, ClusterResult
 
-INIT_MODES = ("first_k", "kmeans++")
 _MAX_POLISH_PASSES = 200
 # Rows screened per step of the polish; bounds the rescan after each move.
 _SCREEN_ROWS = 256
@@ -249,32 +247,29 @@ def refine(points, cfg: ClusterConfig, k, salt) -> ClusterResult:
     return kmeans(points, replace(cfg, k=k, seed=mix_seed(cfg.seed, salt)), restarts=5)
 
 
-def minibatch_kmeans(x, cfg: ClusterConfig, init="first_k") -> ClusterResult:
+def minibatch_kmeans(x, cfg: ClusterConfig) -> ClusterResult:
     """Mini-batch k-means with cumulative per-center learning rates.
 
-    The centers start from the first k rows, or from seeded kmeans++ with
-    ``init="kmeans++"``; any other ``init`` raises a ConfigError.
-    Each iteration draws ``batch_size`` points by partial Fisher-Yates from
-    the seeded stream and assigns them to the centers as of the batch start.
-    Under the rate 1/count (Sculley, WWW 2010) a center is the mean of every
-    point assigned to it so far (its start until it has one). Stops when the
-    largest center movement over an iteration is at most ``cfg.tol`` or at
+    The centers start from the first k rows. Each iteration draws
+    ``batch_size`` points by partial Fisher-Yates from the seeded stream and
+    assigns them to the centers as of the batch start. Under the rate
+    1/count (Sculley, WWW 2010) a center is the mean of every point assigned
+    to it so far (its start until it has one). Stops when the largest center
+    movement over an iteration is at most ``cfg.tol`` or at
     ``cfg.max_iters``; final labels come from one full assignment pass. The
     trace holds each batch's inertia against the batch-start centers, so it
     need not decrease.
     """
-    if init not in INIT_MODES:
-        raise ConfigError(f"init must be one of {INIT_MODES}, got {init!r}")
     rows = as_rows(x)
     n = rows.shape[0]
     cfg.validate_for(n)
     batch = min(cfg.batch_size or min(n, 100), n)
     stream = RngStream(cfg.seed)
-    sub = stream.spawn()
-    if init == "first_k":
-        centers = rows[:cfg.k].copy()
-    else:
-        centers = _kmeans_pp(rows, cfg.k, sub)
+    # The start reads no draw, but every pinned fit's batches come after
+    # this one; dropping it moves labels, so it goes with the stop rule in
+    # one declared change of results (ROADMAP item 5).
+    stream.next_u64()
+    centers = rows[:cfg.k].copy()
     totals = np.zeros_like(centers)
     counts = np.zeros(cfg.k, dtype=np.int64)
     trace = []

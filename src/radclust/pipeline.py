@@ -64,9 +64,10 @@ _KNOBS = [f.name for f in fields(ClusterConfig) if f.name not in ("k", "seed")]
 def _prepared(fit, prepare, **options):
     """``fit`` with ``options`` bound, carrying ``prepare`` as an attribute.
 
-    :func:`sweep` calls ``runner.prepare(rows, cfg)`` once per algorithm and
-    then ``runner(rows, cell_cfg, prepared=state)`` per k; a runner without
-    the attribute is called as ``runner(rows, cell_cfg)``.
+    :func:`sweep` calls ``runner.prepare(rows, cfg)`` once per algorithm,
+    binds the state as ``prepared=`` and calls the result as
+    ``fit(rows, cell_cfg)`` per k, the same call as a runner without the
+    attribute.
     """
     runner = functools.partial(fit, **options)
     runner.prepare = functools.partial(prepare, **options)
@@ -426,21 +427,23 @@ def _fit_cells(rows, cfg, task):
     """(k, runtime_ms, labels, converged, error) for each k of one task.
 
     A task is (algorithm index, runner, ks). A runner with a ``prepare``
-    attribute is prepared once, for the largest of ``ks``, and cut for every
-    k; the prepare time is added to the first k, and a failed prepare is
-    every cell's error. A cell whose fit raises a RadclustError has labels
-    None and ``error`` set to the exception's type name and message. Only
-    these plain values leave the call, so it returns the same from a worker
+    attribute is prepared once, for the largest of ``ks``, and the state is
+    bound into it as ``prepared=``, so every cell is the one call
+    ``fit(rows, cell_cfg)`` that cuts its k from that state. The prepare
+    time is added to the first k, and a failed prepare is every cell's
+    error. A cell whose fit raises a RadclustError has labels None and
+    ``error`` set to the exception's type name and message. Only these
+    plain values leave the call, so it returns the same from a worker
     process as inline, and the prepared state is dropped when it returns.
     """
-    algo_index, runner, ks = task
-    prepare = getattr(runner, "prepare", None)
-    state = failure = None
+    algo_index, fit, ks = task
+    failure = None
     cells = []
     start = time.perf_counter()
-    if prepare is not None:
+    if hasattr(fit, "prepare"):
         try:
-            state = prepare(rows, ClusterConfig(k=ks[-1], **cfg.knobs))
+            state = fit.prepare(rows, ClusterConfig(k=ks[-1], **cfg.knobs))
+            fit = functools.partial(fit, prepared=state)
         except RadclustError as exc:
             failure = exc
     for k in ks:
@@ -450,10 +453,7 @@ def _fit_cells(rows, cfg, task):
                 k=k, seed=mix_seed(cfg.seed, algo_index, k), **cfg.knobs
             )
             try:
-                if prepare is None:
-                    outcome = runner(rows, cell_cfg)
-                else:
-                    outcome = runner(rows, cell_cfg, prepared=state)
+                outcome = fit(rows, cell_cfg)
             except RadclustError as exc:
                 outcome = exc
         now = time.perf_counter()

@@ -6,8 +6,8 @@ exception types and, for the shuffle and sample draws, the scalar
 ``next_below`` draws of the stream it is handed. The one-shot draw oracles
 read and advance that stream's counter but compute every value themselves.
 The mini-batch and polish references are the exceptions: they reuse
-k-means' seeding, assignment and mean helpers, so that only the center
-update or the move sweep differs from the package's. The one-GEMM
+k-means' assignment and mean helpers, so that only the center update or
+the move sweep differs from the package's. The one-GEMM
 convolution is another: it is the package's convolution as it was before
 it ran in bands. The eager CSV readers are the last: they are the package's
 readers as they were before rows were read one at a time, and they share its
@@ -22,7 +22,7 @@ import numbers
 import numpy as np
 
 from radclust.clustering.base import ClusterResult
-from radclust.clustering.kmeans import _assign, _kmeans_pp, _means, _repair_empty
+from radclust.clustering.kmeans import _assign, _means, _repair_empty
 from radclust.errors import NonConvergenceError, ParseError
 from radclust.features import FeatureMatrix, as_rows
 from radclust.numerics import RngStream
@@ -159,7 +159,7 @@ def add_at_means(rows, labels, k):
     return centers
 
 
-def sequential_minibatch_kmeans(x, cfg, init="first_k"):
+def sequential_minibatch_kmeans(x, cfg):
     """Mini-batch k-means that moves one center per point, in batch order.
 
     The per-point update c += (x - c) / count that ``minibatch_kmeans`` ran
@@ -171,11 +171,8 @@ def sequential_minibatch_kmeans(x, cfg, init="first_k"):
     cfg.validate_for(n)
     batch = min(cfg.batch_size or min(n, 100), n)
     stream = RngStream(cfg.seed)
-    sub = stream.spawn()
-    if init == "first_k":
-        centers = rows[:cfg.k].copy()
-    else:
-        centers = _kmeans_pp(rows, cfg.k, sub)
+    stream.next_u64()  # the draw ``minibatch_kmeans`` takes before its batches
+    centers = rows[:cfg.k].copy()
     counts = np.zeros(cfg.k, dtype=np.int64)
     trace = []
     converged = False

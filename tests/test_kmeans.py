@@ -163,11 +163,6 @@ def test_means_match_add_at_oracle_bit_for_bit():
 
 
 class TestMinibatchKmeans:
-    def test_unknown_init_rejected(self):
-        message = r"init must be one of \('first_k', 'kmeans\+\+'\), got 'random'"
-        with pytest.raises(ConfigError, match=message):
-            minibatch_kmeans(SQUARE, ClusterConfig(k=2), init="random")
-
     def test_full_batch_matches_lloyd_on_square(self):
         cfg = ClusterConfig(k=2, seed=0, batch_size=4)
         res = minibatch_kmeans(SQUARE, cfg)
@@ -205,24 +200,23 @@ class TestMinibatchKmeans:
 
     @pytest.mark.parametrize("max_iters, tol, iterations, converged, centroids", [
         (40, 1e-4, 40, False, [
-            "0x1.82e9886916e33p+2", "0x1.c42ce4d4f3994p-5", "0x1.ded16731b8a1ep-3",
-            "0x1.80485e1732fcdp+2", "-0x1.06f995fa488fap-3", "0x1.11c12c1254be8p-10",
+            "0x1.7e228454701c6p+2", "0x1.9427a45147793p-5", "0x1.d819d7229dcb5p-3",
+            "0x1.79dbee29c9891p+2", "-0x1.14569367f0500p-3", "-0x1.124eac6940efap-8",
         ]),
-        (200, 0.02, 20, True, [
-            "0x1.862fa6513cf7ap+2", "0x1.89c8cfdc810c2p-5", "0x1.bb29799f4a54cp-3",
-            "0x1.7d6a8f41e8fa5p+2", "-0x1.ee4c1e10306a2p-4", "-0x1.0474dd8d4025ap-6",
+        (200, 0.02, 17, True, [
+            "0x1.7b7f73f1f6364p+2", "0x1.e2d6083fe68e4p-6", "0x1.c5d2c41e70b37p-3",
+            "0x1.6e188a45b1835p+2", "-0x1.2807c87056d90p-3", "-0x1.9986e9d80b2ebp-5",
         ]),
     ], ids=["max-iters", "tol"])
     def test_batch_inertia_trace_and_pinned_fit(self, max_iters, tol, iterations, converged,
                                                 centroids):
-        # Labels, centroid bits, iterations and converged were recorded with
-        # batches drawn by partial Fisher-Yates; the labels go back to when
-        # the trace still came from a full assignment each iteration, so the
+        # Labels, centroid bits, iterations and converged were recorded from
+        # the first-k start with batches drawn by partial Fisher-Yates. The
         # trace is bookkeeping and must not move the fit.
         rng = np.random.RandomState(16)
         rows = np.vstack([rng.randn(20, 2) * 0.5 + c for c in ([0.0, 0.0], [6.0, 0.0], [0.0, 6.0])])
         cfg = ClusterConfig(k=3, seed=17, batch_size=12, max_iters=max_iters, tol=tol)
-        res = minibatch_kmeans(rows, cfg, init="kmeans++")
+        res = minibatch_kmeans(rows, cfg)
         assert res.labels.tolist() == [2] * 20 + [0] * 20 + [1] * 20
         assert [float(v).hex() for v in res.centroids.ravel()] == centroids
         assert res.iterations == iterations
@@ -249,15 +243,14 @@ class TestMinibatchKmeans:
         (150, 2, 10.0, 0.1, 1, 1e-4),
         (1000, 4, 6.0, 1.0, 2, 1e-4),
         (1000, 4, 6.0, 1.0, 3, 0.05),
-    ], ids=["blobs-300", "archive-4000", "archive-4000-tol"])
-    @pytest.mark.parametrize("init", ["first_k", "kmeans++"])
+    ], ids=["first_k-blobs-300", "first_k-archive-4000", "first_k-archive-4000-tol"])
     def test_closed_form_means_match_sequential_updates(self, per_blob, blobs, separation,
-                                                        noise, seed, tol, init):
+                                                        noise, seed, tol):
         fm, _ = synth_blobs(per_blob, blobs, 16, separation, noise, seed)
         for k in range(2, 7):
             cfg = ClusterConfig(k=k, seed=seed * 10 + k, tol=tol)
-            res = minibatch_kmeans(fm.rows, cfg, init=init)
-            ref = sequential_minibatch_kmeans(fm.rows, cfg, init)
+            res = minibatch_kmeans(fm.rows, cfg)
+            ref = sequential_minibatch_kmeans(fm.rows, cfg)
             assert np.array_equal(res.labels, ref.labels)
             assert (res.iterations, res.converged) == (ref.iterations, ref.converged)
             gap = np.linalg.norm(res.centroids - ref.centroids, axis=1)
