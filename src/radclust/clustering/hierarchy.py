@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonConvergenceError
 from ..features import as_rows
 from ..numerics import pairwise_distances, squared_distances
 from .base import ClusterConfig, ClusterResult
@@ -69,6 +69,8 @@ def prepare(x, cfg: ClusterConfig, linkage="average") -> PreparedDendrogram:
         flat = int(np.argmin(dist))
         i, j = divmod(flat, n)
         height = float(dist[i, j])
+        if not np.isfinite(height):  # every pair left is inf or NaN apart
+            raise NonConvergenceError(f"merge {t + 1}: closest pair is {height} apart (overflow)")
         a, b = cluster_ids[i], cluster_ids[j]
         merged_size = int(sizes[i] + sizes[j])
         merges.append((int(min(a, b)), int(max(a, b)), height, merged_size))

@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NonConvergenceError
 from ..features import as_rows
 from ..numerics import RngStream, mix_seed, squared_distances
 from .base import ClusterConfig, ClusterResult
@@ -82,6 +82,8 @@ def _kmeans_pp(rows, k, stream):
                 cand_total = float(cand_d2.sum())
                 if cand_total < best_total:
                     idx, best_d2, best_total = cand, cand_d2, cand_total
+            if idx is None:  # every potential is inf or NaN
+                raise NonConvergenceError("kmeans++: no candidate has a finite potential (overflow)")
         chosen.append(idx)
         d2 = best_d2
     return rows[chosen]

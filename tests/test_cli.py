@@ -16,9 +16,11 @@ from radclust.errors import NonConvergenceError
 from radclust.features import FeatureMatrix
 from radclust.imaging import CropRect, crop, load_pgm, normalize, resize, save_pgm
 from radclust.pipeline import (
+    ALGORITHMS,
     read_features,
     read_labels,
     read_manifest,
+    synth_blobs,
     synth_textured_images,
     write_features,
     write_manifest,
@@ -505,6 +507,27 @@ class TestUsageErrors:
         ])
         assert code == 3
         assert "degenerate" in capsys.readouterr().err
+
+    # numpy warns of the overflow, as it does from a shell; the command must still end in a code
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("command", [slug for slug, _, _ in ALGORITHMS] + ["sweep"])
+    def test_features_whose_distances_overflow_end_in_an_exit_code(self, tmp_path, capsys,
+                                                                  command):
+        fm, _ = synth_blobs(20, 3, 4, 6.0, 1.0, 3)
+        features = tmp_path / "f.csv"
+        features.write_bytes(write_features(FeatureMatrix(rows=fm.rows * 1e160, ids=fm.ids)))
+        files = ["--features", str(features), "--out", str(tmp_path / "out.csv")]
+        if command == "sweep":
+            code = run(["sweep", *files])
+        else:
+            code = run(["cluster", "--algo", command, "--k", "3", *files])
+        err = capsys.readouterr().err
+        assert 0 <= code <= 3
+        if command in ("agglomerative-ward", "agglomerative-average", "birch"):
+            assert code == 3 and "(overflow)" in err
+        if command == "sweep":
+            assert code == 0 and "sweep: birch k=2 failed: NonConvergenceError" in err
 
     def test_truncated_pgm_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -6,6 +6,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -263,6 +264,27 @@ class TestOrderedMap:
         if workers == 1:
             assert started == serial
 
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_results_are_released_as_they_are_yielded(self, monkeypatch, workers):
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        release, refs = threading.Event(), []
+
+        def fn(x):
+            if x == 7:  # still pending while the results before it are checked
+                assert release.wait(10)
+            return np.full(4, x)
+
+        results = numerics.ordered_map(fn, range(8))
+        for x in range(7):
+            value = next(results)
+            assert value[0] == x
+            refs.append(weakref.ref(value))
+            del value
+            # the map keeps no result it has handed over
+            assert all(ref() is None for ref in refs)
+        release.set()
+        assert next(results)[0] == 7
+
     @pytest.mark.parametrize("end", ["success", "failure", "closed early"])
     def test_blas_runs_on_one_thread_during_the_map_and_is_restored(self, monkeypatch, end):
         if numerics._openblas() is None:
@@ -332,6 +354,27 @@ class TestOrderedMap:
             sys.setswitchinterval(interval)
         assert got == [x * 3 for x in range(400)]
         assert sorted(calls) == list(range(400))  # every item ran exactly once
+
+    def test_many_failures_under_a_short_switch_interval(self, monkeypatch):
+        monkeypatch.setattr(numerics, "_cpus", lambda: 8)
+
+        def fn(x):
+            if x % 7 == 6:  # items 6, 13, 20, ... fail, often before earlier items start
+                raise ValueError(f"item {x} failed")
+            return x
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                seen = []
+                with pytest.raises(ValueError, match="item 6 failed"):
+                    for value in numerics.ordered_map(fn, range(400)):
+                        seen.append(value)
+                # no item before the first failure was skipped for a later one
+                assert seen == list(range(6))
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestProcessMap:
