@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, DegenerateComponentError
+from ..errors import ConfigError, DegenerateComponentError, NonConvergenceError
 from ..features import as_rows
 from .base import ClusterConfig, ClusterResult
 from .kmeans import kmeans
@@ -155,13 +155,14 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
     Stops once the mean log-likelihood improves by at most ``cfg.tol``
     (default 1e-4) or at ``cfg.max_iters``. Ties in the final argmax break
     toward the lowest component index. ``mode`` picks the covariance
-    structure: ``"tied"``, ``"diag"`` or ``"full"`` (the default).
-    ``diagnostics["interventions"]`` lists every factor that needed more
-    than the 1e-6 ridge as ``{"iteration", "component", "extra"}``:
-    ``iteration`` indexes the E-step (the trace entry, or ``max_iters`` for
-    the closing E-step of a capped fit), tied mode's one factor is
-    component 0, and ``extra`` is the shift that factored. It is empty on a
-    clean fit.
+    structure: ``"tied"``, ``"diag"`` or ``"full"`` (the default). A
+    log-likelihood that is not finite (rows whose squares overflow) raises
+    NonConvergenceError. ``diagnostics["interventions"]`` lists every
+    factor that needed more than the 1e-6 ridge as ``{"iteration",
+    "component", "extra"}``: ``iteration`` indexes the E-step (the trace
+    entry, or ``max_iters`` for the closing E-step of a capped fit), tied
+    mode's one factor is component 0, and ``extra`` is the shift that
+    factored. It is empty on a clean fit.
     """
     if mode not in COVARIANCE_MODES:
         raise ConfigError(f"covariance mode must be one of {COVARIANCE_MODES}, got {mode!r}")
@@ -182,6 +183,8 @@ def gmm(x, cfg: ClusterConfig, mode="full") -> ClusterResult:
     tiny = 10.0 * np.finfo(np.float64).eps
     for iteration in range(cfg.max_iters + 1):
         resp, mean_ll, escalations = _e_step(aug, weights, means - centre, covariances, mode, reg)
+        if not math.isfinite(mean_ll):
+            raise NonConvergenceError(f"EM step {iteration}: log-likelihood {mean_ll} (overflow)")
         interventions += (
             {"iteration": iteration, "component": c, "extra": extra} for c, extra in escalations
         )

@@ -5,19 +5,29 @@ distance to the rest of its own cluster and b the smallest mean distance to
 another cluster. Members of singleton clusters score 0, as do points where
 both a and b vanish, so degenerate clusterings still produce a number.
 
-Scoring goes over the rows in blocks of about 2**19 / n rows. Each block's
+Scoring goes over the rows in blocks of about 2**17 / n rows. Each block's
 distances to all n rows are built once and shared by every labeling scored
 in the same call, so a sweep builds its distances once, not once per cell.
-The labelings' 0/1 cluster-membership columns are packed into column groups
-of at most 2**19 / n columns, and each block takes one GEMM per group, from
-which every labeling reads its per-cluster distance sums. Only one group's
-membership matrix is held at a time; a batch that fits in one group builds
-it once, a larger one once per group and block. A block's distances and
-the matrix held each have at most 2**19 entries, so together they stay
-within 8 MiB of float64: no n x n distance matrix is built. A labeling
-with more clusters than a group holds is split into groups of its own, each
-chunk's GEMM over the distance columns of its own members only, so with
-many clusters the work per block stays n * block.
+The labelings' clusters are numbered in one space over the batch, and their
+0/1 membership columns are packed into column groups of at most 2**19 / n
+columns. Each block takes one GEMM per group, and every labeling in the
+group reads its a and b from that product in one array pass: the own
+cluster's column gives a, and a minimum over each labeling's other columns
+gives b. Only then are the block's silhouettes written, for all labelings
+at once. Only one group's membership matrix is held at a time; a batch
+that fits in one group builds it once, a larger one once per group and
+block. So two budgets bound the memory: a block's distances hold at most
+2**17 float64 entries (1 MiB) and the matrix held at most 2**19 (4 MiB); no
+n x n distance matrix is built. A labeling with more clusters than a group
+holds is split into groups of its own, each chunk's GEMM over the distance
+columns of its own members only, so with many clusters the work per block
+stays n * block.
+
+The block height sets only the row count of each GEMM. Where OpenBLAS runs
+both heights on the same kernels, it moves no bits. But a GEMM of at most
+10**6 multiply-adds runs on its small-matrix kernel, and a larger one's
+rounding can depend on how its rows fall into the kernel's tiles and
+threads, so a per-point value can move in its last bits with the height.
 """
 
 from dataclasses import dataclass
@@ -28,9 +38,11 @@ from .errors import ConfigError, ShapeError
 from .features import as_labels, as_rows
 from .numerics import pairwise_distances
 
-# Distance entries per silhouette row block, and the most one-hot entries
-# built at once: 4 MiB of float64 each, so the two fit in 8 MiB together.
-_BLOCK_ELEMENTS = 1 << 19
+# Distance entries per silhouette row block (1 MiB of float64), and the
+# most one-hot entries built at once (4 MiB), which also sets a column
+# group's width.
+_BLOCK_ELEMENTS = 1 << 17
+_GROUP_ELEMENTS = 1 << 19
 
 
 @dataclass(eq=False)
@@ -72,129 +84,135 @@ def silhouette_batch(x, labelings) -> list:
     Each block ``pairwise_distances(rows[lo:hi], rows)`` is built once, in
     the original row order; its self entries, like those of any two
     identical rows, are exactly 0. The block then takes one GEMM,
-    ``dist @ onehot``, per column group (see the module docstring), and each
-    labeling's a and b for those rows follow from its own columns. Scoring
-    the same batch twice gives the same bits, and a labeling that cannot be
-    scored takes no columns, so it leaves the others' bits unchanged.
+    ``dist @ onehot``, per column group (see the module docstring), and the
+    a and b of every labeling in the group follow from it in array passes.
+    Scoring the same batch twice gives the same bits, and a labeling that
+    cannot be scored takes no columns, so it leaves the others' bits
+    unchanged.
     """
     rows = as_rows(x)
     n = rows.shape[0]
-    results = []
+    results, ranks, used = [], [], []
     for labels in labelings:
         try:
-            results.append(_Scorer(labels, n))
+            # rank[i]: the rank of point i's label among the labels in use
+            uniq, rank = np.unique(as_labels(labels, n, n, "rows"), return_inverse=True)
+            if uniq.size < 2:
+                raise ConfigError("silhouette undefined for one cluster")
         except (ShapeError, ConfigError) as exc:
             results.append(exc)
-    scorers = [r for r in results if isinstance(r, _Scorer)]
-    if not scorers:
+            continue
+        results.append(None)
+        used.append(uniq)
+        ranks.append(rank)
+    if not used:
         return results
 
-    step = max(1, _BLOCK_ELEMENTS // n)
-    groups = _column_groups(scorers, step)
+    order, starts, groups = _column_groups(ranks, [u.size for u in used],
+                                           max(1, _GROUP_ELEMENTS // n))
+    cluster = np.stack([ranks[j] for j in order])  # cluster[t, i]: point i's id in order[t]
+    del ranks
+    cluster += starts[:-1, None]
+    counts = np.bincount(cluster.ravel())
+    values = np.zeros(cluster.shape)
     built = None  # the group whose one-hot is held; a lone group is built once
+    step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
         dist = pairwise_distances(rows[lo:hi], rows)
+        a = np.zeros((len(order), hi - lo))
+        b = np.full((len(order), hi - lo), np.inf)
         for group in groups:
-            members, parts = group
+            members, t0, t1, g0, g1 = group
             if group is not built:
                 onehot = None  # so the next group's never coexists with this one
-                onehot = _onehot(members, parts, n)
+                onehot = _onehot(cluster[t0:t1], group, n)
                 built = group
             sums = dist[:, members] @ onehot
-            for scorer, c0, c1, col in parts:
-                scorer.add_sums(sums[:, col:col + c1 - c0], lo, hi, c0, c1)
-        del dist  # so the next block's buffer never coexists with this one
-    return [r.report() if isinstance(r, _Scorer) else r for r in results]
+            if group is groups[-1]:
+                del dist  # so the array passes, and the next block's buffer, never coexist with it
+            # each point's own column; a chunk points the rows whose cluster it
+            # does not hold at column 0, and undoes their a and their inf there
+            own = cluster[t0:t1, lo:hi].T - g0
+            r, p = np.nonzero((own < 0) | (own >= g1 - g0))
+            own[r, p] = 0
+            mean_own = np.take_along_axis(sums, own, axis=1)
+            mean_own /= np.maximum(counts[g0:g1] - 1, 1)[own]
+            mean_own[r, p] = 0.0
+            a[t0:t1] += mean_own.T
+            sums /= counts[g0:g1]
+            kept = sums[r, 0]
+            np.put_along_axis(sums, own, np.inf, axis=1)
+            sums[r, 0] = kept
+            first = np.maximum(starts[t0:t1], g0) - g0
+            np.minimum(b[t0:t1], np.minimum.reduceat(sums, first, axis=1).T, out=b[t0:t1])
+        denom = np.maximum(a, b)
+        valid = (counts[cluster[:, lo:hi]] > 1) & (denom > 0.0)
+        np.subtract(b, a, out=b, where=valid)
+        np.divide(b, denom, out=values[:, lo:hi], where=valid)
+
+    means = np.bincount(cluster.ravel(), weights=values.ravel()) / counts
+    reports = (_report(used[order[t]], values[t], means[starts[t]:starts[t + 1]])
+               for t in np.argsort(order))
+    return [next(reports) if result is None else result for result in results]
 
 
-def _column_groups(scorers, width):
-    """Pack the scorers' cluster columns into groups of at most ``width``.
+def _report(used, values, means):
+    """A labeling's report from its silhouettes and its clusters' mean silhouettes."""
+    per_cluster = np.full(int(used[-1]) + 1, np.nan)
+    per_cluster[used] = means
+    return SilhouetteReport(values, float(values.mean()), per_cluster)
 
-    Returns ``(members, parts)`` pairs: ``members`` selects the rows whose
-    distance columns the group's GEMM reads, and each part
-    ``(scorer, c0, c1, col)`` puts the scorer's clusters c0..c1 in columns
-    col..col + c1 - c0. A labeling with at most ``width`` clusters joins the
-    open group over all rows, or opens the next one when it does not fit;
-    one with more is cut into chunks of ``width`` clusters, each a group
-    over its own members, in ascending order.
+
+def _column_groups(ranks, ks, width):
+    """Pack the labelings' clusters into column groups of at most ``width``.
+
+    A labeling with at most ``width`` clusters joins the open group over all
+    rows, or opens the next one when it does not fit. One with more is cut
+    into chunks of ``width`` clusters, in ascending order, each a group over
+    its own members (``ranks[j]`` selects them). Returns ``order``, the
+    labelings in the order the groups hold them, with the groups over all
+    rows first; ``starts``, where each of them begins in one space of
+    cluster ids over the batch; and the groups as ``(members, t0, t1, g0,
+    g1)``. A group holds labelings ``order[t0:t1]`` and the ids g0..g1 as
+    its columns, in order, and ``members`` selects the rows whose distance
+    columns its GEMM reads.
     """
-    groups = []
-    used = width
-    for scorer in scorers:
-        k = scorer.counts.size
+    shared, chunked, filled = [], [], width
+    for j, k in enumerate(ks):
         if k > width:
-            for c0 in range(0, k, width):
-                c1 = min(c0 + width, k)
-                members = np.flatnonzero((scorer.cluster >= c0) & (scorer.cluster < c1))
-                groups.append((members, [(scorer, c0, c1, 0)]))
-            continue
-        if used + k > width:
-            shared, used = [], 0
-            groups.append((slice(None), shared))
-        shared.append((scorer, 0, k, used))
-        used += k
-    return groups
+            chunked.append(j)
+        elif filled + k > width:
+            shared.append([j])
+            filled = k
+        else:
+            shared[-1].append(j)
+            filled += k
+    order = [j for js in shared for j in js] + chunked
+    starts = np.cumsum([0] + [ks[j] for j in order])
+    ends = np.cumsum([0] + [len(js) for js in shared])
+    groups = [(slice(None), t0, t1, starts[t0], starts[t1]) for t0, t1 in zip(ends[:-1], ends[1:])]
+    for t, j in enumerate(chunked, start=ends[-1]):
+        groups += [(np.flatnonzero((ranks[j] >= c0) & (ranks[j] < c0 + width)), t, t + 1,
+                    starts[t] + c0, min(starts[t] + c0 + width, starts[t + 1]))
+                   for c0 in range(0, ks[j], width)]
+    return order, starts, groups
 
 
-def _onehot(members, parts, n):
-    """A group's 0/1 matrix: a row per member, a column per cluster of its parts.
+def _onehot(cluster, group, n):
+    """A group's 0/1 matrix: a row per member, a column per cluster it holds.
 
-    Every member's cluster lies in each part's c0..c1, as
-    :func:`_column_groups` selects them, so each part sets one 1 per row.
+    ``cluster`` has a row per labeling of the group. Every member's cluster
+    lies in the group's columns for each of them, as :func:`_column_groups`
+    selects the members, so each labeling sets one 1 per row.
     """
+    members, _, _, g0, g1 = group
     size = n if isinstance(members, slice) else members.size
-    onehot = np.zeros((size, sum(c1 - c0 for _, c0, c1, _ in parts)))
+    onehot = np.zeros((size, g1 - g0))
     at = np.arange(size)
-    for scorer, c0, _, col in parts:
-        onehot[at, scorer.cluster[members] + (col - c0)] = 1.0
+    for ids in cluster:
+        onehot[at, ids[members] - g0] = 1.0
     return onehot
-
-
-class _Scorer:
-    """One labeling's cluster ranks and counts, and its silhouettes as blocks arrive."""
-
-    def __init__(self, labels, n):
-        labels = as_labels(labels, n, n, "rows")
-        # cluster[i]: the rank of point i's label among the labels in use
-        self.used, self.cluster, self.counts = np.unique(
-            labels, return_inverse=True, return_counts=True
-        )
-        if self.counts.size < 2:
-            raise ConfigError("silhouette undefined for one cluster")
-        self.values = np.zeros(n)
-
-    def add_sums(self, sums, lo, hi, c0, c1):
-        """Take rows lo..hi's distance sums to clusters c0..c1, one column each.
-
-        A block's cluster ranges arrive in ascending order; the first opens
-        the block's a and b, and the last turns them into silhouettes.
-        ``sums`` is overwritten.
-        """
-        own = self.cluster[lo:hi]
-        if c0 == 0:
-            self.a = np.empty(hi - lo)
-            self.b = np.full(hi - lo, np.inf)
-        mine = (own >= c0) & (own < c1)
-        at = (np.flatnonzero(mine), own[mine] - c0)
-        self.a[mine] = sums[at] / np.maximum(self.counts[own[mine]] - 1, 1)
-        sums /= self.counts[c0:c1]
-        sums[at] = np.inf
-        np.minimum(self.b, sums.min(axis=1), out=self.b)
-        if c1 == self.counts.size:
-            a, b = self.a, self.b
-            denom = np.maximum(a, b)
-            valid = (self.counts[own] > 1) & (denom > 0.0)
-            self.values[lo:hi][valid] = (b[valid] - a[valid]) / denom[valid]
-
-    def report(self):
-        per_cluster = np.full(int(self.used[-1]) + 1, np.nan)
-        per_cluster[self.used] = np.bincount(self.cluster, weights=self.values) / self.counts
-        return SilhouetteReport(
-            per_point=self.values,
-            mean=float(self.values.mean()),
-            per_cluster_mean=per_cluster,
-        )
 
 
 def sse(x, labels, centroids) -> float:

@@ -524,10 +524,12 @@ class TestUsageErrors:
             code = run(["cluster", "--algo", command, "--k", "3", *files])
         err = capsys.readouterr().err
         assert 0 <= code <= 3
-        if command in ("agglomerative-ward", "agglomerative-average", "birch"):
+        if command in ("agglomerative-ward", "agglomerative-average", "birch", "gmm-diag"):
             assert code == 3 and "(overflow)" in err
         if command == "sweep":
             assert code == 0 and "sweep: birch k=2 failed: NonConvergenceError" in err
+            assert all(f"sweep: gmm-diag k={k} failed: NonConvergenceError" in err
+                       for k in range(2, 7))
 
     def test_truncated_pgm_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw"

@@ -7,8 +7,11 @@ import radclust.metrics
 from radclust.errors import ConfigError, ShapeError
 from radclust.features import FeatureMatrix
 from radclust.metrics import SilhouetteReport, silhouette, silhouette_batch, sse
+from radclust.pipeline import SweepConfig, synth_blobs
 
 from oracles import naive_silhouette, naive_sse
+from test_pipeline import sweep_labelings
+from test_sweep_pins import ARCHIVE_ALGOS
 
 
 class TestSilhouette:
@@ -44,8 +47,10 @@ class TestSilhouette:
     @pytest.mark.parametrize("singleton_row", [0, 2, 3, 48, 49])
     def test_row_blocks_match_naive_reference(self, monkeypatch, block_elements, singleton_row):
         # n=50 in 3-row blocks leaves a 2-row last block; the singleton
-        # cluster sits at the first, last or middle edge of a block
+        # cluster sits at the first, last or middle edge of a block. Groups
+        # of 1-3 columns cut every labeling into chunks.
         monkeypatch.setattr(radclust.metrics, "_BLOCK_ELEMENTS", block_elements)
+        monkeypatch.setattr(radclust.metrics, "_GROUP_ELEMENTS", block_elements)
         rng = np.random.RandomState(5)
         rows = rng.randn(50, 6)
         labels = np.where(rng.rand(50) < 0.5, 0, 2)
@@ -77,7 +82,34 @@ class TestSilhouette:
         finally:
             tracemalloc.stop()
         assert all(isinstance(r, SilhouetteReport) for r in reports)
-        assert peak <= 32 * 2**20
+        # one one-hot matrix (at most 2**19 entries), one distance block (2**17)
+        # and a chunk's copy of its columns, and each labeling's cluster ids and
+        # silhouettes, as float64, plus a quarter MiB for small temporaries
+        entries = (1 << 19) + 2 * (1 << 17) + 2 * len(labelings) * 4000
+        assert peak <= 8 * entries + 2**18
+
+    @pytest.mark.parametrize("case", ["batch30-k2-6", "archive-k2-6"])
+    def test_row_budget_moves_no_bits_where_the_gemm_kernels_stay(self, monkeypatch, case):
+        # Blocks of 2**17 distance entries give these batches the bits that
+        # blocks of 2**19 gave, at one BLAS thread and at two: only each GEMM's
+        # row count M differs, and with 120 one-hot columns every GEMM stays
+        # above OpenBLAS's small-matrix size (M * N * K <= 10**6). Other shapes
+        # can round otherwise: a lone labeling at small k falls under that size.
+        if case == "archive-k2-6":
+            fm = synth_blobs(1000, 4, 16, 6.0, 1.0, 1)[0]
+            cfg = SweepConfig(algorithms=ARCHIVE_ALGOS, ks=range(2, 7))
+            rows, labelings = fm.rows, list(sweep_labelings(monkeypatch, fm, cfg)[1].values())
+        else:
+            rows = np.random.RandomState(6).randn(4000, 16)
+            labelings = [np.random.RandomState(i).randint(0, 2 + i % 5, size=4000)
+                         for i in range(30)]
+        assert len(labelings) == 30
+        reports = silhouette_batch(rows, labelings)
+        monkeypatch.setattr(radclust.metrics, "_BLOCK_ELEMENTS", 1 << 19)
+        for report, before in zip(reports, silhouette_batch(rows, labelings)):
+            assert report.per_point.tobytes() == before.per_point.tobytes()
+            assert report.mean == before.mean
+            assert report.per_cluster_mean.tobytes() == before.per_cluster_mean.tobytes()
 
     @pytest.mark.parametrize("labels, message", [
         ([0, 1, 4, 1], "label 4 at row 2 out of range for 4 rows"),

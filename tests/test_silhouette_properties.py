@@ -86,13 +86,16 @@ def test_positive_scaling_leaves_per_point_unchanged(problem, scale):
 
 
 @settings(deadline=None)
-@given(problems(), st.data(), st.sampled_from([1, 7, 50, 1 << 20]))
-def test_labeling_scores_within_rounding_in_a_batch_as_alone(problem, data, block_elements):
-    # Small blocks split the rows into blocks and the one-hot columns into
-    # several groups, or a labeling's clusters into chunks. A batch shares
-    # each GEMM among its labelings, so its sums round as a wider product
-    # than a labeling's own: per-point values agree within the summation-
-    # order tolerance, and only what does not depend on that shape is exact.
+@given(problems(), st.data(), st.sampled_from([1, 7, 50, 1 << 20]),
+       st.sampled_from([1, 7, 50, 1 << 20]))
+def test_labeling_scores_within_rounding_in_a_batch_as_alone(problem, data, block_elements,
+                                                             group_elements):
+    # Small blocks split the rows into blocks, and small groups the one-hot
+    # columns into several groups, or a labeling's clusters into chunks. A
+    # batch shares each GEMM among its labelings, so its sums round as a
+    # wider product than a labeling's own: per-point values agree within the
+    # summation-order tolerance, and only what does not depend on that shape
+    # is exact.
     rows, labels = problem
     n = len(rows)
     batch = [labels] + data.draw(st.lists(
@@ -100,7 +103,8 @@ def test_labeling_scores_within_rounding_in_a_batch_as_alone(problem, data, bloc
         max_size=3,
     ))
     scoreable = [other for other in batch if len(set(other.tolist())) > 1]
-    with mock.patch.object(radclust.metrics, "_BLOCK_ELEMENTS", block_elements):
+    with mock.patch.object(radclust.metrics, "_BLOCK_ELEMENTS", block_elements), \
+            mock.patch.object(radclust.metrics, "_GROUP_ELEMENTS", group_elements):
         together = silhouette_batch(rows, batch)
         again = silhouette_batch(rows, batch)
         without_failures = iter(silhouette_batch(rows, scoreable))
