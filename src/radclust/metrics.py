@@ -28,6 +28,13 @@ both heights on the same kernels, it moves no bits. But a GEMM of at most
 10**6 multiply-adds runs on its small-matrix kernel, and a larger one's
 rounding can depend on how its rows fall into the kernel's tiles and
 threads, so a per-point value can move in its last bits with the height.
+
+Finite rows whose largest magnitude lies outside 2**-200..2**200, where a
+squared distance could overflow to inf or underflow to 0, are first scaled
+by a power of two that brings it into [0.5, 1). Every distance, sum, mean
+and ratio then only shifts its exponent, so the silhouettes keep the bits of
+the same rows at an in-range scale wherever no entry leaves the normal
+float range in the scaling.
 """
 
 from dataclasses import dataclass
@@ -88,9 +95,14 @@ def silhouette_batch(x, labelings) -> list:
     a and b of every labeling in the group follow from it in array passes.
     Scoring the same batch twice gives the same bits, and a labeling that
     cannot be scored takes no columns, so it leaves the others' bits
-    unchanged.
+    unchanged. Rows far from unit scale are first scaled by a power of two
+    (see the module docstring).
     """
     rows = as_rows(x)
+    # a power of two moves the exponent of every distance and not the scores
+    exponent = np.frexp(max(rows.max(), -rows.min()))[1]
+    if not -200 <= exponent <= 200:
+        rows = np.ldexp(rows, -exponent)
     n = rows.shape[0]
     results, ranks, used = [], [], []
     for labels in labelings:

@@ -7,14 +7,19 @@ on every platform, a dense symmetric eigensolver (LAPACK through numpy)
 whose eigenvector signs are fixed by a deterministic rule, and one
 squared-distance kernel. :func:`ordered_map` runs independent items, such
 as the images of the CLI's preprocess and extract, on one thread per CPU
-and yields their results in input order; :func:`process_map` does the same
-on one forked worker process per CPU, for work that holds the GIL, such as
-the fits of a sweep, and returns a list. Both run through one generator,
-:func:`_in_order`, over a :mod:`concurrent.futures` executor, which gives
-them the input order, the first failure in input order and the cancelling
-of items not yet started. The thread map also starts no item once one has
-failed; the process map may still run the few items already queued to its
-workers. A bulk draw of :class:`RngStream` keeps its own span threads: the
+and yields their results; :func:`process_map` does the same on one forked
+worker process per CPU, for work that holds the GIL, such as the fits of a
+sweep, and returns a list. Both are the ``map`` of a :mod:`concurrent.futures`
+executor, or a plain loop where they run inline, and share one contract:
+
+- items start in input order, and results come back in input order and
+  are released as they are yielded;
+- the first failure in input order is raised after the workers have
+  stopped;
+- items not yet started are cancelled, and closing the generator early
+  does the same.
+
+A bulk draw of :class:`RngStream` keeps its own span threads: the
 caller fills the first span itself, which keeps the draws fast, and a draw
 on the set-up path does not import :mod:`concurrent.futures`. Matrices go
 in and come out as plain float64 numpy arrays; there is no wrapper type.
@@ -23,7 +28,6 @@ Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
 numpy's LAPACK Cholesky directly.
 """
 
-import collections
 import contextlib
 import ctypes
 import functools
@@ -129,40 +133,17 @@ def _one_blas_thread():
         put(before)
 
 
-def _in_order(pool, fn, items):
-    """Yield ``fn(item)`` for each of ``items``, run on the executor ``pool``, in input order.
-
-    Both maps run through this. Every item is submitted at once, so the pool
-    starts them in input order, and each future is dropped as its result is
-    yielded, so a result lives only as long as the caller keeps it. The pool
-    is shut down, its workers joined and the items not yet started
-    cancelled, before the first failure in input order is raised, and also
-    when the caller closes the generator early.
-    """
-    try:
-        futures = collections.deque(pool.submit(fn, item) for item in items)
-        while futures:
-            yield futures.popleft().result()
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def ordered_map(fn, items):
-    """Yield ``fn(item)`` for each of ``items``, in input order.
+    """Yield ``fn(item)`` for each of ``items``, under the module's map contract.
 
-    The calls run through :func:`_in_order` on a thread pool of up to one
-    worker per CPU this process may run on, while OpenBLAS runs each GEMM on
-    one thread, so the workers do not contend for the CPUs; the thread count
-    read before the map is restored when it ends. A result is held only
-    until it is yielded. Items start in input order, and once one has failed
-    no later item starts: each call first checks the indices seen to fail,
-    so an item skipped this way always lies after a failure that the caller
-    reaches first. The first failure in input order is raised where its
-    result would have been yielded, after every worker has stopped, so the
-    caller has seen exactly the results a serial loop would have given it
-    before that failure. With one CPU, one item, or no OpenBLAS whose
-    threads can be set, the calls run here, one after another. Closing the
-    generator early stops the workers the same way.
+    The calls run on a thread pool of up to one worker per CPU this process
+    may run on, while OpenBLAS runs each GEMM on one thread, so the workers
+    do not contend for the CPUs; the thread count read before the map is
+    restored when it ends. The first failure in input order is raised where
+    its result would have been yielded, so the caller has seen exactly the
+    results a serial loop would have given it before that failure. With one
+    CPU, one item, or no OpenBLAS whose threads can be set, the calls run
+    here, one after another.
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -171,17 +152,8 @@ def ordered_map(fn, items):
         return
     from concurrent.futures import ThreadPoolExecutor  # imported here, as in process_map
 
-    failed = []  # indices of the items that failed: no item after one of them starts
-
-    def call(i):
-        try:  # a skipped item is never yielded, as the failure before it is raised first
-            return None if failed and i > min(failed) else fn(items[i])
-        except BaseException:
-            failed.append(i)
-            raise
-
-    with _one_blas_thread():
-        yield from _in_order(ThreadPoolExecutor(workers), call, range(len(items)))
+    with _one_blas_thread(), ThreadPoolExecutor(workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def _os_threads():
@@ -217,13 +189,10 @@ def process_map(fn, items):
     Up to one worker per CPU this process may run on is forked when the map
     starts, so ``fn`` and ``items`` are inherited and need not pickle: only an
     item's index goes to a worker, and only ``fn``'s result, which must
-    pickle, comes back. The items run through :func:`_in_order`, so they
-    start in input order and the results come back in input order. The
-    calls run with OpenBLAS at one thread, in the workers and inline alike,
-    so a result's bits never depend on the worker count; the thread count
-    read before the map is restored when it ends. The first exception in
-    input order is raised once every worker has exited; items not yet
-    handed to a worker are cancelled. A worker that dies raises
+    pickle, comes back. The map keeps the module's map contract. The calls
+    run with OpenBLAS at one thread, in the workers and inline alike, so a
+    result's bits never depend on the worker count; the thread count read
+    before the map is restored when it ends. A worker that dies raises
     :class:`concurrent.futures.process.BrokenProcessPool`. The calls run
     here, one after another, with one CPU or one item, without ``os.fork``,
     or where a fork would warn (see :func:`_fork_is_quiet`).
@@ -237,9 +206,9 @@ def process_map(fn, items):
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                   initializer=_adopt, initargs=(fn, items))
-        return list(_in_order(pool, _call, range(len(items))))
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=_adopt, initargs=(fn, items)) as pool:
+            return list(pool.map(_call, range(len(items))))
 
 
 @functools.cache

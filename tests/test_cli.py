@@ -23,6 +23,7 @@ from radclust.pipeline import (
     synth_blobs,
     synth_textured_images,
     write_features,
+    write_labels,
     write_manifest,
     ManifestEntry,
 )
@@ -316,6 +317,20 @@ class TestEvaluateCommand:
         mean_line = out.strip().split("\n")[1]
         assert mean_line.startswith("mean_silhouette,")
         assert float(mean_line.split(",")[1]) > 0.9
+
+    def test_features_whose_distances_overflow_or_underflow_score_as_unscaled(self, tmp_path,
+                                                                              capsys):
+        fm, truth = synth_blobs(20, 3, 4, 6.0, 1.0, 3)
+        labels = tmp_path / "l.csv"
+        labels.write_bytes(write_labels(fm.ids, truth))
+        outs = []
+        for scale in (1.0, 1e160, 1e-165):
+            features = tmp_path / "f.csv"
+            features.write_bytes(write_features(FeatureMatrix(rows=fm.rows * scale, ids=fm.ids)))
+            assert run(["evaluate", "--features", str(features), "--labels", str(labels)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].split("\n")[1] == "mean_silhouette,0.6865"
+        assert outs[1] == outs[2] == outs[0]
 
     def test_id_mismatch_exits_2(self, tmp_path, capsys):
         features = tmp_path / "f.csv"

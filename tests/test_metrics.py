@@ -173,6 +173,16 @@ class TestSilhouette:
         assert np.abs(silhouette(moved, labels).per_point - base.per_point).max() <= 1e-9
         assert np.abs(silhouette(rows * 3.7, labels).per_point - base.per_point).max() <= 1e-9
 
+    # 2**510 and up overflow a squared distance, 2**-540 and below underflow it
+    @pytest.mark.parametrize("exponent", [600, 531, 510, -540, -548, -700, -1000])
+    def test_power_of_two_scales_out_of_float_range_move_no_bit(self, exponent):
+        fm, truth = synth_blobs(20, 3, 4, 6.0, 1.0, 3)
+        base = silhouette(fm.rows, truth)
+        scaled = silhouette(np.ldexp(fm.rows, exponent), truth)
+        assert scaled.per_point.tobytes() == base.per_point.tobytes()
+        assert scaled.per_cluster_mean.tobytes() == base.per_cluster_mean.tobytes()
+        assert scaled.mean == base.mean == pytest.approx(0.6865, abs=1e-4)
+
     def test_mean_within_bounds_and_per_cluster(self):
         rng = np.random.RandomState(3)
         rows = rng.randn(40, 5)

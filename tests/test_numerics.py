@@ -21,6 +21,7 @@ from radclust.numerics import (
     sym_eigen,
 )
 
+from call_log import CallLog
 from oracles import (
     ONE_SHOT_DRAWS,
     charpoly_eigs_by_bisection,
@@ -235,36 +236,6 @@ class TestOrderedMap:
             assert len(threads) == workers and threading.main_thread() not in threads
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_first_failure_in_input_order_is_raised_and_no_later_item_starts(
-            self, monkeypatch, workers):
-        started = []
-
-        def fn(x):
-            started.append(x)
-            if x == 5:
-                time.sleep(0.05)
-                raise ValueError("item 5 failed")
-            if x == 6:  # fails first in time, after item 5 in input order
-                raise KeyError("item 6 failed")
-            time.sleep(0.01)
-            return x
-
-        with pytest.raises(ValueError, match="item 5 failed"):
-            [fn(x) for x in range(20)]
-        serial, started[:] = list(started), []
-        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
-        before, seen = threading.active_count(), []
-        with pytest.raises(ValueError, match="item 5 failed"):
-            for value in numerics.ordered_map(fn, range(20)):
-                seen.append(value)
-        assert seen == list(range(5))
-        assert threading.active_count() == before  # raised after the workers stopped
-        # at most the items already running beside item 5 start after it
-        assert set(started) <= set(range(5 + workers))
-        if workers == 1:
-            assert started == serial
-
-    @pytest.mark.parametrize("workers", [1, 3])
     def test_results_are_released_as_they_are_yielded(self, monkeypatch, workers):
         monkeypatch.setattr(numerics, "_cpus", lambda: workers)
         release, refs = threading.Event(), []
@@ -396,22 +367,6 @@ class TestProcessMap:
             assert pids == {os.getpid()}
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_first_failure_in_input_order_is_raised(self, monkeypatch, workers):
-        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
-
-        def fn(x):
-            if x == 5:
-                time.sleep(0.05)
-                raise ValueError("item 5 failed")
-            if x == 6:  # fails first in time, after item 5 in input order
-                raise KeyError("item 6 failed")
-            return x
-
-        with pytest.raises(ValueError, match="item 5 failed"):
-            numerics.process_map(fn, range(20))
-        assert multiprocessing.active_children() == []
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_blas_runs_on_one_thread_in_every_call_and_is_restored(self, monkeypatch, workers):
         if numerics._openblas() is None:
@@ -451,6 +406,42 @@ class TestProcessMap:
         monkeypatch.setattr(numerics, "_cpus", lambda: 2)
         monkeypatch.delattr(os, "fork")
         assert numerics.process_map(lambda x: os.getpid(), range(4)) == [os.getpid()] * 4
+
+
+class TestBothMaps:
+    """The map contract of the numerics module docstring, on the thread and the process map."""
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("mapper", ["ordered_map", "process_map"])
+    def test_first_failure_in_input_order_is_raised(self, monkeypatch, tmp_path, mapper, workers):
+        log = CallLog(tmp_path)  # the process map's calls start in forked workers
+
+        def fn(x):
+            log.append(x)
+            if x == 5:
+                time.sleep(0.05)
+                raise ValueError("item 5 failed")
+            if x == 6:  # fails first in time, after item 5 in input order
+                raise KeyError("item 6 failed")
+            time.sleep(0.01)
+            return x
+
+        monkeypatch.setattr(numerics, "_cpus", lambda: workers)
+        threads, children, seen = threading.active_count(), multiprocessing.active_children(), []
+        with pytest.raises(ValueError, match="item 5 failed"):
+            for value in getattr(numerics, mapper)(fn, range(200)):
+                seen.append(value)
+        # the generator yields the results before the failure; the list holds none
+        assert seen == (list(range(5)) if mapper == "ordered_map" else [])
+        # raised after the workers stopped
+        assert threading.active_count() == threads
+        assert multiprocessing.active_children() == children
+        started = sorted(log.records())
+        # items start in input order, and the ones not yet started were cancelled
+        assert started == list(range(len(started)))
+        assert 6 <= len(started) < 100
+        if workers == 1:
+            assert started == list(range(6))
 
 
 class TestSymEigen:
