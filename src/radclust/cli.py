@@ -272,7 +272,12 @@ _COMMANDS = {
 
 
 def cli_main(argv):
-    """Parse and dispatch; returns the process exit code."""
+    """Parse and dispatch; returns the process exit code.
+
+    A :class:`RadclustError` prints one stderr line and returns its exit
+    code; an interrupt (Ctrl-C) prints ``interrupted`` and returns 130, the
+    shell's code for a process ended by SIGINT.
+    """
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -284,6 +289,9 @@ def cli_main(argv):
         return exc.exit_code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def main():

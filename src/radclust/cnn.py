@@ -18,12 +18,19 @@ dropout after each pool is the identity at inference, so no stage runs for
 it. Weights are stored as float32 and promoted to float64 for all
 arithmetic.
 
-Each convolution copies the padded input's 3x3 sliding windows into an
-im2col matrix one band of output rows at a time, and runs one GEMM per band
-into a single output array; on the network's shapes that gives the bits of
-one GEMM over the whole matrix. Each block pools before its ReLU: ReLU is monotone, so it commutes
-with max bit for bit, and running it after the pool touches a quarter of the
-values.
+Each block runs as one banded step (:func:`_conv_block`). For a band of
+conv output rows it copies the band's im2col matrix out of the block's
+zero-bordered, channel-first input, runs one GEMM and adds the bias, then
+writes the band's 2x2 max and ReLU straight into the interior of the next
+block's zero-bordered input. So no full-resolution conv output and no
+separate padded copy is ever built, and ``dense1`` promotes its float32
+weights a few rows at a time. One forward on a 128x128 input peaks at about
+3.7 MiB of tracemalloc'd memory: conv2's 2.1 MiB bordered input, its pooled output
+and a band's im2col and GEMM buffers (:data:`_BAND` sets the band size). On
+the network's shapes a band's GEMM gives the bits of one GEMM over the whole
+matrix (see :func:`_conv_bands`). Each block pools before its ReLU: ReLU is
+monotone, so it commutes with max bit for bit, and running it after the pool
+touches a quarter of the values.
 """
 
 import math
@@ -62,9 +69,10 @@ def _layer_table():
 
 LAYERS = _layer_table()
 _CONV = len(CONV_FILTERS)
-# im2col entries copied, and multiplied, per GEMM band (1 MiB of float64):
-# conv2's whole matrix would be 18.9 MB, once per image in flight.
+# entries of a band's im2col matrix or GEMM output, whichever is larger (1 MiB
+# of float64): conv2's whole matrix would be 18.9 MB, once per image in flight.
 _BAND = 1 << 17
+_PAD = KERNEL_SIZE // 2  # the zero border of a same-padding block input
 
 
 class CnnSpec:
@@ -125,29 +133,72 @@ class FeatureVector:
         self.values = v
 
 
-def conv2d(x, kernels, biases):
-    """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
+def _conv_bands(padded, kernels, biases, pooled):
+    """Yield ``(top, bottom, band)`` for the bands of a convolution's output rows.
 
-    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px). Its
-    (kh, kw) sliding windows, viewed as (cin, kh, kw, h, w), are cut into the
-    fewest bands of whole output rows, of near-equal height, whose im2col
-    matrices (cin*kh*kw, rows*w) hold at most :data:`_BAND` entries each (one
-    row at the least). Each band is copied into one reused buffer, its rows in
-    the kernel's (cin, kh, kw) order, and one GEMM, ``kernels (cout,
-    cin*kh*kw) @ cols``, writes its columns of a single (cout, h*w) output;
-    the bias is then added in place. The result is an (h, w, cout) view of a
-    channel-first (cout, h, w) array, not a C-contiguous array.
+    ``padded`` is the zero-bordered, channel-first (cin, h + kh - 1, w + kw
+    - 1) input and ``kernels`` is (cout, cin, kh, kw). The h output rows are
+    cut into the fewest bands of near-equal height (an even one when
+    ``pooled``, one row at the least) in which the larger of the band's
+    im2col matrix (cin*kh*kw, rows*w) and its GEMM output (cout, rows*w)
+    holds at most :data:`_BAND` entries. Each band's (cin, kh, kw) sliding
+    windows are copied into one reused buffer, one GEMM, ``kernels (cout,
+    cin*kh*kw) @ cols``, writes a second reused buffer, and the bias is added
+    in place. ``band`` is a view of that buffer, valid until the next band
+    is yielded: (cout, bottom - top, w), or, when ``pooled``, (cout, 4,
+    (bottom - top)/2, w/2), whose axis 1 holds the four members of each 2x2
+    pooling window, top left, top right, bottom left, bottom right. The
+    second layout only orders the im2col columns differently.
 
     A band's GEMM gives the bits of the same columns of one GEMM over the
     whole matrix when the BLAS runs both on the same kernels. It does on the
     network's shapes, whose rows are multiples of 16 values and whose bands
-    stay large, so the features are those of one GEMM. Elsewhere a narrow or
+    stay large (M*N*K is 1.18e6 for conv1's 16-row bands, at least 4.7e6
+    elsewhere), so the features are those of one GEMM. Elsewhere a narrow or
     small band can take another kernel (OpenBLAS has one for small
     matrices) and move the last bits.
     """
+    cin, hp, wp = padded.shape
+    cout, _, kh, kw = kernels.shape
+    h, w = hp - kh + 1, wp - kw + 1
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    windows = windows.transpose(0, 3, 4, 1, 2)
+    taps, unit = cin * kh * kw, 2 if pooled else 1
+    units = h // unit
+    most = max(1, _BAND // max(1, max(taps, cout) * unit * w))  # units a band may hold
+    bands = -(-units // most)
+    edges = [unit * (units * i // bands) for i in range(bands + 1)]
+    flat = np.asarray(kernels, dtype=np.float64).reshape(cout, taps)
+    bias = np.asarray(biases, dtype=np.float64)[:, None]
+    height = unit * -(-units // bands)
+    cols_buffer, out_buffer = np.empty(taps * height * w), np.empty(cout * height * w)
+    for top, bottom in zip(edges, edges[1:]):
+        rows, size = bottom - top, (bottom - top) * w
+        view = windows[:, :, :, top:bottom]
+        shape = (cout, rows, w)
+        if pooled:  # (cin, kh, kw, row in window, column in window, window row, window column)
+            view = view.reshape(cin, kh, kw, rows // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 6, 3, 5)
+            shape = (cout, 4, rows // 2, w // 2)
+        cols = cols_buffer[: taps * size].reshape(view.shape)
+        cols[...] = view
+        out = out_buffer[: cout * size].reshape(cout, size)
+        np.matmul(flat, cols.reshape(taps, size), out=out)
+        out += bias
+        yield top, bottom, out.reshape(shape)
+
+
+def conv2d(x, kernels, biases):
+    """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
+
+    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px),
+    and its bands of output rows (see :func:`_conv_bands`, the loop the
+    network's blocks share) are copied into one (cout, h, w) array. The
+    result is an (h, w, cout) view of that channel-first array, not a
+    C-contiguous array. :func:`forward` does not call this: its blocks pool
+    each band as it comes, so no full-resolution output is built.
+    """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
-    biases = np.asarray(biases, dtype=np.float64)
     h, w, cin = x.shape
     cout, kcin, kh, kw = kernels.shape
     if kcin != cin:
@@ -155,21 +206,35 @@ def conv2d(x, kernels, biases):
     py, px = kh // 2, kw // 2
     padded = np.zeros((cin, h + 2 * py, w + 2 * px))
     padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows.transpose(0, 3, 4, 1, 2)
-    taps = cin * kh * kw
-    most = max(1, _BAND // max(1, taps * w))  # rows a band may hold
-    bands = -(-h // most)
-    edges = [h * i // bands for i in range(bands + 1)]
-    flat = kernels.reshape(cout, taps)
-    buffer = np.empty(taps * -(-h // bands) * w)
-    out = np.empty((cout, h * w))
-    for top, bottom in zip(edges, edges[1:]):
-        cols = buffer[: taps * (bottom - top) * w].reshape(cin, kh, kw, bottom - top, w)
-        cols[...] = windows[:, :, :, top:bottom]
-        np.matmul(flat, cols.reshape(taps, -1), out=out[:, top * w:bottom * w])
-    out += biases[:, None]
-    return out.reshape(cout, h, w).transpose(1, 2, 0)
+    out = np.empty((cout, h, w))
+    for top, bottom, band in _conv_bands(padded, kernels, biases, False):
+        out[:, top:bottom] = band
+    return out.transpose(1, 2, 0)
+
+
+def _conv_block(padded, kernels, biases):
+    """One conv -> 2x2 max pool -> ReLU block, fused per band of output rows.
+
+    Takes the zero-bordered channel-first (cin, h + 2*p, w + 2*p) input of a
+    same-padding convolution (p = :data:`_PAD`) and returns the next block's
+    input: a zero-bordered (cout, h/2 + 2*p, w/2 + 2*p) array whose interior
+    holds this block's activations. Each band of an even number of conv rows
+    (see :func:`_conv_bands`) is pooled and then clamped straight into its
+    rows of the interior: one max reduction folds each window's four
+    members in the order :func:`maxpool2d` takes them, and one
+    ``np.maximum`` clamps as :func:`relu` does. So no full-resolution output
+    is built, and the bits are those of ``relu(maxpool2d(conv2d(x, kernels,
+    biases)))``. Few array calls per band matter: each can hand the GIL to
+    the other image threads.
+    """
+    _, hp, wp = padded.shape
+    h, w = hp - 2 * _PAD, wp - 2 * _PAD
+    nxt = np.zeros((kernels.shape[0], h // 2 + 2 * _PAD, w // 2 + 2 * _PAD))
+    for top, bottom, band in _conv_bands(padded, kernels, biases, True):
+        rows = nxt[:, _PAD + top // 2:_PAD + bottom // 2, _PAD:_PAD + w // 2]
+        np.maximum.reduce(band, axis=1, out=rows)
+        np.maximum(rows, 0.0, out=rows)
+    return nxt
 
 
 def relu(t):
@@ -197,13 +262,25 @@ def maxpool2d(t):
 
 
 def dense(v, w, b):
-    """Affine map W @ v + b."""
+    """Affine map W @ v + b.
+
+    ``W`` is promoted to float64 a band of rows at a time, each band at most
+    :data:`_BAND` entries (1 MiB), so a float32 ``dense1`` is never copied
+    whole. Each band is one matrix-vector product into its rows of the
+    output; every output value is one row's dot product, so on the
+    network's shapes the bits are those of the whole ``W @ v``.
+    """
     v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
+    w = np.asarray(w)
     b = np.asarray(b, dtype=np.float64)
     if v.shape[0] != w.shape[1]:
         raise ShapeError(f"dense layer expects input {w.shape[1]}, got {v.shape[0]}")
-    return w @ v + b
+    out = np.empty(w.shape[0])
+    step = max(1, _BAND // w.shape[1])
+    for lo in range(0, w.shape[0], step):
+        np.matmul(np.asarray(w[lo:lo + step], dtype=np.float64), v, out=out[lo:lo + step])
+    out += b
+    return out
 
 
 def flatten(t):
@@ -237,10 +314,16 @@ def forward(t, weights, return_activations=False):
     x = t.values if isinstance(t, PixelTensor) else np.asarray(t, dtype=np.float64)
     if x.shape != INPUT_SHAPE:
         raise ShapeError(f"input tensor shape {x.shape} does not match {INPUT_SHAPE}")
+    side = INPUT_SHAPE[0]
+    padded = np.zeros((INPUT_SHAPE[2], side + 2 * _PAD, side + 2 * _PAD))
+    padded[:, _PAD:_PAD + side, _PAD:_PAD + side] = x.transpose(2, 0, 1)
     activations = []
     for kernel, bias in weights.layers[:_CONV]:
-        x = relu(maxpool2d(conv2d(x, kernel, bias)))
-        activations.append(x)
+        padded = _conv_block(padded, kernel, bias)
+        side //= 2
+        x = padded[:, _PAD:_PAD + side, _PAD:_PAD + side].transpose(1, 2, 0)
+        if return_activations:  # otherwise each block's buffer is freed after the next
+            activations.append(x)
     (w1, b1), (w2, b2) = weights.layers[_CONV:]
     flat = flatten(x)
     hidden = relu(dense(flat, w1, b1))

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .features import as_labels, as_rows
-from .numerics import pairwise_distances
+from .numerics import squared_distances
 
 # Distance entries per silhouette row block (1 MiB of float64), and the
 # most one-hot entries built at once (4 MiB), which also sets a column
@@ -88,9 +88,10 @@ def silhouette_batch(x, labelings) -> list:
     :func:`silhouette` would raise for it. A labeling that cannot be scored
     costs the others nothing. Bad rows in ``x`` raise.
 
-    Each block ``pairwise_distances(rows[lo:hi], rows)`` is built once, in
-    the original row order; its self entries, like those of any two
-    identical rows, are exactly 0. The block then takes one GEMM,
+    Each block, the square root of ``squared_distances(rows[lo:hi], rows)``
+    taken in place, is built once, in the original row order, from rows
+    checked once; its self entries, like those of any two identical rows,
+    are exactly 0. The block then takes one GEMM,
     ``dist @ onehot``, per column group (see the module docstring), and the
     a and b of every labeling in the group follow from it in array passes.
     Scoring the same batch twice gives the same bits, and a labeling that
@@ -131,7 +132,8 @@ def silhouette_batch(x, labelings) -> list:
     step = max(1, _BLOCK_ELEMENTS // n)
     for lo in range(0, n, step):
         hi = min(lo + step, n)
-        dist = pairwise_distances(rows[lo:hi], rows)
+        dist = squared_distances(rows[lo:hi], rows)
+        np.sqrt(dist, out=dist)
         a = np.zeros((len(order), hi - lo))
         b = np.full((len(order), hi - lo), np.inf)
         for group in groups:

@@ -658,3 +658,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"{prefix}: injected\n")
         assert ("usage:" in err) == (name == "UsageError")
+
+    def test_interrupt_prints_one_line_and_exits_130(self, monkeypatch, capsys):
+        import radclust.cli as cli
+
+        def interrupted(args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(cli._COMMANDS, "synth", interrupted)
+        assert run(["synth", "--out", "unused.csv"]) == 130
+        assert capsys.readouterr() == ("", "interrupted\n")

@@ -1,5 +1,6 @@
 import hashlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -122,6 +123,38 @@ class TestBandedConv2d:
         monkeypatch.setattr(cnn, "_BAND", band_rows * cin * kernel[0] * kernel[1] * w)
         rng = np.random.RandomState(17)
         _assert_same_bytes(rng.randn(h, w, cin), rng.randn(cout, cin, *kernel), rng.randn(cout))
+
+
+class TestFusedBlock:
+    """Each banded conv -> pool -> ReLU block of forward against the unfused oracle path."""
+
+    @pytest.mark.parametrize("shape", [(128, 128, 1, 64), (64, 64, 64, 64),
+                                       (32, 32, 64, 128), (16, 16, 128, 128)])
+    def test_same_bytes_as_one_gemm_then_pool_then_relu(self, shape):
+        h, w, cin, cout = shape
+        rng = np.random.RandomState(18)
+        x, k, b = rng.randn(h, w, cin), rng.randn(cout, cin, 3, 3), rng.randn(cout)
+        p = cnn._PAD
+        padded = np.zeros((cin, h + 2 * p, w + 2 * p))
+        padded[:, p:p + h, p:p + w] = x.transpose(2, 0, 1)
+        got = cnn._conv_block(padded, k, b)
+        assert got.shape == (cout, h // 2 + 2 * p, w // 2 + 2 * p)
+        want = relu(maxpool2d(one_gemm_conv2d(x, k, b)))
+        assert got[:, p:-p, p:-p].transpose(1, 2, 0).tobytes() == want.tobytes()
+        got[:, p:-p, p:-p] = 1.0
+        assert np.count_nonzero(got) == cout * (h // 2) * (w // 2)  # the border stays zero
+
+    def test_one_forward_peaks_under_4_5_mib(self):
+        ws = init_weights(CnnSpec(), 1)
+        x = np.random.RandomState(19).rand(*cnn.INPUT_SHAPE)
+        forward(x, ws)
+        tracemalloc.start()
+        try:
+            forward(x, ws)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * 2**20
 
 
 class TestPointwiseLayers:

@@ -4,7 +4,9 @@ Per cell "data/algorithm/k": the sha256 of the labels, the centroids and the
 objective trace, the iteration count, the converged flag and every
 diagnostics value (floats as float.hex); per chart, the sha256 of the SVG.
 Recorded before spectral and BIRCH shared one k-means global phase and the
-chart was drawn from element helpers.
+chart was drawn from element helpers. The spectral cells were re-recorded
+when the pinned fits moved to OpenBLAS at one thread, as a sweep runs them,
+so that they hold on one CPU as on two.
 
 Per "report/data": the sha256 of the report CSV of a k=2..6 sweep (seed 0)
 over the archive-sweep variants ("archive") or all nine algorithms. Recorded
@@ -21,6 +23,7 @@ import pytest
 
 from radclust import ClusterConfig, birch, spectral
 from radclust.clustering.birch import prepare as prepare_tree
+from radclust.numerics import _one_blas_thread
 from radclust.pipeline import (
     ALGORITHM_SLUGS, SweepConfig, SweepReport, SweepRow, render_chart_svg, render_report_csv,
     sweep, synth_blobs,
@@ -61,11 +64,13 @@ def archive_tree():
 
 
 def fit(cell):
+    """Fit one pinned cell with OpenBLAS at one thread, as a sweep fits its cells."""
     name, algo, k = cell.split("/")
     cfg = ClusterConfig(k=int(k), seed=1)
-    if name == "archive":
-        return birch(None, cfg, prepared=archive_tree())
-    return (spectral if algo == "spectral" else birch)(rows_of(name), cfg)
+    with _one_blas_thread():
+        if name == "archive":
+            return birch(None, cfg, prepared=archive_tree())
+        return (spectral if algo == "spectral" else birch)(rows_of(name), cfg)
 
 
 def describe(res):
