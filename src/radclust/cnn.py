@@ -25,12 +25,13 @@ writes the band's 2x2 max and ReLU straight into the interior of the next
 block's zero-bordered input. So no full-resolution conv output and no
 separate padded copy is ever built, and ``dense1`` promotes its float32
 weights a few rows at a time. One forward on a 128x128 input peaks at about
-3.7 MiB of tracemalloc'd memory: conv2's 2.1 MiB bordered input, its pooled output
-and a band's im2col and GEMM buffers (:data:`_BAND` sets the band size). On
-the network's shapes a band's GEMM gives the bits of one GEMM over the whole
-matrix (see :func:`_conv_bands`). Each block pools before its ReLU: ReLU is
-monotone, so it commutes with max bit for bit, and running it after the pool
-touches a quarter of the values.
+3.7 MiB of tracemalloc'd memory: conv2's 2.1 MiB bordered input, its pooled
+output and a band's im2col and GEMM buffers. :data:`_BAND` bounds only
+those bands and ``dense``'s weight promotion. :func:`conv2d` is the plain
+one-GEMM convolution over the whole matrix; the network does not run it,
+and on the network's shapes a block's bands give its bits. Each block pools
+before its ReLU: ReLU is monotone, so it commutes with max bit for bit, and
+running it after the pool touches a quarter of the values.
 """
 
 import math
@@ -69,8 +70,9 @@ def _layer_table():
 
 LAYERS = _layer_table()
 _CONV = len(CONV_FILTERS)
-# entries of a band's im2col matrix or GEMM output, whichever is larger (1 MiB
-# of float64): conv2's whole matrix would be 18.9 MB, once per image in flight.
+# entries of a block band's im2col matrix or GEMM output, whichever is larger,
+# and of a band of dense weights promoted to float64 (1 MiB of float64):
+# conv2's whole im2col matrix would be 18.9 MB, once per image in flight.
 _BAND = 1 << 17
 _PAD = KERNEL_SIZE // 2  # the zero border of a same-padding block input
 
@@ -133,69 +135,17 @@ class FeatureVector:
         self.values = v
 
 
-def _conv_bands(padded, kernels, biases, pooled):
-    """Yield ``(top, bottom, band)`` for the bands of a convolution's output rows.
-
-    ``padded`` is the zero-bordered, channel-first (cin, h + kh - 1, w + kw
-    - 1) input and ``kernels`` is (cout, cin, kh, kw). The h output rows are
-    cut into the fewest bands of near-equal height (an even one when
-    ``pooled``, one row at the least) in which the larger of the band's
-    im2col matrix (cin*kh*kw, rows*w) and its GEMM output (cout, rows*w)
-    holds at most :data:`_BAND` entries. Each band's (cin, kh, kw) sliding
-    windows are copied into one reused buffer, one GEMM, ``kernels (cout,
-    cin*kh*kw) @ cols``, writes a second reused buffer, and the bias is added
-    in place. ``band`` is a view of that buffer, valid until the next band
-    is yielded: (cout, bottom - top, w), or, when ``pooled``, (cout, 4,
-    (bottom - top)/2, w/2), whose axis 1 holds the four members of each 2x2
-    pooling window, top left, top right, bottom left, bottom right. The
-    second layout only orders the im2col columns differently.
-
-    A band's GEMM gives the bits of the same columns of one GEMM over the
-    whole matrix when the BLAS runs both on the same kernels. It does on the
-    network's shapes, whose rows are multiples of 16 values and whose bands
-    stay large (M*N*K is 1.18e6 for conv1's 16-row bands, at least 4.7e6
-    elsewhere), so the features are those of one GEMM. Elsewhere a narrow or
-    small band can take another kernel (OpenBLAS has one for small
-    matrices) and move the last bits.
-    """
-    cin, hp, wp = padded.shape
-    cout, _, kh, kw = kernels.shape
-    h, w = hp - kh + 1, wp - kw + 1
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    windows = windows.transpose(0, 3, 4, 1, 2)
-    taps, unit = cin * kh * kw, 2 if pooled else 1
-    units = h // unit
-    most = max(1, _BAND // max(1, max(taps, cout) * unit * w))  # units a band may hold
-    bands = -(-units // most)
-    edges = [unit * (units * i // bands) for i in range(bands + 1)]
-    flat = np.asarray(kernels, dtype=np.float64).reshape(cout, taps)
-    bias = np.asarray(biases, dtype=np.float64)[:, None]
-    height = unit * -(-units // bands)
-    cols_buffer, out_buffer = np.empty(taps * height * w), np.empty(cout * height * w)
-    for top, bottom in zip(edges, edges[1:]):
-        rows, size = bottom - top, (bottom - top) * w
-        view = windows[:, :, :, top:bottom]
-        shape = (cout, rows, w)
-        if pooled:  # (cin, kh, kw, row in window, column in window, window row, window column)
-            view = view.reshape(cin, kh, kw, rows // 2, 2, w // 2, 2).transpose(0, 1, 2, 4, 6, 3, 5)
-            shape = (cout, 4, rows // 2, w // 2)
-        cols = cols_buffer[: taps * size].reshape(view.shape)
-        cols[...] = view
-        out = out_buffer[: cout * size].reshape(cout, size)
-        np.matmul(flat, cols.reshape(taps, size), out=out)
-        out += bias
-        yield top, bottom, out.reshape(shape)
-
-
 def conv2d(x, kernels, biases):
     """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
 
-    The input is zero-padded channel-first into (cin, h + 2*py, w + 2*px),
-    and its bands of output rows (see :func:`_conv_bands`, the loop the
-    network's blocks share) are copied into one (cout, h, w) array. The
-    result is an (h, w, cout) view of that channel-first array, not a
-    C-contiguous array. :func:`forward` does not call this: its blocks pool
-    each band as it comes, so no full-resolution output is built.
+    The plain im2col form: the input is zero-padded channel-first into (cin,
+    h + 2*py, w + 2*px), its (cin, kh, kw) sliding windows are copied into
+    one (cin*kh*kw, h*w) matrix, one GEMM, ``kernels (cout, cin*kh*kw) @
+    cols``, gives the (cout, h*w) output, and the bias is added. The result
+    is an (h, w, cout) view of that channel-first array, not a C-contiguous
+    array. :func:`forward` does not call this: its blocks (:func:`_conv_block`)
+    run the same GEMM a band of rows at a time and pool each band as it
+    comes, so no full-resolution output is built there.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)
@@ -206,33 +156,64 @@ def conv2d(x, kernels, biases):
     py, px = kh // 2, kw // 2
     padded = np.zeros((cin, h + 2 * py, w + 2 * px))
     padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
-    out = np.empty((cout, h, w))
-    for top, bottom, band in _conv_bands(padded, kernels, biases, False):
-        out[:, top:bottom] = band
-    return out.transpose(1, 2, 0)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    out = kernels.reshape(cout, -1) @ windows.transpose(0, 3, 4, 1, 2).reshape(-1, h * w)
+    out += np.asarray(biases, dtype=np.float64)[:, None]
+    return out.reshape(cout, h, w).transpose(1, 2, 0)
 
 
 def _conv_block(padded, kernels, biases):
     """One conv -> 2x2 max pool -> ReLU block, fused per band of output rows.
 
-    Takes the zero-bordered channel-first (cin, h + 2*p, w + 2*p) input of a
-    same-padding convolution (p = :data:`_PAD`) and returns the next block's
-    input: a zero-bordered (cout, h/2 + 2*p, w/2 + 2*p) array whose interior
-    holds this block's activations. Each band of an even number of conv rows
-    (see :func:`_conv_bands`) is pooled and then clamped straight into its
-    rows of the interior: one max reduction folds each window's four
+    Takes the zero-bordered channel-first (cin, h + kh - 1, w + kw - 1) input
+    of a same-padding convolution with (cout, cin, kh, kw) kernels, h and w
+    even, and returns the next block's input: a zero-bordered (cout, h/2 +
+    2*p, w/2 + 2*p) array (p = :data:`_PAD`) whose interior holds this
+    block's activations.
+
+    The h/2 pairs of output rows are cut into the fewest bands of near-equal
+    height in which the larger of the band's im2col matrix (cin*kh*kw,
+    rows*w) and its GEMM output (cout, rows*w) holds at most :data:`_BAND`
+    entries. Each band's sliding windows are copied into one reused buffer
+    in pooled column order: all top-left members of the band's 2x2 pooling
+    windows, then the top-right, bottom-left and bottom-right ones. One GEMM,
+    ``kernels (cout, cin*kh*kw) @ cols``, writes a second reused buffer, the
+    bias is added in place, one max reduction folds each window's four
     members in the order :func:`maxpool2d` takes them, and one
-    ``np.maximum`` clamps as :func:`relu` does. So no full-resolution output
-    is built, and the bits are those of ``relu(maxpool2d(conv2d(x, kernels,
-    biases)))``. Few array calls per band matter: each can hand the GIL to
-    the other image threads.
+    ``np.maximum`` clamps as :func:`relu` does, straight into the band's rows
+    of the interior. Few array calls per band matter: each can hand the GIL
+    to the other image threads.
+
+    A band's GEMM gives the bits of the same columns of one GEMM over the
+    whole matrix when the BLAS runs both on the same kernels. It does on the
+    network's shapes, whose rows are multiples of 16 values and whose bands
+    stay large (M*N*K is 1.18e6 for conv1's 16-row bands, at least 4.7e6
+    elsewhere), so the bits are those of ``relu(maxpool2d(conv2d(x,
+    kernels, biases)))``. Elsewhere a narrow or small band can take another
+    kernel (OpenBLAS has one for small matrices) and move the last bits.
     """
-    _, hp, wp = padded.shape
-    h, w = hp - 2 * _PAD, wp - 2 * _PAD
-    nxt = np.zeros((kernels.shape[0], h // 2 + 2 * _PAD, w // 2 + 2 * _PAD))
-    for top, bottom, band in _conv_bands(padded, kernels, biases, True):
-        rows = nxt[:, _PAD + top // 2:_PAD + bottom // 2, _PAD:_PAD + w // 2]
-        np.maximum.reduce(band, axis=1, out=rows)
+    cin, hp, wp = padded.shape
+    cout, _, kh, kw = kernels.shape
+    taps, pairs, half = cin * kh * kw, (hp - kh + 1) // 2, (wp - kw + 1) // 2
+    bands = -(-pairs // max(1, _BAND // (max(taps, cout) * 4 * half)))
+    edges = [pairs * i // bands for i in range(bands + 1)]
+    size = 4 * -(-pairs // bands) * half  # GEMM columns of the tallest band
+    cols_buffer, out_buffer = np.empty(taps * size), np.empty(cout * size)
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
+    # (cin, kh, kw, row in window, column in window, window row, window column)
+    windows = windows.reshape(cin, pairs, 2, half, 2, kh, kw).transpose(0, 5, 6, 2, 4, 1, 3)
+    flat = np.asarray(kernels, dtype=np.float64).reshape(cout, taps)
+    bias = np.asarray(biases, dtype=np.float64)[:, None]
+    nxt = np.zeros((cout, pairs + 2 * _PAD, half + 2 * _PAD))
+    for top, bottom in zip(edges, edges[1:]):
+        view = windows[..., top:bottom, :]
+        cols = cols_buffer[:view.size].reshape(view.shape)
+        cols[...] = view
+        out = out_buffer[:cout * view.size // taps].reshape(cout, -1)
+        np.matmul(flat, cols.reshape(taps, -1), out=out)
+        out += bias
+        rows = nxt[:, _PAD + top:_PAD + bottom, _PAD:_PAD + half]
+        np.maximum.reduce(out.reshape(cout, 4, bottom - top, half), axis=1, out=rows)
         np.maximum(rows, 0.0, out=rows)
     return nxt
 

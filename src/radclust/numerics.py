@@ -193,9 +193,12 @@ def process_map(fn, items):
     run with OpenBLAS at one thread, in the workers and inline alike, so a
     result's bits never depend on the worker count; the thread count read
     before the map is restored when it ends. A worker that dies raises
-    :class:`concurrent.futures.process.BrokenProcessPool`. The calls run
-    here, one after another, with one CPU or one item, without ``os.fork``,
-    or where a fork would warn (see :func:`_fork_is_quiet`).
+    :class:`concurrent.futures.process.BrokenProcessPool`. An interrupt
+    (``KeyboardInterrupt``, as from SIGINT) terminates the workers, so it is
+    raised without waiting for the calls they run; any other failure lets
+    them finish. The calls run here, one after another, with one CPU or one
+    item, without ``os.fork``, or where a fork would warn (see
+    :func:`_fork_is_quiet`).
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -208,7 +211,12 @@ def process_map(fn, items):
 
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_adopt, initargs=(fn, items)) as pool:
-            return list(pool.map(_call, range(len(items))))
+            try:
+                return list(pool.map(_call, range(len(items))))
+            except KeyboardInterrupt:  # the block's exit would wait for the running calls
+                for worker in pool._processes.values():  # terminate_workers() from Python 3.14
+                    worker.terminate()
+                raise
 
 
 @functools.cache

@@ -1,5 +1,7 @@
+import contextlib
 import os
 import runpy
+import signal
 import subprocess
 import sys
 import time
@@ -41,6 +43,24 @@ if hasattr(os, "sched_setaffinity"):
 from radclust import cli, numerics
 blas = numerics._openblas()
 print(blas[0]() if blas else "", flush=True)
+cli.main()
+"""
+
+# One CLI command on the first N CPUs this process may use (N, the first
+# argument), where every k-means fit says so on stdout and then sleeps. SIGINT
+# gets Python's handler back: a shell starts a background job ignoring it.
+SLEEPING_FITS_CLI = """
+import os, signal, sys, time
+os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:int(sys.argv.pop(1))])
+signal.signal(signal.SIGINT, signal.default_int_handler)
+import radclust.pipeline as pl
+from radclust import cli
+
+def asleep(rows, cfg):
+    print("fitting", flush=True)
+    time.sleep(30)
+
+pl.ALGORITHMS = [(s, d, asleep if s == "kmeans" else r) for s, d, r in pl.ALGORITHMS]
 cli.main()
 """
 
@@ -668,3 +688,33 @@ class TestExitCodes:
         monkeypatch.setitem(cli._COMMANDS, "synth", interrupted)
         assert run(["synth", "--out", "unused.csv"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_interrupted_sweep_stops_its_running_fits(self, tmp_path, cpus):
+        if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < cpus:
+            pytest.skip(f"needs {cpus} CPUs to pin the sweep to")
+        features = tmp_path / "f.csv"
+        features.write_bytes(write_features(synth_blobs(10, 2, 2, 5.0, 0.5, 0)[0]))
+        src = str(Path(radclust.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", SLEEPING_FITS_CLI, str(cpus), "sweep",
+                                 "--features", str(features), "--algos", "kmeans", "--k", "2..5",
+                                 "--out", str(tmp_path / "report.csv")],
+                                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                start_new_session=True)
+        try:
+            assert proc.stdout.readline() == b"fitting\n"
+            os.kill(proc.pid, signal.SIGINT)  # the CLI's pid alone, not its process group
+            start = time.monotonic()
+            _, err = proc.communicate(timeout=20)
+            elapsed = time.monotonic() - start
+            with pytest.raises(ProcessLookupError):  # no worker is left in its process group
+                os.killpg(proc.pid, 0)
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+        assert (proc.returncode, err) == (130, b"interrupted\n")
+        assert elapsed < 5.0  # a fit sleeps 30 s
+        assert not (tmp_path / "report.csv").exists()

@@ -66,14 +66,6 @@ class TestConv2d:
         assert out.shape == (7, 5, 2)
         assert np.abs(out - naive_conv2d_same(x, k, b)).max() <= 1e-12
 
-    @pytest.mark.parametrize("band_rows", [1, 2])
-    def test_matches_naive_loops_in_narrow_bands(self, monkeypatch, band_rows):
-        # narrow rows and tiny bands may take other BLAS kernels: close, not equal bits
-        rng = np.random.RandomState(15)
-        x, k, b = rng.randn(7, 5, 3), rng.randn(4, 3, 3, 5), rng.randn(4)
-        monkeypatch.setattr(cnn, "_BAND", band_rows * 3 * 3 * 5 * 5)
-        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
-
     def test_channel_mismatch_names_both_counts(self):
         with pytest.raises(ShapeError, match="2.*3|3.*2"):
             conv2d(np.zeros((4, 4, 3)), np.zeros((1, 2, 3, 3)), np.zeros(1))
@@ -89,60 +81,67 @@ class TestConv2d:
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
-def _assert_same_bytes(x, k, b):
-    got, want = conv2d(x, k, b), one_gemm_conv2d(x, k, b)
-    assert (got.shape, got.strides) == (want.shape, want.strides)
-    assert got.tobytes() == want.tobytes()
-
-
 KERNELS = [(1, 1), (3, 3), (3, 5)]
+BLOCK_SHAPES = [(128, 128, 1, 64), (64, 64, 64, 64), (32, 32, 64, 128), (16, 16, 128, 128)]
+
+
+def _assert_block_matches_oracle(shape, kernel, seed):
+    """``_conv_block`` on an (h, w, cin, cout) input against the unfused one-GEMM path."""
+    h, w, cin, cout = shape
+    (kh, kw), p = kernel, cnn._PAD
+    rng = np.random.RandomState(seed)
+    x, k, b = rng.randn(h, w, cin), rng.randn(cout, cin, kh, kw), rng.randn(cout)
+    padded = np.zeros((cin, h + kh - 1, w + kw - 1))
+    padded[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = x.transpose(2, 0, 1)
+    got = cnn._conv_block(padded, k, b)
+    assert got.shape == (cout, h // 2 + 2 * p, w // 2 + 2 * p)
+    want = relu(maxpool2d(one_gemm_conv2d(x, k, b)))
+    assert got[:, p:-p, p:-p].transpose(1, 2, 0).tobytes() == want.tobytes()
+    got[:, p:-p, p:-p] = 1.0
+    assert np.count_nonzero(got) == cout * (h // 2) * (w // 2)  # the border stays zero
+
+
+def _band_of(pairs, shape, kernel):
+    """The ``_BAND`` that gives bands of exactly ``pairs`` pairs of conv rows."""
+    h, w, cin, cout = shape
+    return pairs * max(cin * kernel[0] * kernel[1], cout) * 2 * w
 
 
 class TestBandedConv2d:
-    """The banded conv2d against the one-GEMM oracle, byte for byte.
+    """The band loop of ``_conv_block`` against the one-GEMM oracle, pooled and clamped.
 
-    Every width here is a multiple of 16 and every channel count one of the
-    network's, as in :func:`forward`; the ``conv2d`` docstring says where
-    else a band can move the last bits.
+    Byte for byte, with nonzero biases. Every width is a multiple of 16 and
+    every channel count one of the network's, as in :func:`forward`; the
+    ``_conv_block`` docstring says where else a band can move the last bits.
     """
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    @pytest.mark.parametrize("shape", [(128, 128, 1, 64), (64, 64, 64, 64),
-                                       (32, 32, 64, 128), (16, 16, 128, 128)])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_block_shapes(self, shape, kernel):
-        h, w, cin, cout = shape
-        rng = np.random.RandomState(16)
-        _assert_same_bytes(rng.randn(h, w, cin), rng.randn(cout, cin, *kernel), rng.randn(cout))
+        _assert_block_matches_oracle(shape, kernel, 16)
+
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
+    def test_block_shapes_in_narrow_bands(self, monkeypatch, shape, pairs):
+        monkeypatch.setattr(cnn, "_BAND", _band_of(pairs, shape, (3, 3)))
+        _assert_block_matches_oracle(shape, (3, 3), 17)
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("band_rows", [1, 2, 3])
-    @pytest.mark.parametrize("shape", [(7, 64, 64, 64), (13, 32, 64, 128), (9, 16, 128, 128),
-                                       (11, 128, 16, 64)])
+    @pytest.mark.parametrize("shape", [(14, 64, 64, 64), (26, 32, 64, 128), (18, 16, 128, 128),
+                                       (22, 128, 16, 64)])
     def test_odd_heights_in_narrow_bands(self, monkeypatch, shape, band_rows, kernel):
-        h, w, cin, cout = shape
-        monkeypatch.setattr(cnn, "_BAND", band_rows * cin * kernel[0] * kernel[1] * w)
-        rng = np.random.RandomState(17)
-        _assert_same_bytes(rng.randn(h, w, cin), rng.randn(cout, cin, *kernel), rng.randn(cout))
+        # odd numbers of pairs of conv rows: the pooled heights are 7, 13, 9 and 11
+        monkeypatch.setattr(cnn, "_BAND", _band_of(band_rows, shape, kernel))
+        _assert_block_matches_oracle(shape, kernel, 17)
 
 
 class TestFusedBlock:
     """Each banded conv -> pool -> ReLU block of forward against the unfused oracle path."""
 
-    @pytest.mark.parametrize("shape", [(128, 128, 1, 64), (64, 64, 64, 64),
-                                       (32, 32, 64, 128), (16, 16, 128, 128)])
+    @pytest.mark.parametrize("shape", BLOCK_SHAPES)
     def test_same_bytes_as_one_gemm_then_pool_then_relu(self, shape):
-        h, w, cin, cout = shape
-        rng = np.random.RandomState(18)
-        x, k, b = rng.randn(h, w, cin), rng.randn(cout, cin, 3, 3), rng.randn(cout)
-        p = cnn._PAD
-        padded = np.zeros((cin, h + 2 * p, w + 2 * p))
-        padded[:, p:p + h, p:p + w] = x.transpose(2, 0, 1)
-        got = cnn._conv_block(padded, k, b)
-        assert got.shape == (cout, h // 2 + 2 * p, w // 2 + 2 * p)
-        want = relu(maxpool2d(one_gemm_conv2d(x, k, b)))
-        assert got[:, p:-p, p:-p].transpose(1, 2, 0).tobytes() == want.tobytes()
-        got[:, p:-p, p:-p] = 1.0
-        assert np.count_nonzero(got) == cout * (h // 2) * (w // 2)  # the border stays zero
+        _assert_block_matches_oracle(shape, (3, 3), 18)
 
     def test_one_forward_peaks_under_4_5_mib(self):
         ws = init_weights(CnnSpec(), 1)
