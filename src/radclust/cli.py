@@ -1,11 +1,13 @@
 """Command-line interface: synth, preprocess, extract, cluster, evaluate, sweep.
 
 Exit codes: 0 success, else the failing error's ``exit_code`` (1 usage or
-configuration, 2 data or parse, 3 numeric failure; see ``errors``).
+configuration, 2 data or parse, 3 numeric failure; see ``errors``), 130 on
+an interrupt and, from the console entry point, 143 on SIGTERM.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
 import argparse
+import signal
 import sys
 from contextlib import closing
 from pathlib import Path
@@ -271,12 +273,21 @@ _COMMANDS = {
 }
 
 
+class _Terminated(KeyboardInterrupt):
+    """SIGTERM under :func:`main`: an interrupt, so it stops all that an interrupt stops."""
+
+
+def _terminate(signum, frame):
+    raise _Terminated
+
+
 def cli_main(argv):
     """Parse and dispatch; returns the process exit code.
 
     A :class:`RadclustError` prints one stderr line and returns its exit
     code; an interrupt (Ctrl-C) prints ``interrupted`` and returns 130, the
-    shell's code for a process ended by SIGINT.
+    shell's code for a process ended by SIGINT. SIGTERM, once :func:`main`
+    has made it an interrupt, prints ``terminated`` and returns 143.
     """
     parser = build_parser()
     try:
@@ -289,12 +300,15 @@ def cli_main(argv):
         return exc.exit_code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
-    except KeyboardInterrupt:
-        print("interrupted", file=sys.stderr)
-        return 130
+    except KeyboardInterrupt as exc:
+        terminated = isinstance(exc, _Terminated)
+        print("terminated" if terminated else "interrupted", file=sys.stderr)
+        return 143 if terminated else 130
 
 
 def main():
+    """The console entry point: SIGTERM stops a command as Ctrl-C does, with its own code."""
+    signal.signal(signal.SIGTERM, _terminate)
     sys.exit(cli_main(sys.argv[1:]))
 
 

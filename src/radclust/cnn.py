@@ -27,11 +27,12 @@ separate padded copy is ever built, and ``dense1`` promotes its float32
 weights a few rows at a time. One forward on a 128x128 input peaks at about
 3.7 MiB of tracemalloc'd memory: conv2's 2.1 MiB bordered input, its pooled
 output and a band's im2col and GEMM buffers. :data:`_BAND` bounds only
-those bands and ``dense``'s weight promotion. :func:`conv2d` is the plain
-one-GEMM convolution over the whole matrix; the network does not run it,
-and on the network's shapes a block's bands give its bits. Each block pools
-before its ReLU: ReLU is monotone, so it commutes with max bit for bit, and
-running it after the pool touches a quarter of the values.
+those bands and ``dense``'s weight promotion. The blocks are the module's
+only convolution and pooling; on the network's shapes their bands give the
+bits of the plain one-GEMM im2col form (one copy of the whole im2col matrix,
+one GEMM), pooled and clamped. Each block pools before its ReLU: ReLU is
+monotone, so it commutes with max bit for bit, and running it after the pool
+touches a quarter of the values.
 """
 
 import math
@@ -84,12 +85,6 @@ class CnnSpec:
         """The weight shape of each :data:`LAYERS` row, in forward order."""
         return [shape for _, shape in LAYERS]
 
-    def shape_chain(self):
-        """Activation shapes after each block, then flatten and dense widths."""
-        side, widths = INPUT_SHAPE[0], [shape[0] for _, shape in LAYERS]
-        chain = [(side >> i, side >> i, cout) for i, cout in enumerate(widths[:_CONV], 1)]
-        return chain + [LAYERS[_CONV][1][1]] + widths[_CONV:]
-
 
 @dataclass(eq=False)
 class WeightSet:
@@ -135,33 +130,6 @@ class FeatureVector:
         self.values = v
 
 
-def conv2d(x, kernels, biases):
-    """Same-padding stride-1 cross-correlation of (h, w, cin) with (cout, cin, kh, kw).
-
-    The plain im2col form: the input is zero-padded channel-first into (cin,
-    h + 2*py, w + 2*px), its (cin, kh, kw) sliding windows are copied into
-    one (cin*kh*kw, h*w) matrix, one GEMM, ``kernels (cout, cin*kh*kw) @
-    cols``, gives the (cout, h*w) output, and the bias is added. The result
-    is an (h, w, cout) view of that channel-first array, not a C-contiguous
-    array. :func:`forward` does not call this: its blocks (:func:`_conv_block`)
-    run the same GEMM a band of rows at a time and pool each band as it
-    comes, so no full-resolution output is built there.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    kernels = np.asarray(kernels, dtype=np.float64)
-    h, w, cin = x.shape
-    cout, kcin, kh, kw = kernels.shape
-    if kcin != cin:
-        raise ShapeError(f"kernel expects {kcin} input channels, tensor has {cin}")
-    py, px = kh // 2, kw // 2
-    padded = np.zeros((cin, h + 2 * py, w + 2 * px))
-    padded[:, py:py + h, px:px + w] = x.transpose(2, 0, 1)
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (kh, kw), axis=(1, 2))
-    out = kernels.reshape(cout, -1) @ windows.transpose(0, 3, 4, 1, 2).reshape(-1, h * w)
-    out += np.asarray(biases, dtype=np.float64)[:, None]
-    return out.reshape(cout, h, w).transpose(1, 2, 0)
-
-
 def _conv_block(padded, kernels, biases):
     """One conv -> 2x2 max pool -> ReLU block, fused per band of output rows.
 
@@ -179,17 +147,17 @@ def _conv_block(padded, kernels, biases):
     windows, then the top-right, bottom-left and bottom-right ones. One GEMM,
     ``kernels (cout, cin*kh*kw) @ cols``, writes a second reused buffer, the
     bias is added in place, one max reduction folds each window's four
-    members in the order :func:`maxpool2d` takes them, and one
-    ``np.maximum`` clamps as :func:`relu` does, straight into the band's rows
-    of the interior. Few array calls per band matter: each can hand the GIL
-    to the other image threads.
+    members, and one ``np.maximum`` clamps as :func:`relu` does, straight
+    into the band's rows of the interior. Few array calls per band matter:
+    each can hand the GIL to the other image threads.
 
     A band's GEMM gives the bits of the same columns of one GEMM over the
     whole matrix when the BLAS runs both on the same kernels. It does on the
     network's shapes, whose rows are multiples of 16 values and whose bands
     stay large (M*N*K is 1.18e6 for conv1's 16-row bands, at least 4.7e6
-    elsewhere), so the bits are those of ``relu(maxpool2d(conv2d(x,
-    kernels, biases)))``. Elsewhere a narrow or small band can take another
+    elsewhere), so the bits are those of the one-GEMM im2col form: the whole
+    (cin*kh*kw, h*w) matrix in one copy, one GEMM and the bias, then the
+    exact 2x2 max and ReLU. Elsewhere a narrow or small band can take another
     kernel (OpenBLAS has one for small matrices) and move the last bits.
     """
     cin, hp, wp = padded.shape
@@ -223,25 +191,6 @@ def relu(t):
     return np.maximum(np.asarray(t, dtype=np.float64), 0.0)
 
 
-def maxpool2d(t):
-    """Non-overlapping 2x2 max pooling, stride 2, per channel, of an (h, w, c) tensor.
-
-    The maximum of a window's four stride-2 views, taken into one
-    quarter-size output: two of them into a new array, then the other two
-    into it in place. Any memory layout of ``t`` (a transposed view from
-    :func:`conv2d` included) is read in place, and the output keeps that
-    layout. Max is exact, so the value does not depend on the order the
-    four inputs of a window are combined.
-    """
-    t = np.asarray(t, dtype=np.float64)
-    h, w, c = t.shape
-    if h % 2 or w % 2:
-        raise ShapeError(f"max pooling needs even spatial dims, got {h}x{w}")
-    out = np.maximum(t[0::2, 0::2], t[0::2, 1::2])
-    np.maximum(out, t[1::2, 0::2], out=out)
-    return np.maximum(out, t[1::2, 1::2], out=out)
-
-
 def dense(v, w, b):
     """Affine map W @ v + b.
 
@@ -249,15 +198,18 @@ def dense(v, w, b):
     :data:`_BAND` entries (1 MiB), so a float32 ``dense1`` is never copied
     whole. Each band is one matrix-vector product into its rows of the
     output; every output value is one row's dot product, so on the
-    network's shapes the bits are those of the whole ``W @ v``.
+    network's shapes the bits are those of the whole ``W @ v``. Unless
+    ``W`` is 2-D, ``v`` a vector of one value per column of ``W`` and ``b``
+    one of one value per row, it raises :class:`ShapeError`.
     """
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w)
     b = np.asarray(b, dtype=np.float64)
-    if v.shape[0] != w.shape[1]:
-        raise ShapeError(f"dense layer expects input {w.shape[1]}, got {v.shape[0]}")
+    if w.ndim != 2 or v.shape != w.shape[1:] or b.shape != w.shape[:1]:
+        raise ShapeError(f"dense layer of weights {w.shape} cannot take input {v.shape} "
+                         f"and bias {b.shape}")
     out = np.empty(w.shape[0])
-    step = max(1, _BAND // w.shape[1])
+    step = max(1, _BAND // max(1, w.shape[1]))
     for lo in range(0, w.shape[0], step):
         np.matmul(np.asarray(w[lo:lo + step], dtype=np.float64), v, out=out[lo:lo + step])
     out += b
@@ -265,8 +217,11 @@ def dense(v, w, b):
 
 
 def flatten(t):
-    """Flatten channel-major, then row, then column: index = c*h*w + y*w + x."""
-    return np.transpose(np.asarray(t), (2, 0, 1)).ravel()
+    """Flatten an (h, w, c) tensor channel-major, then row, then column: index = c*h*w + y*w + x."""
+    t = np.asarray(t)
+    if t.ndim != 3:
+        raise ShapeError(f"flatten needs an (h, w, c) tensor, got shape {t.shape}")
+    return np.transpose(t, (2, 0, 1)).ravel()
 
 
 def init_weights(spec, seed):

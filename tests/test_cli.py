@@ -57,7 +57,7 @@ import radclust.pipeline as pl
 from radclust import cli
 
 def asleep(rows, cfg):
-    print("fitting", flush=True)
+    os.write(1, b"fitting\\n")  # one write, so two workers' lines never interleave
     time.sleep(30)
 
 pl.ALGORITHMS = [(s, d, asleep if s == "kmeans" else r) for s, d, r in pl.ALGORITHMS]
@@ -689,8 +689,13 @@ class TestExitCodes:
         assert run(["synth", "--out", "unused.csv"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_interrupted_sweep_stops_its_running_fits(self, tmp_path, cpus):
+    @pytest.mark.parametrize("cpus, signum, code, message", [
+        pytest.param(1, signal.SIGINT, 130, b"interrupted\n", id="1"),
+        pytest.param(2, signal.SIGINT, 130, b"interrupted\n", id="2"),
+        pytest.param(1, signal.SIGTERM, 143, b"terminated\n", id="SIGTERM-1"),
+        pytest.param(2, signal.SIGTERM, 143, b"terminated\n", id="SIGTERM-2"),
+    ])
+    def test_interrupted_sweep_stops_its_running_fits(self, tmp_path, cpus, signum, code, message):
         if not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < cpus:
             pytest.skip(f"needs {cpus} CPUs to pin the sweep to")
         features = tmp_path / "f.csv"
@@ -705,7 +710,7 @@ class TestExitCodes:
                                 start_new_session=True)
         try:
             assert proc.stdout.readline() == b"fitting\n"
-            os.kill(proc.pid, signal.SIGINT)  # the CLI's pid alone, not its process group
+            os.kill(proc.pid, signum)  # the CLI's pid alone, not its process group
             start = time.monotonic()
             _, err = proc.communicate(timeout=20)
             elapsed = time.monotonic() - start
@@ -715,6 +720,6 @@ class TestExitCodes:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
             proc.communicate()
-        assert (proc.returncode, err) == (130, b"interrupted\n")
+        assert (proc.returncode, err) == (code, message)
         assert elapsed < 5.0  # a fit sleeps 30 s
         assert not (tmp_path / "report.csv").exists()

@@ -10,13 +10,11 @@ from radclust.cnn import (
     CnnSpec,
     FeatureVector,
     WeightSet,
-    conv2d,
     dense,
     flatten,
     forward,
     init_weights,
     load_weights,
-    maxpool2d,
     relu,
     save_weights,
 )
@@ -27,11 +25,19 @@ import radclust.cnn as cnn
 from oracles import naive_conv2d_same, naive_dense, naive_maxpool2x2, one_gemm_conv2d
 
 
+def _pool(t):
+    """The exact 2x2 max of an (h, w, c) tensor with even h and w."""
+    h, w, c = t.shape
+    return t.reshape(h // 2, 2, w // 2, 2, c).max(axis=(1, 3))
+
+
 class TestConv2d:
+    """The one-GEMM reference, which the banded blocks must match, against the naive loops."""
+
     def test_all_ones_kernel_center_is_total(self):
         x = np.arange(1.0, 10.0).reshape(3, 3, 1)
         k = np.ones((1, 1, 3, 3))
-        out = conv2d(x, k, np.zeros(1))
+        out = one_gemm_conv2d(x, k, np.zeros(1))
         assert out[1, 1, 0] == 45.0
 
     def test_delta_kernel_is_identity(self):
@@ -40,7 +46,7 @@ class TestConv2d:
         k = np.zeros((2, 2, 3, 3))
         k[0, 0, 1, 1] = 1.0
         k[1, 1, 1, 1] = 1.0
-        out = conv2d(x, k, np.zeros(2))
+        out = one_gemm_conv2d(x, k, np.zeros(2))
         assert np.allclose(out, x, atol=0)
 
     def test_matches_naive_loops(self):
@@ -48,27 +54,23 @@ class TestConv2d:
         x = rng.randn(5, 5, 3)
         k = rng.randn(4, 3, 3, 3)
         b = rng.randn(4)
-        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
+        assert np.abs(one_gemm_conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
 
     def test_matches_naive_loops_5x5_kernel_multichannel(self):
         rng = np.random.RandomState(11)
         x = rng.randn(6, 6, 4)
         k = rng.randn(3, 4, 5, 5)
         b = rng.randn(3)
-        assert np.abs(conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
+        assert np.abs(one_gemm_conv2d(x, k, b) - naive_conv2d_same(x, k, b)).max() <= 1e-12
 
     def test_matches_naive_loops_non_square(self):
         rng = np.random.RandomState(12)
         x = rng.randn(7, 5, 3)
         k = rng.randn(2, 3, 3, 5)
         b = rng.randn(2)
-        out = conv2d(x, k, b)
+        out = one_gemm_conv2d(x, k, b)
         assert out.shape == (7, 5, 2)
         assert np.abs(out - naive_conv2d_same(x, k, b)).max() <= 1e-12
-
-    def test_channel_mismatch_names_both_counts(self):
-        with pytest.raises(ShapeError, match="2.*3|3.*2"):
-            conv2d(np.zeros((4, 4, 3)), np.zeros((1, 2, 3, 3)), np.zeros(1))
 
     def test_linear_in_input_with_zero_bias(self):
         rng = np.random.RandomState(2)
@@ -76,8 +78,8 @@ class TestConv2d:
         y = rng.randn(6, 6, 2)
         k = rng.randn(3, 2, 3, 3)
         b = np.zeros(3)
-        lhs = conv2d(2.5 * x + y, k, b)
-        rhs = 2.5 * conv2d(x, k, b) + conv2d(y, k, b)
+        lhs = one_gemm_conv2d(2.5 * x + y, k, b)
+        rhs = 2.5 * one_gemm_conv2d(x, k, b) + one_gemm_conv2d(y, k, b)
         assert np.abs(lhs - rhs).max() <= 1e-9
 
 
@@ -95,7 +97,7 @@ def _assert_block_matches_oracle(shape, kernel, seed):
     padded[:, kh // 2:kh // 2 + h, kw // 2:kw // 2 + w] = x.transpose(2, 0, 1)
     got = cnn._conv_block(padded, k, b)
     assert got.shape == (cout, h // 2 + 2 * p, w // 2 + 2 * p)
-    want = relu(maxpool2d(one_gemm_conv2d(x, k, b)))
+    want = relu(_pool(one_gemm_conv2d(x, k, b)))
     assert got[:, p:-p, p:-p].transpose(1, 2, 0).tobytes() == want.tobytes()
     got[:, p:-p, p:-p] = 1.0
     assert np.count_nonzero(got) == cout * (h // 2) * (w // 2)  # the border stays zero
@@ -166,28 +168,25 @@ class TestPointwiseLayers:
         assert np.array_equal(relu(relu(x)), relu(x))
 
     def test_maxpool_basic(self):
-        out = maxpool2d(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
+        out = _pool_stage(np.array([[1.0, 2.0], [3.0, 4.0]])[:, :, None])
         assert out.shape == (1, 1, 1)
         assert out[0, 0, 0] == 4.0
 
     def test_maxpool_constant(self):
-        out = maxpool2d(np.full((6, 4, 2), 3.25))
+        out = _pool_stage(np.full((6, 4, 2), 3.25))
         assert out.shape == (3, 2, 2)
         assert np.all(out == 3.25)
 
     def test_maxpool_matches_naive(self):
+        # the block reads a channel-first view of this C-contiguous tensor
         x = np.random.RandomState(5).randn(8, 8, 3)
-        assert np.array_equal(maxpool2d(x), naive_maxpool2x2(x))
+        assert np.array_equal(_pool_stage(x), relu(naive_maxpool2x2(x)))
 
     def test_maxpool_matches_naive_on_transposed_view(self):
-        # conv2d returns an (h, w, c) view of a channel-first array
+        # here the block's channel-first input is C-contiguous, as in forward
         x = np.random.RandomState(13).randn(3, 6, 4).transpose(1, 2, 0)
         assert not x.flags.c_contiguous
-        assert np.array_equal(maxpool2d(x), naive_maxpool2x2(x))
-
-    def test_maxpool_rejects_odd_dims(self):
-        with pytest.raises(ShapeError):
-            maxpool2d(np.zeros((3, 4, 1)))
+        assert np.array_equal(_pool_stage(x), relu(naive_maxpool2x2(x)))
 
     def test_dense_identity_and_bias_only(self):
         v = np.array([1.0, -2.0, 3.0])
@@ -201,13 +200,34 @@ class TestPointwiseLayers:
         b = rng.randn(4)
         assert np.abs(dense(v, w, b) - naive_dense(v, w, b)).max() <= 1e-12
 
-    def test_dense_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            dense(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
+    def test_dense_takes_an_empty_input(self):
+        assert np.array_equal(dense(np.zeros(0), np.zeros((2, 0)), np.ones(2)), np.ones(2))
+
+    @pytest.mark.parametrize("v, w, b", [
+        (np.zeros(3), np.zeros((2, 4)), np.zeros(2)),
+        (np.zeros(3), np.zeros(3), np.zeros(1)),
+        (np.zeros((3, 1)), np.zeros((2, 3)), np.zeros(2)),
+        (np.zeros(3), np.zeros((2, 3)), np.zeros(3)),
+    ], ids=["input-length", "1-d-weights", "2-d-input", "bias-length"])
+    def test_dense_dimension_mismatch(self, v, w, b):
+        with pytest.raises(ShapeError, match="^dense layer of weights"):
+            dense(v, w, b)
 
     def test_flatten_is_channel_major_then_row_then_column(self):
         t = np.arange(8.0).reshape(2, 2, 2)
         assert np.array_equal(flatten(t), [0.0, 2.0, 4.0, 6.0, 1.0, 3.0, 5.0, 7.0])
+
+    def test_flatten_rejects_a_tensor_without_channels(self):
+        with pytest.raises(ShapeError, match=r"^flatten needs an \(h, w, c\) tensor, got shape "):
+            flatten(np.zeros((2, 2)))
+
+
+def _pool_stage(x):
+    """``_conv_block`` on (h, w, c) ``x`` with 1x1 identity kernels: its 2x2 max and ReLU alone."""
+    h, w, c = x.shape
+    p = cnn._PAD
+    out = cnn._conv_block(x.transpose(2, 0, 1), np.eye(c).reshape(c, c, 1, 1), np.zeros(c))
+    return out[:, p:-p, p:-p].transpose(1, 2, 0)
 
 
 class TestInitWeights:
@@ -241,11 +261,7 @@ class TestForward:
         assert np.array_equal(fv.values, np.zeros(16))
 
     def test_shape_chain(self):
-        spec = CnnSpec()
-        assert spec.shape_chain() == [
-            (64, 64, 64), (32, 32, 64), (16, 16, 128), (8, 8, 128), 8192, 64, 16,
-        ]
-        ws = init_weights(spec, 4)
+        ws = init_weights(CnnSpec(), 4)
         t = PixelTensor(RngStream_like_input())
         fv, acts = forward(t, ws, return_activations=True)
         assert [a.shape for a in acts[:4]] == [(64, 64, 64), (32, 32, 64), (16, 16, 128), (8, 8, 128)]
@@ -271,15 +287,13 @@ class TestForward:
         assert np.array_equal(forward(x, ws).values, forward(x, ws).values)
 
     def test_dropout_stage_is_identity(self):
-        from radclust.cnn import conv2d as c2d, dense as dn, maxpool2d as mp, relu as rl, flatten as fl
-
         ws = init_weights(CnnSpec(), 8)
         x = np.asarray(RngStream_like_input())
         manual = x
         for k, b in ws.layers[:4]:
-            manual = mp(rl(c2d(manual, k, b)))
+            manual = _pool(relu(one_gemm_conv2d(manual, k, b)))
         (w1, b1), (w2, b2) = ws.layers[4:]
-        manual = dn(rl(dn(fl(manual), w1, b1)), w2, b2)
+        manual = dense(relu(dense(flatten(manual), w1, b1)), w2, b2)
         assert np.array_equal(forward(x, ws).values, manual)
 
     def test_nonzero_biases_match_relu_before_pool_order(self):
@@ -291,7 +305,7 @@ class TestForward:
             expect = []
             manual = x
             for k, b in ws.layers[:4]:
-                manual = maxpool2d(relu(conv2d(manual, k, b)))
+                manual = _pool(relu(one_gemm_conv2d(manual, k, b)))
                 expect.append(manual)
             (w1, b1), (w2, b2) = ws.layers[4:]
             expect.append(flatten(manual))
