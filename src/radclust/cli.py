@@ -1,8 +1,10 @@
 """Command-line interface: synth, preprocess, extract, cluster, evaluate, sweep.
 
 Exit codes: 0 success, else the failing error's ``exit_code`` (1 usage or
-configuration, 2 data or parse, 3 numeric failure; see ``errors``), 130 on
-an interrupt and, from the console entry point, 143 on SIGTERM.
+configuration, 2 data or parse, 3 numeric failure; see ``errors``), 1 when
+an allocation is refused (out of memory), 130 on an interrupt and, from the
+console entry point, 143 on SIGTERM. Each failure prints one stderr line
+and no traceback.
 Diagnostics go to stderr; data goes to files or stdout.
 """
 
@@ -15,7 +17,7 @@ from pathlib import Path
 from . import pipeline
 from .clustering import ClusterConfig
 from .cnn import CnnSpec, forward, init_weights, load_weights, save_weights
-from .errors import DataError, RadclustError, UsageError
+from .errors import ConfigError, DataError, RadclustError, UsageError
 from .features import FeatureMatrix
 from .imaging import crop, load_pgm, normalize, resize, save_pgm
 from .metrics import silhouette
@@ -285,8 +287,10 @@ def cli_main(argv):
     """Parse and dispatch; returns the process exit code.
 
     A :class:`RadclustError` prints one stderr line and returns its exit
-    code; an interrupt (Ctrl-C) prints ``interrupted`` and returns 130, the
-    shell's code for a process ended by SIGINT. SIGTERM, once :func:`main`
+    code; a refused allocation prints one ``error: out of memory: ...`` line
+    and returns 1, the configuration code; an interrupt (Ctrl-C) prints
+    ``interrupted`` and returns 130, the shell's code for a process ended by
+    SIGINT. SIGTERM, once :func:`main`
     has made it an interrupt, prints ``terminated`` and returns 143.
     """
     parser = build_parser()
@@ -298,6 +302,9 @@ def cli_main(argv):
         if isinstance(exc, UsageError):
             print(parser.format_usage(), end="", file=sys.stderr)
         return exc.exit_code
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation was refused'}", file=sys.stderr)
+        return ConfigError.exit_code
     except SystemExit as exc:  # argparse --help
         return int(exc.code or 0)
     except KeyboardInterrupt as exc:

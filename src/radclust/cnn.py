@@ -8,8 +8,11 @@ filters) each run conv, 2x2 max pool, ReLU; a flatten feeds two dense layers
 (``dense1``, 64 units with ReLU; ``dense2``, 16 linear units).
 On a 128x128x1 input the activations run 64x64x64 -> 32x32x64 -> 16x16x128
 -> 8x8x128 -> 8192 -> 64 -> 16. :class:`CnnSpec`, :class:`WeightSet`,
-:func:`init_weights`, :func:`forward` and :func:`load_weights` all read the
-table.
+:func:`init_weights`, :func:`forward` and the weight file all read the
+table. The weight file's 113-byte header holds nothing but the table, so it
+is one constant built from it: :func:`save_weights` writes it and
+:func:`load_weights` compares a file's first bytes with it, refusing a
+difference at the first differing byte.
 
 There is no training here. The default weights are He-normal draws from a
 seeded stream (a random-projection feature extractor); externally trained
@@ -35,6 +38,7 @@ monotone, so it commutes with max bit for bit, and running it after the pool
 touches a quarter of the values.
 """
 
+import itertools
 import math
 import struct
 import zlib
@@ -269,94 +273,82 @@ def forward(t, weights, return_activations=False):
     return (fv, activations) if return_activations else fv
 
 
+def _header():
+    """The weight file's header, built from :data:`LAYERS`, and its fields.
+
+    The fields are (first byte, name, expected value) triples, in file order.
+    """
+    fields = [("magic", WEIGHTS_MAGIC, WEIGHTS_MAGIC),
+              ("version", WEIGHTS_VERSION, bytes([WEIGHTS_VERSION])),
+              ("layer count", len(LAYERS), struct.pack("<I", len(LAYERS)))]
+    fields += [(f"shape table entry of layer {i}", shape,
+                struct.pack(f"<{len(shape) + 1}I", len(shape), *shape))
+               for i, (_, shape) in enumerate(LAYERS)]
+    names, values, raws = zip(*fields)
+    return b"".join(raws), tuple(zip(itertools.accumulate(map(len, raws), initial=0), names, values))
+
+
+_HEADER, _HEADER_FIELDS = _header()  # 113 bytes
+# the float32 count up to the end of each layer's weight tensor, then of its bias
+_PAYLOAD_ENDS = np.cumsum([n for _, shape in LAYERS for n in (math.prod(shape), shape[0])])
+_FILE_SIZE = len(_HEADER) + 4 * int(_PAYLOAD_ENDS[-1]) + 4  # 3,137,717 bytes with the CRC
+
+
 def save_weights(weights):
-    """Serialize a WeightSet to bytes.
+    """Serialize a WeightSet to bytes: the fixed header, the payload, its CRC.
 
     Layout, all little-endian: magic ``OCNN``, version byte 0x01, u32 layer
-    count, then per layer a u32 ndim and u32 dims; then the raw float32
-    payloads (each layer's weight tensor followed by its bias) in declared
-    order; then a u32 CRC32 of the payload bytes.
+    count, then per :data:`LAYERS` row a u32 ndim and u32 dims; then the raw
+    float32 payloads (each layer's weight tensor followed by its bias) in
+    declared order; then a u32 CRC32 of the payload bytes. The header holds
+    nothing but the network's topology, so it is one constant, the same
+    113 bytes in every file.
     """
-    parts = [WEIGHTS_MAGIC, struct.pack("<B", WEIGHTS_VERSION)]
-    parts.append(struct.pack("<I", len(weights.layers)))
-    for w, _ in weights.layers:
-        parts.append(struct.pack("<I", w.ndim))
-        parts.append(struct.pack(f"<{w.ndim}I", *w.shape))
     payload = b"".join(
         np.ascontiguousarray(w, dtype="<f4").tobytes()
         + np.ascontiguousarray(b, dtype="<f4").tobytes()
         for w, b in weights.layers
     )
-    parts.append(payload)
-    parts.append(struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
-    return b"".join(parts)
-
-
-def _take(data, pos, count, what):
-    if pos + count > len(data):
-        raise ParseError(
-            f"truncated weight stream at byte {len(data)} while reading {what}",
-            offset=len(data),
-        )
-    return data[pos:pos + count], pos + count
+    return _HEADER + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
 
 def load_weights(data):
     """Parse bytes produced by :func:`save_weights` back into a WeightSet.
 
-    The shape table must match :data:`LAYERS` exactly; any deviation is
-    reported as a shape-table error with the offending layer. A NaN or
+    The file's first 113 bytes must be the header :func:`save_weights`
+    writes. A difference is a ParseError at the first differing byte, naming
+    its field (magic, version, layer count or a layer's shape table entry)
+    and the value the field must hold; a file that stops inside the header
+    but agrees with it so far is truncated at its length. Then the file must
+    be 3,137,717 bytes long: a shorter one is truncated at its length, and a
+    longer one has unexpected data after the checksum, at the first extra
+    byte. A payload whose CRC32 differs is a checksum mismatch. A NaN or
     infinite float32 anywhere in the payload (weights or biases) is a
     ParseError naming its layer, with ``offset`` at the value's first byte.
-    So is any byte after the checksum, with ``offset`` at the first one.
     """
     data = bytes(data)
-    if data[:4] != WEIGHTS_MAGIC:
-        raise ParseError(f"bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}", offset=0)
-    raw, pos = _take(data, 4, 1, "version")
-    version = raw[0]
-    if version != WEIGHTS_VERSION:
-        raise ParseError(f"unsupported weight file version {version}", offset=4)
-    raw, pos = _take(data, pos, 4, "layer count")
-    (count,) = struct.unpack("<I", raw)
-    expected = CnnSpec().weight_shapes()
-    if count != len(expected):
-        raise ParseError(
-            f"shape table declares {count} layers, expected {len(expected)}", offset=5
-        )
-    for i, shape in enumerate(expected):
-        raw, pos = _take(data, pos, 4, f"layer {i} ndim")
-        (ndim,) = struct.unpack("<I", raw)
-        if ndim != len(shape):
-            raise ParseError(
-                f"shape table: layer {i} has {ndim} dims, expected {len(shape)}",
-                offset=pos - 4,
-            )
-        raw, pos = _take(data, pos, 4 * ndim, f"layer {i} dims")
-        dims = struct.unpack(f"<{ndim}I", raw)
-        if dims != shape:
-            raise ParseError(
-                f"shape table: layer {i} shape {dims} does not match {shape}",
-                offset=pos - 4 * ndim,
-            )
-    # each layer's weight tensor, then its bias
-    ends = np.cumsum([n for shape in expected for n in (math.prod(shape), shape[0])])
-    start = pos
-    payload, pos = _take(data, pos, 4 * int(ends[-1]), "payload")
-    raw, pos = _take(data, pos, 4, "checksum")
-    if pos < len(data):
-        raise ParseError(f"unexpected data after the checksum at byte {pos}", offset=pos)
-    (crc,) = struct.unpack("<I", raw)
-    if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
-        raise ParseError("payload checksum mismatch", offset=pos - 4)
+    head = data[:len(_HEADER)]
+    if head != _HEADER:
+        at = next((i for i, (a, b) in enumerate(zip(head, _HEADER)) if a != b), len(head))
+        _, name, value = [field for field in _HEADER_FIELDS if field[0] <= at][-1]
+        if at == len(data):
+            raise ParseError(f"truncated weight stream at byte {at} while reading {name}", offset=at)
+        raise ParseError(f"weight file header differs at byte {at}: {name} must be {value!r}",
+                         offset=at)
+    if len(data) < _FILE_SIZE:
+        raise ParseError(f"truncated weight stream at byte {len(data)}", offset=len(data))
+    if len(data) > _FILE_SIZE:
+        raise ParseError(f"unexpected data after the checksum at byte {_FILE_SIZE}",
+                         offset=_FILE_SIZE)
+    payload = data[len(_HEADER):-4]
+    if data[-4:] != struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF):
+        raise ParseError("payload checksum mismatch", offset=_FILE_SIZE - 4)
     floats = np.frombuffer(payload, dtype="<f4")
     bad = np.flatnonzero(~np.isfinite(floats))
     if bad.size:
-        layer = int(np.searchsorted(ends, bad[0], side="right")) // 2
-        offset = start + 4 * int(bad[0])
-        raise ParseError(
-            f"layer {layer} holds a non-finite float32 at byte {offset}", offset=offset
-        )
-    parts = np.split(floats.copy(), ends[:-1])
-    pairs = zip(parts[0::2], parts[1::2], expected)
-    return WeightSet([(w.reshape(shape), b) for w, b, shape in pairs])
+        layer = int(np.searchsorted(_PAYLOAD_ENDS, bad[0], side="right")) // 2
+        at = len(_HEADER) + 4 * int(bad[0])
+        raise ParseError(f"layer {layer} holds a non-finite float32 at byte {at}", offset=at)
+    parts = np.split(floats.copy(), _PAYLOAD_ENDS[:-1])
+    pairs = zip(parts[0::2], parts[1::2], LAYERS)
+    return WeightSet([(w.reshape(shape), b) for w, b, (_, shape) in pairs])

@@ -19,7 +19,12 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\
 
 @dataclass(eq=False)
 class ImageGray:
-    """8-bit grayscale image; ``pixels`` is a row-major (height, width) array."""
+    """8-bit grayscale image; ``pixels`` is a row-major (height, width) array.
+
+    A uint8 array is kept as it is. Any other array must hold whole numbers
+    in 0..255, or a ShapeError names the first bad pixel's row, column and
+    value.
+    """
 
     width: int
     height: int
@@ -28,17 +33,24 @@ class ImageGray:
     def __post_init__(self):
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"image dimensions must be >= 1, got {self.width}x{self.height}")
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
         if px.shape != (self.height, self.width):
             raise ShapeError(
                 f"pixel array shape {px.shape} does not match {self.height}x{self.width}"
             )
+        if px.dtype != np.uint8:
+            bad = np.argwhere(~np.isin(px, np.arange(256)))
+            if bad.size:
+                row, col = bad[0]
+                raise ShapeError(f"pixel at row {row}, column {col} is {px[row].tolist()[col]!r}, "
+                                 "not a whole number in 0..255")
+            px = px.astype(np.uint8)
         self.pixels = px
 
 
 @dataclass(frozen=True)
 class CropRect:
-    """Axis-aligned crop window: top-left offset (x, y) and extent (w, h)."""
+    """Axis-aligned crop window: top-left offset (x, y) and extent (w, h), all ints."""
 
     x: int
     y: int
@@ -46,6 +58,9 @@ class CropRect:
     h: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if type(value) is not int:  # so not a bool, though bool subclasses int
+                raise BoundsError(f"crop {name} must be an int, got {value!r}")
         if self.w < 1 or self.h < 1:
             raise BoundsError(f"crop extent must be >= 1, got {self.w}x{self.h}")
         if self.x < 0 or self.y < 0:

@@ -278,7 +278,21 @@ def read_features(data):
 
 
 def write_labels(ids, labels):
-    """Cluster assignments to labels CSV bytes (header ``id,cluster``)."""
+    """Cluster assignments to labels CSV bytes (header ``id,cluster``).
+
+    What :func:`read_labels` would refuse raises a DataError: a count of
+    labels other than the count of ids, naming both, or a label that is not
+    an integer in [0, the platform's largest index], naming its index and
+    id. A bool is not an integer here.
+    """
+    ids, labels = list(ids), list(labels)
+    if len(ids) != len(labels):
+        raise DataError(f"{len(ids)} ids but {len(labels)} labels")
+    for i, (row_id, label) in enumerate(zip(ids, labels)):
+        integral = isinstance(label, numbers.Integral) and not isinstance(label, bool)
+        if not (integral and 0 <= label <= _MAX_LABEL):
+            raise DataError(f"label {i} ({row_id!r}): {label!r} is not a cluster id "
+                            f"in [0, {_MAX_LABEL}]")
     return _write_csv(LABELS_HEADER, ([row_id, int(label)] for row_id, label in zip(ids, labels)))
 
 

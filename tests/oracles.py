@@ -9,20 +9,25 @@ The mini-batch and polish references are the exceptions: they reuse
 k-means' assignment and mean helpers, so that only the center update or
 the move sweep differs from the package's. The one-GEMM
 convolution is another: it is the package's convolution as it was before
-it ran in bands. The eager CSV readers are the last: they are the package's
+it ran in bands. The eager CSV readers are another: they are the package's
 readers as they were before rows were read one at a time, and they share its
-number grammar and error messages.
+number grammar and error messages. The field-by-field weight-file reader is
+the last: it is the package's reader as it was before its header became one
+constant.
 """
 
 import csv
 import io
 import math
 import numbers
+import struct
+import zlib
 
 import numpy as np
 
 from radclust.clustering.base import ClusterResult
 from radclust.clustering.kmeans import _assign, _means, _repair_empty
+from radclust.cnn import LAYERS, WEIGHTS_MAGIC, WEIGHTS_VERSION, WeightSet
 from radclust.errors import NonConvergenceError, ParseError
 from radclust.features import FeatureMatrix, as_rows
 from radclust.numerics import RngStream
@@ -512,6 +517,76 @@ def naive_dense(v, w, b):
             acc += w[r, c] * v[c]
         out.append(acc)
     return np.array(out)
+
+
+def _take(data, pos, count, what):
+    if pos + count > len(data):
+        raise ParseError(
+            f"truncated weight stream at byte {len(data)} while reading {what}",
+            offset=len(data),
+        )
+    return data[pos:pos + count], pos + count
+
+
+def fieldwise_load_weights(data):
+    """The weight-file reader as it was before its header became one constant.
+
+    It parses the header field by field (magic, version, layer count, then
+    each layer's ndim and dims) and refuses at the first field that differs
+    from :data:`cnn.LAYERS`, with ``offset`` at that field's first byte.
+    ``cnn.load_weights`` must accept and refuse the same files, each refusal
+    at an offset inside the same field.
+    """
+    data = bytes(data)
+    if data[:4] != WEIGHTS_MAGIC:
+        raise ParseError(f"bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}", offset=0)
+    raw, pos = _take(data, 4, 1, "version")
+    version = raw[0]
+    if version != WEIGHTS_VERSION:
+        raise ParseError(f"unsupported weight file version {version}", offset=4)
+    raw, pos = _take(data, pos, 4, "layer count")
+    (count,) = struct.unpack("<I", raw)
+    expected = [shape for _, shape in LAYERS]
+    if count != len(expected):
+        raise ParseError(
+            f"shape table declares {count} layers, expected {len(expected)}", offset=5
+        )
+    for i, shape in enumerate(expected):
+        raw, pos = _take(data, pos, 4, f"layer {i} ndim")
+        (ndim,) = struct.unpack("<I", raw)
+        if ndim != len(shape):
+            raise ParseError(
+                f"shape table: layer {i} has {ndim} dims, expected {len(shape)}",
+                offset=pos - 4,
+            )
+        raw, pos = _take(data, pos, 4 * ndim, f"layer {i} dims")
+        dims = struct.unpack(f"<{ndim}I", raw)
+        if dims != shape:
+            raise ParseError(
+                f"shape table: layer {i} shape {dims} does not match {shape}",
+                offset=pos - 4 * ndim,
+            )
+    # each layer's weight tensor, then its bias
+    ends = np.cumsum([n for shape in expected for n in (math.prod(shape), shape[0])])
+    start = pos
+    payload, pos = _take(data, pos, 4 * int(ends[-1]), "payload")
+    raw, pos = _take(data, pos, 4, "checksum")
+    if pos < len(data):
+        raise ParseError(f"unexpected data after the checksum at byte {pos}", offset=pos)
+    (crc,) = struct.unpack("<I", raw)
+    if crc != (zlib.crc32(payload) & 0xFFFFFFFF):
+        raise ParseError("payload checksum mismatch", offset=pos - 4)
+    floats = np.frombuffer(payload, dtype="<f4")
+    bad = np.flatnonzero(~np.isfinite(floats))
+    if bad.size:
+        layer = int(np.searchsorted(ends, bad[0], side="right")) // 2
+        offset = start + 4 * int(bad[0])
+        raise ParseError(
+            f"layer {layer} holds a non-finite float32 at byte {offset}", offset=offset
+        )
+    parts = np.split(floats.copy(), ends[:-1])
+    pairs = zip(parts[0::2], parts[1::2], expected)
+    return WeightSet([(w.reshape(shape), b) for w, b, shape in pairs])
 
 
 def naive_silhouette(rows, labels):

@@ -689,6 +689,18 @@ class TestExitCodes:
         assert run(["synth", "--out", "unused.csv"]) == 130
         assert capsys.readouterr() == ("", "interrupted\n")
 
+    def test_refused_allocation_prints_one_line_and_exits_1(self, tmp_path, capsys):
+        # 2e13 int64 labels ask for 1.6e14 bytes, more than a 47-bit user address space
+        # holds, so the allocation is refused at once and touches no memory
+        out, labels_out = tmp_path / "f.csv", tmp_path / "labels.csv"
+        code = run(["synth", "--per-blob", "10000000000000", "--blobs", "2", "--dim", "16",
+                    "--out", str(out), "--labels-out", str(labels_out)])
+        assert code == 1
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and err.startswith("error: out of memory: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists() and not labels_out.exists()
+
     @pytest.mark.parametrize("cpus, signum, code, message", [
         pytest.param(1, signal.SIGINT, 130, b"interrupted\n", id="1"),
         pytest.param(2, signal.SIGINT, 130, b"interrupted\n", id="2"),

@@ -225,3 +225,36 @@ class TestContainers:
     def test_pixel_tensor_checks_shape_and_range(self, values, message):
         with pytest.raises(ShapeError, match=message):
             PixelTensor(values)
+
+    @pytest.mark.parametrize("pixels, message", [
+        ([[300, -1], [0.7, 255.9]], r"pixel at row 0, column 0 is 300.0, not a whole number"),
+        ([[0, 1], [2, 256]], "pixel at row 1, column 1 is 256, not a whole number in 0..255"),
+        (np.array([[0, -1], [2, 3]], dtype=np.int16), "row 0, column 1 is -1"),
+        (np.array([[0.0, 1.0], [2.5, 3.0]]), "row 1, column 0 is 2.5"),
+        (np.array([[0.0, np.nan], [2.0, 3.0]]), "row 0, column 1 is nan"),
+        (np.array([[0.0, 1.0], [np.inf, 3.0]]), "row 1, column 0 is inf"),
+        ([["a", "b"], ["c", "d"]], "row 0, column 0 is 'a', not a whole number in 0..255"),
+        ([[1, None], [2, 3]], "row 0, column 1 is None, not a whole number in 0..255"),
+    ], ids=["mixed", "above-255", "negative-int16", "fraction", "nan", "inf", "strings",
+            "object"])
+    def test_image_gray_refuses_what_is_not_a_byte(self, pixels, message):
+        with pytest.raises(ShapeError, match=message):
+            ImageGray(width=2, height=2, pixels=pixels)
+
+    def test_image_gray_keeps_a_uint8_array_and_converts_whole_numbers(self):
+        px = np.arange(4, dtype=np.uint8).reshape(2, 2)
+        assert ImageGray(width=2, height=2, pixels=px).pixels is px
+        img = ImageGray(width=2, height=2, pixels=[[0, 255.0], [7, 128]])
+        assert img.pixels.dtype == np.uint8 and img.pixels.tolist() == [[0, 255], [7, 128]]
+
+    @pytest.mark.parametrize("fields, name", [
+        ((0.5, 0, 2, 2), "x"),
+        ((0, 0, 2.0, 2), "w"),
+        ((True, 0, 2, 2), "x"),
+        ((0, False, 2, 2), "y"),
+        ((0, 0, 2, np.int64(2)), "h"),
+        ((0, "1", 2, 2), "y"),
+    ], ids=["fractional-x", "float-w", "bool-x", "bool-y", "numpy-h", "string-y"])
+    def test_crop_rect_fields_must_be_ints(self, fields, name):
+        with pytest.raises(BoundsError, match=f"^crop {name} must be an int, got "):
+            CropRect(*fields)

@@ -232,6 +232,22 @@ class TestFeaturesIO:
         assert ids == ["a", "b", "c"]
         assert labels.tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("ids, labels, message", [
+        (["a", "b", "c"], [0, 1], "3 ids but 2 labels"),
+        (["a"], [0, 1], "1 ids but 2 labels"),
+        (["a", "b"], [0.5, 7.9], r"label 0 \('a'\): 0.5 is not a cluster id"),
+        (["a", "b"], [0, 7.0], r"label 1 \('b'\): 7.0 is not a cluster id"),
+        (["a", "b"], [0, -1], r"label 1 \('b'\): -1 is not a cluster id in \[0, "),
+        (["a"], np.array([-1]), r"label 0 \('a'\): np.int64\(-1\) is not a cluster id"),
+        (["a"], [2 ** 63], r"label 0 \('a'\): 9223372036854775808 is not a cluster id"),
+        (["a"], [True], r"label 0 \('a'\): True is not a cluster id"),
+        (["a"], ["1"], r"label 0 \('a'\): '1' is not a cluster id"),
+    ], ids=["too-few-labels", "too-many-labels", "fractions", "float", "negative",
+            "negative-array", "above-index-range", "bool", "string"])
+    def test_write_labels_refuses_what_read_labels_refuses(self, ids, labels, message):
+        with pytest.raises(DataError, match=message):
+            write_labels(ids, labels)
+
     @pytest.mark.parametrize("value", ["-1", "99999999999999999999"])
     def test_label_outside_index_range_rejected(self, value):
         with pytest.raises(ParseError, match=f"cluster {value} outside") as exc:
