@@ -21,9 +21,9 @@ _HEADER_TOKEN = re.compile(rb"(?:[ \t\n\r\x0b\x0c]|#[^\r\n]*(?![^\r\n]))*([^ \t\
 class ImageGray:
     """8-bit grayscale image; ``pixels`` is a row-major (height, width) array.
 
-    A uint8 array is kept as it is. Any other array must hold whole numbers
-    in 0..255, or a ShapeError names the first bad pixel's row, column and
-    value.
+    ``width`` and ``height`` are ints. A uint8 array is kept as it is. Any
+    other array must hold whole numbers in 0..255, or a ShapeError names the
+    first bad pixel's row, column and value.
     """
 
     width: int
@@ -31,9 +31,15 @@ class ImageGray:
     pixels: np.ndarray
 
     def __post_init__(self):
+        for name in ("width", "height"):
+            if type(getattr(self, name)) is not int:  # so not a bool, as in CropRect
+                raise ShapeError(f"image {name} must be an int, got {getattr(self, name)!r}")
         if self.width < 1 or self.height < 1:
             raise ShapeError(f"image dimensions must be >= 1, got {self.width}x{self.height}")
-        px = np.asarray(self.pixels)
+        try:
+            px = np.asarray(self.pixels)
+        except ValueError as exc:  # rows of differing lengths
+            raise ShapeError(f"pixel rows must be one rectangular array: {exc}") from None
         if px.shape != (self.height, self.width):
             raise ShapeError(
                 f"pixel array shape {px.shape} does not match {self.height}x{self.width}"

@@ -6,11 +6,14 @@ here: a counter-based 64-bit random stream that produces the same sequence
 on every platform, a dense symmetric eigensolver (LAPACK through numpy)
 whose eigenvector signs are fixed by a deterministic rule, and one
 squared-distance kernel. :func:`ordered_map` runs independent items, such
-as the images of the CLI's preprocess and extract, on one thread per CPU
+as the images of the CLI's preprocess and extract, or the synthetic images
+of :func:`radclust.pipeline.synth_textured_images`, on one thread per CPU
 and yields their results; :func:`process_map` does the same on one forked
 worker process per CPU, for work that holds the GIL, such as the fits of a
-sweep, and returns a list. Both are the ``map`` of a :mod:`concurrent.futures`
-executor, or a plain loop where they run inline, and share one contract:
+sweep, and returns a list. Each submits its items to a
+:mod:`concurrent.futures` executor, :func:`ordered_map` through the
+executor's ``map``, or runs a plain loop where it runs inline, and both
+share one contract:
 
 - items start in input order, and results come back in input order and
   are released as they are yielded;
@@ -19,10 +22,12 @@ executor, or a plain loop where they run inline, and share one contract:
 - items not yet started are cancelled, and closing the generator early
   does the same.
 
-A bulk draw of :class:`RngStream` keeps its own span threads: the
-caller fills the first span itself, which keeps the draws fast, and a draw
-on the set-up path does not import :mod:`concurrent.futures`. Matrices go
-in and come out as plain float64 numpy arrays; there is no wrapper type.
+These two maps are the only places the module starts threads or
+processes. A bulk draw of :class:`RngStream` runs on the caller's thread; a
+caller that wants many draws made in parallel, such as the synthetic images
+of :func:`radclust.pipeline.synth_textured_images`, positions one stream per
+output with :meth:`RngStream.ahead` and maps over them. Matrices go in and
+come out as plain float64 numpy arrays; there is no wrapper type.
 All floating arithmetic is 64-bit.
 Nothing here factors a covariance: :mod:`radclust.clustering.gmm` calls
 numpy's LAPACK Cholesky directly.
@@ -88,7 +93,7 @@ def mix_seed(*parts):
 
 
 def _cpus():
-    """CPUs this process may run on: the most spans a bulk draw, or workers a map, uses."""
+    """CPUs this process may run on: the most workers a map uses."""
     affinity = getattr(os, "sched_getaffinity", None)  # not on every platform
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
@@ -144,7 +149,9 @@ def ordered_map(fn, items):
     its result would have been yielded, so the caller has seen exactly the
     results a serial loop would have given it before that failure. With one
     CPU, one item, or no OpenBLAS whose threads can be set, the calls run
-    here, one after another.
+    here, one after another. Its callers map over images: the CLI's
+    preprocess and extract, and :func:`radclust.pipeline.synth_textured_images`,
+    whose numpy passes release the GIL.
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -177,7 +184,9 @@ def _adopt(fn, items):
 
     SIGTERM gets its default action back: a handler inherited from the parent
     (the CLI's raises an exception, which the pool's worker loop catches)
-    would keep ``terminate()`` from ending the worker.
+    would keep the SIGTERM that the executor sends its workers when the pool
+    breaks from ending them. An interrupted map sends SIGKILL instead, which
+    also ends a worker that has not got this far.
     """
     global _job
     _job = fn, items
@@ -202,10 +211,11 @@ def process_map(fn, items):
     before the map is restored when it ends. A worker that dies raises
     :class:`concurrent.futures.process.BrokenProcessPool`. An interrupt
     (``KeyboardInterrupt``, as from SIGINT, or from SIGTERM under the CLI's
-    entry point) terminates the workers, so it is raised without waiting for
-    the calls they run; any other failure lets them finish. The calls run
-    here, one after another, with one CPU or one item, without ``os.fork``,
-    or where a fork would warn (see :func:`_fork_is_quiet`).
+    entry point) kills the workers, so it is raised without waiting for the
+    calls they run, and neither a worker nor the executor's thread prints a
+    traceback; any other failure lets the running calls finish. The calls run here, one after another, with one CPU or
+    one item, without ``os.fork``, or where a fork would warn (see
+    :func:`_fork_is_quiet`).
     """
     items = list(items)
     workers = min(_cpus(), len(items))
@@ -219,10 +229,16 @@ def process_map(fn, items):
         with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
                                  initializer=_adopt, initargs=(fn, items)) as pool:
             try:
-                return list(pool.map(_call, range(len(items))))
+                futures = [pool.submit(_call, i) for i in range(len(items))]
+                return [future.result() for future in futures]
             except KeyboardInterrupt:  # the block's exit would wait for the running calls
-                for worker in pool._processes.values():  # terminate_workers() from Python 3.14
-                    worker.terminate()
+                # Nothing is cancelled first: once its workers are gone the executor fails
+                # every pending future, and failing a cancelled one raises in its own thread.
+                for worker in pool._processes.values():  # kill_workers() from Python 3.14
+                    worker.kill()
+                raise
+            except BaseException:
+                pool.shutdown(cancel_futures=True)  # as Executor.map does: drop the calls not started
                 raise
 
 
@@ -284,18 +300,6 @@ def _gaussian_block(out, counter, scratch):
     np.multiply(g, f, out=out)
 
 
-def _span(out, state, per, kernel, lo, hi, errors):
-    """Fill ``out[lo:hi]`` block by block in one scratch buffer; append a failure to ``errors``."""
-    try:
-        block = _BLOCK // per
-        scratch = np.empty(3 * per * min(block, hi - lo), np.uint64)
-        for start in range(lo, hi, block):
-            stop = min(start + block, hi)
-            kernel(out[start:stop], (state + per * start * _GAMMA) & _MASK64, scratch)
-    except BaseException as exc:  # re-raised by the caller, on its own thread
-        errors.append(exc)
-
-
 class RngStream:
     """Deterministic 64-bit random stream (single-owner, mutable).
 
@@ -303,10 +307,11 @@ class RngStream:
     output is a finalizing mix of the counter, so the k-th draw depends only
     on (seed, k). Bulk generation (:meth:`u64s`, :meth:`gaussians`) is
     therefore bit-identical to repeated scalar draws of the same kind, down
-    to the final state. It runs in blocks of 2**15 raw draws; a longer range
-    is cut into spans that fill their own slices of the output on up to one
-    thread per CPU the process may run on, and the bits are the same at any
-    thread count.
+    to the final state. It runs in blocks of 2**15 raw draws on the
+    caller's thread. To fill independent outputs in parallel, give each its
+    own stream from :meth:`ahead`, at the counter where a serial run would
+    have reached it, and map over them with :func:`ordered_map`: the bits
+    are those of the serial run.
 
     Uniform draws lie in [0, 1). Gaussian draws use the Box-Muller transform
     (cosine branch, two uniforms per value) and are always finite. A stream
@@ -343,35 +348,18 @@ class RngStream:
         """``count`` values of ``per`` draws each, made by ``kernel`` block by block.
 
         ``kernel(out, counter, scratch)`` fills ``out`` from the draws after
-        ``counter``, with three uint64 words of ``scratch`` per draw. Up to
-        one block runs here. A longer range is cut into contiguous spans of
-        whole blocks, one per CPU this process may run on; each span fills
-        its own slice of the output on its own thread, the first on this
-        one. The state moves only once every span has finished, and a span's
-        exception is raised here, so no partly filled array is returned.
+        ``counter``, with three uint64 words of ``scratch`` per draw. Every
+        block runs here, on the caller's thread, in one scratch buffer. The
+        state moves only once the last block is filled, so a kernel's
+        exception leaves it where it was and no partly filled array escapes.
         """
         if count < 0:
             raise ValueError(f"count must be >= 0, got {count}")
         out = np.empty(count, dtype)
         block = _BLOCK // per
-        if count <= block:
-            kernel(out, self._state, np.empty(3 * per * count, np.uint64))
-        else:
-            blocks = -(-count // block)
-            spans = min(_cpus(), blocks)
-            edges = [min(count, block * (blocks * i // spans)) for i in range(spans + 1)]
-            errors = []
-            threads = [
-                threading.Thread(target=_span, args=(out, self._state, per, kernel, lo, hi, errors))
-                for lo, hi in zip(edges[1:-1], edges[2:])
-            ]
-            for thread in threads:
-                thread.start()
-            _span(out, self._state, per, kernel, edges[0], edges[1], errors)
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
+        scratch = np.empty(3 * per * min(block, count), np.uint64)
+        for start in range(0, count, block):
+            kernel(out[start:start + block], (self._state + per * start * _GAMMA) & _MASK64, scratch)
         self._state = (self._state + per * count * _GAMMA) & _MASK64
         return out
 
@@ -433,6 +421,14 @@ class RngStream:
             out.append(displaced.get(j, j))
             displaced[j] = displaced.get(i, i)
         return out
+
+    def ahead(self, draws):
+        """A new stream at the state this one reaches after ``draws`` raw draws.
+
+        This stream does not move. A Gaussian takes two raw draws, and a
+        :meth:`u64s` value one.
+        """
+        return RngStream((self._state + draws * _GAMMA) & _MASK64)
 
     def spawn(self):
         """Independent child stream seeded from the next draw of this one."""

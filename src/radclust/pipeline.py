@@ -47,7 +47,7 @@ from .errors import BoundsError, ConfigError, DataError, ParseError, RadclustErr
 from .features import FeatureMatrix
 from .imaging import CropRect, ImageGray
 from .metrics import silhouette_batch
-from .numerics import RngStream, mix_seed, process_map
+from .numerics import RngStream, mix_seed, ordered_map, process_map
 
 MANIFEST_HEADER = ["path", "crop_x", "crop_y", "crop_w", "crop_h", "age", "sex"]
 LABELS_HEADER = ["id", "cluster"]
@@ -346,27 +346,33 @@ def synth_textured_images(n_per_class, size, seed):
     """Two synthetic grayscale populations: smooth-dark and speckled-bright.
 
     Returns (images, ids, ground-truth labels). Stands in for real scans in
-    end-to-end runs and demos.
+    end-to-end runs and demos. Image i is made from the i-th run of
+    size * size Gaussians of the stream seeded with ``seed``, read from a
+    stream positioned there (:meth:`~radclust.numerics.RngStream.ahead`), so
+    the images are made in parallel by :func:`~radclust.numerics.ordered_map`
+    with the bytes of one serial draw.
     """
     if n_per_class < 1 or size < 1:
         raise ConfigError("n_per_class and size must be >= 1")
-    stream = RngStream(seed)
-    images, ids, labels = [], [], []
     gradient = np.linspace(-40.0, 40.0, size)[:, None]
-    for cls, (base, noise_scale) in enumerate([(90.0, 6.0), (160.0, 35.0)]):
-        for j in range(n_per_class):
-            canvas = stream.gaussians(size * size).reshape(size, size)
-            canvas *= noise_scale
-            canvas += base
-            if cls == 0:
-                canvas += gradient
-            canvas += 0.5
-            np.floor(canvas, out=canvas)
-            pixels = np.clip(canvas, 0.0, 255.0, out=canvas).astype(np.uint8)
-            images.append(ImageGray(width=size, height=size, pixels=pixels))
-            ids.append(f"img{cls}_{j:03d}")
-            labels.append(cls)
-    return images, ids, np.array(labels, dtype=np.intp)
+
+    def draw(i):
+        cls = i // n_per_class
+        base, noise_scale = [(90.0, 6.0), (160.0, 35.0)][cls]
+        stream = RngStream(seed).ahead(2 * size * size * i)  # two raw draws per Gaussian
+        canvas = stream.gaussians(size * size).reshape(size, size)
+        canvas *= noise_scale
+        canvas += base
+        if cls == 0:
+            canvas += gradient
+        canvas += 0.5
+        np.floor(canvas, out=canvas)
+        pixels = np.clip(canvas, 0.0, 255.0, out=canvas).astype(np.uint8)
+        return ImageGray(width=size, height=size, pixels=pixels)
+
+    images = list(ordered_map(draw, range(2 * n_per_class)))
+    ids = [f"img{cls}_{j:03d}" for cls in range(2) for j in range(n_per_class)]
+    return images, ids, np.repeat(np.arange(2, dtype=np.intp), n_per_class)
 
 
 @dataclass

@@ -211,7 +211,11 @@ class TestContainers:
     @pytest.mark.parametrize("width, height, pixels, message", [
         (0, 2, np.zeros((2, 0)), "image dimensions must be >= 1, got 0x2"),
         (3, 2, np.zeros((3, 2)), r"pixel array shape \(3, 2\) does not match 2x3"),
-    ], ids=["empty", "transposed"])
+        (2.5, 2, np.zeros((2, 2)), "image width must be an int, got 2.5"),
+        ("2", 2, np.zeros((2, 2)), "image width must be an int, got '2'"),
+        (2, True, np.zeros((1, 2)), "image height must be an int, got True"),
+        (2, 2, [[1, 2], [3]], "pixel rows must be one rectangular array"),
+    ], ids=["empty", "transposed", "float-width", "str-width", "bool-height", "ragged"])
     def test_image_gray_checks_its_shape(self, width, height, pixels, message):
         with pytest.raises(ShapeError, match=message):
             ImageGray(width=width, height=height, pixels=pixels)

@@ -84,49 +84,51 @@ class TestRngStream:
     def test_bits_do_not_depend_on_the_worker_count(self, monkeypatch, kind, workers):
         oracle_draws, per = ONE_SHOT_DRAWS[kind]
         block = numerics._BLOCK // per
-        span = numerics._span
+        name = {"u64s": "_u64_block", "gaussians": "_gaussian_block"}[kind]
+        kernel = getattr(numerics, name)
         threads = []
 
-        def recording_span(*args):
+        def recording_kernel(*args):
             threads.append(threading.current_thread())
-            span(*args)
+            kernel(*args)
 
         monkeypatch.setattr(numerics, "_cpus", lambda: workers)
-        monkeypatch.setattr(numerics, "_span", recording_span)
+        monkeypatch.setattr(numerics, name, recording_kernel)
         count = 3 * block + 7  # four blocks, the last one short
         stream, oracle = RngStream(2**64 - 2), RngStream(2**64 - 2)
         got = getattr(stream, kind)(count)
         assert got.tobytes() == oracle_draws(oracle, count).tobytes()
         assert stream._state == oracle._state
-        assert len(set(threads)) == len(threads) == workers
+        assert threads == [threading.current_thread()] * 4
 
-    def test_eight_spans_under_a_short_switch_interval(self, monkeypatch):
-        count = 8 * (numerics._BLOCK // 2) + 3  # nine Gaussian blocks in eight spans
-        monkeypatch.setattr(numerics, "_cpus", lambda: 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = RngStream(37).gaussians(count)
-        finally:
-            sys.setswitchinterval(interval)
-        assert got.tobytes() == ONE_SHOT_DRAWS["gaussians"][0](RngStream(37), count).tobytes()
-
-    @pytest.mark.parametrize("failing", ["worker", "caller"])
-    def test_span_exception_reaches_the_caller(self, monkeypatch, failing):
+    def test_block_exception_reaches_the_caller(self, monkeypatch):
         block = numerics._BLOCK // 2
         kernel = numerics._gaussian_block
+        calls = []
 
-        def fail_on_one_thread(*args):
-            if (threading.current_thread() is threading.main_thread()) == (failing == "caller"):
-                raise RuntimeError(f"{failing} span failed")
+        def fail_on_the_second_block(*args):
+            calls.append(len(calls))
+            if len(calls) == 2:
+                raise RuntimeError("second block failed")
             kernel(*args)
 
-        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
-        monkeypatch.setattr(numerics, "_gaussian_block", fail_on_one_thread)
+        monkeypatch.setattr(numerics, "_gaussian_block", fail_on_the_second_block)
         stream = RngStream(31)
-        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
-            stream.gaussians(2 * block)
-        assert stream._state == RngStream(31)._state
+        with pytest.raises(RuntimeError, match="second block failed"):
+            stream.gaussians(3 * block)
+        assert calls == [0, 1] and stream._state == RngStream(31)._state
+
+    @pytest.mark.parametrize("kind", sorted(ONE_SHOT_DRAWS))
+    @pytest.mark.parametrize("skip", [0, 1, 5, numerics._BLOCK + 3])
+    def test_ahead_starts_where_one_shot_draws_reach(self, kind, skip):
+        oracle_draws, per = ONE_SHOT_DRAWS[kind]
+        parent = RngStream(2**64 - 2)
+        child = parent.ahead(per * skip)
+        assert parent._state == RngStream(2**64 - 2)._state  # the parent did not move
+        oracle = RngStream(2**64 - 2)
+        expected = oracle_draws(oracle, skip + 9)[skip:]
+        assert getattr(child, kind)(9).tobytes() == expected.tobytes()
+        assert child._state == oracle._state
 
     def test_uniform_range_and_mean(self):
         stream = RngStream(3)

@@ -14,7 +14,7 @@ import pytest
 
 import radclust
 import radclust.pipeline as pl
-from radclust import ClusterConfig, ClusterResult, birch, kmeans
+from radclust import ClusterConfig, ClusterResult, birch, kmeans, numerics
 from radclust.errors import (
     ConfigError, DataError, ParseError, RadclustError, ShapeError, UsageError,
 )
@@ -359,11 +359,14 @@ class TestSynth:
         roughness = [np.diff(i.pixels.astype(float), axis=1).std() for i in imgs]
         assert min(roughness[3:]) > 3.0 * max(roughness[:3])
 
-    def test_textured_image_bytes_are_pinned(self):
-        # four 512x512 images: each one more than one block of Gaussian draws
-        imgs, _, _ = synth_textured_images(2, 512, seed=1)
-        digest = hashlib.sha256(b"".join(i.pixels.tobytes() for i in imgs)).hexdigest()
-        assert digest == "1898469de7daf2c27dc296bcf51d9e68b5990b13b22a73ef533ec4b5109e6a24"
+    def test_textured_image_bytes_are_pinned(self, monkeypatch):
+        # four 512x512 images, each more than one block of Gaussian draws, made inline
+        # and on two and three threads
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(numerics, "_cpus", lambda: cpus)
+            imgs, _, _ = synth_textured_images(2, 512, seed=1)
+            digest = hashlib.sha256(b"".join(i.pixels.tobytes() for i in imgs)).hexdigest()
+            assert digest == "1898469de7daf2c27dc296bcf51d9e68b5990b13b22a73ef533ec4b5109e6a24", cpus
 
 
 class TestSweep:
