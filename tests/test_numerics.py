@@ -101,22 +101,30 @@ class TestRngStream:
         assert stream._state == oracle._state
         assert threads == [threading.current_thread()] * 4
 
-    def test_block_exception_reaches_the_caller(self, monkeypatch):
+    @pytest.mark.parametrize("failing", ["worker", "caller"])
+    def test_span_exception_reaches_the_caller(self, monkeypatch, failing):
+        # With two CPUs, a two-block draw once split into a span the caller
+        # filled (the first block) and one a worker filled (the second). Both
+        # blocks now run here, one after another; a failure in either reaches
+        # the caller, stops the draw, and leaves the state where it was.
         block = numerics._BLOCK // 2
         kernel = numerics._gaussian_block
+        fails_on = {"caller": 1, "worker": 2}[failing]
         calls = []
 
-        def fail_on_the_second_block(*args):
-            calls.append(len(calls))
-            if len(calls) == 2:
-                raise RuntimeError("second block failed")
+        def fail_on_one_block(*args):
+            calls.append(threading.current_thread())
+            if len(calls) == fails_on:
+                raise RuntimeError(f"{failing} span failed")
             kernel(*args)
 
-        monkeypatch.setattr(numerics, "_gaussian_block", fail_on_the_second_block)
+        monkeypatch.setattr(numerics, "_cpus", lambda: 2)
+        monkeypatch.setattr(numerics, "_gaussian_block", fail_on_one_block)
         stream = RngStream(31)
-        with pytest.raises(RuntimeError, match="second block failed"):
-            stream.gaussians(3 * block)
-        assert calls == [0, 1] and stream._state == RngStream(31)._state
+        with pytest.raises(RuntimeError, match=f"{failing} span failed"):
+            stream.gaussians(2 * block)
+        assert calls == [threading.current_thread()] * fails_on
+        assert stream._state == RngStream(31)._state
 
     @pytest.mark.parametrize("kind", sorted(ONE_SHOT_DRAWS))
     @pytest.mark.parametrize("skip", [0, 1, 5, numerics._BLOCK + 3])
